@@ -82,7 +82,7 @@ def fibonacci_automaton(variant: Variant = Variant.CORRECTED) -> Automaton:
     )
 
 
-def _tree_transitions(system: SubstitutionSystem, zsym: str, fsym: str):
+def _tree_transitions(system: SubstitutionSystem, fsym: str):
     """Depth-first tree walk: expand labels with a height marker left,
     read their terminal letter at height 0."""
     out = []
@@ -112,7 +112,7 @@ def ball_automaton(system: SubstitutionSystem, root: str, sigma: int,
         _t("q0", EPS, (zsym, fsym), "q0", commit),
         _t("q0", EPS, (zsym, fsym), "q0", Push(2, ff)),
     ]
-    transitions += _tree_transitions(system, zsym, fsym)
+    transitions += _tree_transitions(system, fsym)
     letters = tuple(dict.fromkeys(system.read_letters[x] for x in system.labels))
     return Automaton(
         levels=2,
@@ -175,7 +175,7 @@ def sector_automaton(system: SubstitutionSystem, root: str,
         _t("q0", "s", (xsym, fsym), "q0", Pop(2)),
         _t("q0", EPS, (xsym,), "q0", Pop(1)),
     ]
-    transitions += _tree_transitions(system, zsym, fsym)
+    transitions += _tree_transitions(system, fsym)
     letters = ("r", "s") + tuple(
         dict.fromkeys(system.read_letters[x] for x in system.labels))
     return Automaton(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -51,16 +52,19 @@ _SYSTEMS = {
     "cell120": grammar.cell120,
 }
 
+# poly7, polygonal7, poly(7), polygonal(7)
+_POLYGONAL = re.compile(r"poly(?:gonal)?(?:(\d+)|\((\d+)\))")
+
 
 def get_system(name: str) -> SubstitutionSystem:
     key = name.strip().lower()
     if key in _SYSTEMS:
         return _SYSTEMS[key]()
-    if key.startswith("poly"):
-        digits = key[4:].lstrip("gonal").lstrip("(").rstrip(")")
+    match = _POLYGONAL.fullmatch(key)
+    if match:
         try:
-            return grammar.polygonal(int(digits))
-        except (ValueError, GrammarError) as exc:
+            return grammar.polygonal(int(match[1] or match[2]))
+        except GrammarError as exc:
             raise CliError(f"bad polygonal system {name!r}: {exc}") from exc
     raise CliError(
         f"unknown system {name!r} (try fib, poly6, poly7, dodeca, cell120)")

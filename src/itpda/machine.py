@@ -17,9 +17,13 @@ configurations might still accept.  Enlarging the store bound can only
 move verdicts toward the true language, never flip Accepted to Rejected
 or vice versa on words whose accepting runs fit the bound.
 
-The search is depth-first, expanding transitions in declaration order and
-memoizing visited (state, position, store) triples, so verdicts and
-witness traces are deterministic.
+The search is depth-first and expands transitions in declaration order,
+so verdicts and witness traces are deterministic.  Every configuration
+it generates is looked up among those it remembers, but it remembers
+only the ones at which it can branch and a few on each path between
+them (see ``_search``).  No work is multiplied, every cycle is closed,
+and tree walks search in memory proportional to their depth, not to
+the configurations visited.
 """
 
 from __future__ import annotations
@@ -161,9 +165,10 @@ class Automaton:
             if isinstance(t.action, Push) and any(
                     s not in symbols for s in t.action.word):
                 raise MachineError(f"{where}: undeclared symbol in push word")
-        # (state, pattern) -> ordered applicable transitions, duplicates
-        # merged.  Entries carry an opcode so the search loop can inline
-        # the two by far most frequent store operations:
+        # (state, pattern) -> (whether the search can branch there, ordered
+        # applicable transitions), duplicates merged.  Entries carry an
+        # opcode so the search loop can inline the two by far most frequent
+        # store operations:
         #   0 pop at depth 1, 1 pop deeper, 2 push at depth 1 (payload is
         #   the push word reversed, ready for top-down construction),
         #   3 push deeper (payload is the push word).
@@ -185,6 +190,8 @@ class Automaton:
                 entry = (tid, t.letter, t.target, op, t.action.level,
                          None, None)
             index.setdefault((t.state, t.pattern), []).append(entry)
+        for key, entries in index.items():
+            index[key] = (_can_branch(entries), tuple(entries))
         object.__setattr__(self, "_index", index)
 
     def initial_store(self) -> Store:
@@ -193,6 +200,13 @@ class Automaton:
 
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial_state, 0, self.initial_store())
+
+
+def _can_branch(entries) -> bool:
+    """Can two of these index entries fire on the same input?"""
+    letters = [e[1] for e in entries]
+    return len(letters) > 1 and (None in letters
+                                 or len(set(letters)) < len(letters))
 
 
 def _as_word(word) -> Word:
@@ -205,7 +219,8 @@ def step(automaton: Automaton, config: Configuration,
     the transition applied."""
     word = _as_word(word)
     out = set()
-    entries = automaton._index.get((config.state, config.store._topsym), ())
+    _, entries = automaton._index.get((config.state, config.store._topsym),
+                                      (None, ()))
     for tid, letter, target, op, level, _payload, push_word in entries:
         if letter is None:
             npos = config.position
@@ -228,6 +243,19 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     ``goal`` is None for acceptance (input exhausted, store empty) or an
     exact (state, position, store) target.  Returns a Verdict; the trace
     is reconstructed only when ``want_trace``.
+
+    With ``memoize``, every generated configuration is looked up in
+    ``seen`` and pruned if it is there, but only some are added to it:
+    those whose index key can branch (two transitions may fire) or has no
+    transitions, and, between two such branch points, the 1st, 2nd, 4th,
+    8th, ... configuration after the last one.  Between branch points each
+    configuration has at most one successor, so the search walks a single
+    path there, and these few entries keep memory near the DFS depth on
+    tree walks.  A path that meets the configuration another path
+    reached j steps after its branch point is pruned within j more
+    steps, on the next remembered configuration of that path.  A cycle
+    reads no letter, so it passes a branch point or lies on such a path,
+    and it is closed the same way.
     """
     index = automaton._index
     n = len(word)
@@ -242,7 +270,6 @@ def _search(automaton: Automaton, word: Word, start: tuple,
         return cfg == goal
 
     parents: dict = {}
-    seen = {start} if memoize else set()
     count = 1
     store_cut = False
 
@@ -265,13 +292,21 @@ def _search(automaton: Automaton, word: Word, start: tuple,
 
     accept_mode = goal is None
     Store_ = Store
-    stack = [start]
+    dead = (True, ())  # dead ends are remembered like branch points
+    seen = {start}
+    # t: the popped configuration is the t-th since the last branch point
+    # on its path.  mark: the stack height left by popping a configuration
+    # that cannot branch, so its one successor, if pushed, pops back to it.
+    t = mark = 0
+    stack = [(*start, index.get((start[0], start[2]._topsym), dead))]
     while stack:
-        cfg = stack.pop()
-        state, pos, cur = cfg
-        entries = index.get((state, cur._topsym))
-        if not entries:
-            continue
+        state, pos, cur, (branches, entries) = stack.pop()
+        if memoize:
+            t = t + 1 if len(stack) == mark else 1
+            mark = -1 if branches else len(stack)
+            # Successors of a branch point start a new count at 1; the
+            # others are remembered when their count t + 1 is a power of 2.
+            keep_all = branches or not t & (t + 1)
         successors = []
         for tid, letter, target, op, level, payload, _w in entries:
             if letter is None:
@@ -300,22 +335,28 @@ def _search(automaton: Automaton, word: Word, start: tuple,
             if max_store is not None and nstore.size > max_store:
                 store_cut = True
                 continue
-            ncfg = (target, npos, nstore)
+            nnode = index.get((target, nstore._topsym), dead)
             if memoize:
+                ncfg = (target, npos, nstore)
                 if ncfg in seen:
                     continue
-                seen.add(ncfg)
+                if keep_all or nnode[0]:
+                    seen.add(ncfg)
             if want_trace:
-                parents[ncfg] = (cfg, tid)
+                # First write wins: a configuration can be generated more
+                # than once, and its first parent was generated before it,
+                # so the witness walks real edges back to the start.
+                parents.setdefault((target, npos, nstore),
+                                   ((state, pos, cur), tid))
             count += 1
             if accept_mode:
                 if npos == n and nstore.size == 0:
-                    return finish(ACCEPTED, ncfg)
-            elif ncfg == goal:
-                return finish(ACCEPTED, ncfg)
+                    return finish(ACCEPTED, (target, npos, nstore))
+            elif (target, npos, nstore) == goal:
+                return finish(ACCEPTED, goal)
             if max_configs is not None and count > max_configs:
                 return finish(INCONCLUSIVE)
-            successors.append(ncfg)
+            successors.append((target, npos, nstore, nnode))
         stack.extend(reversed(successors))
     return finish(REJECTED)
 
@@ -334,6 +375,12 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
 
     ``bounds=None`` uses :func:`default_bounds` for the word's length.
     Pass ``trace=True`` to get a replayable witness on acceptance.
+
+    ``memoize=False`` gives up cycle detection: on an epsilon-cycle that
+    keeps the store within its bound the search spins until the
+    configuration budget runs out and reports Inconclusive.  It also
+    explores paths that meet once per path, which can take exponentially
+    longer.  It saves one set lookup per configuration.
     """
     word = _as_word(word)
     _check_letters(automaton, word)
@@ -385,10 +432,10 @@ def enumerate_language(automaton: Automaton, max_len: int,
         if cur.size == 0:
             accepted.add(emitted)
             continue
-        entries = index.get((state, cur._topsym))
-        if not entries:
+        node = index.get((state, cur._topsym))
+        if node is None:
             continue
-        for tid, letter, target, op, level, _payload, push_word in entries:
+        for tid, letter, target, op, level, _payload, push_word in node[1]:
             if letter is None:
                 nemit = emitted
             elif len(emitted) < max_len:

@@ -91,6 +91,19 @@ def test_build_unknown_system(capsys):
     assert code >= 3
 
 
+@pytest.mark.parametrize("name", ["poly7", "polygonal7", "poly(7)",
+                                  "Polygonal(7)"])
+def test_get_system_polygonal_forms(name):
+    assert cli.get_system(name).name == "polygonal(7)"
+
+
+@pytest.mark.parametrize("name", ["polyogan7", "poly(((7", "poly(7",
+                                  "poly7)", "polygon7", "poly", "poly-7"])
+def test_get_system_rejects_malformed_names(name):
+    with pytest.raises(cli.CliError):
+        cli.get_system(name)
+
+
 # --- run ---------------------------------------------------------------------------
 
 @pytest.fixture()

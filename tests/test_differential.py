@@ -1,0 +1,178 @@
+"""Differential testing of the acceptance search against a reference BFS.
+
+The reference is deliberately naive: breadth-first, one visited set over
+the whole search, and the public ``store.push``/``store.pop`` in place of
+the kernel's inlined opcodes.  Hypothesis draws small 1- and 2-level
+automata and short words; the default ``accepts`` must agree with it
+and, on rejections, do at most a few times its work.
+"""
+
+from collections import deque
+
+from hypothesis import given, settings, strategies as hst
+
+from itpda import machine as mc
+from itpda import store as st
+from itpda.machine import (ACCEPTED, REJECTED, Automaton, Pop, Push,
+                           SearchBounds, Transition)
+
+STATES = ("q0", "q1", "q2")
+LETTERS = ("a", "b")
+SYMBOLS = ("Z", "A", "B")
+MAX_STORE = 6
+
+
+def reference_accepts(automaton, word, max_store):
+    """(ACCEPTED, None) iff some run reads ``word`` and empties the store
+    while every store on the way holds at most ``max_store`` symbols;
+    otherwise (REJECTED, the number of configurations visited)."""
+    start = (automaton.initial_state, 0, automaton.initial_store())
+    visited = {start}
+    queue = deque([start])
+    while queue:
+        state, pos, store = queue.popleft()
+        if pos == len(word) and store.size == 0:
+            return ACCEPTED, None
+        for t in automaton.transitions:
+            if t.state != state or t.pattern != st.topsym(store):
+                continue
+            if t.letter is None:
+                npos = pos
+            elif pos < len(word) and word[pos] == t.letter:
+                npos = pos + 1
+            else:
+                continue
+            if isinstance(t.action, Push):
+                nstore = st.push(t.action.level, t.action.word, store)
+            else:
+                nstore = st.pop(t.action.level, store)
+            if nstore is None or nstore.size > max_store:
+                continue
+            ncfg = (t.target, npos, nstore)
+            if ncfg not in visited:
+                visited.add(ncfg)
+                queue.append(ncfg)
+    return REJECTED, len(visited)
+
+
+@hst.composite
+def automata(draw):
+    levels = draw(hst.integers(1, 2))
+    states = STATES[:draw(hst.integers(1, len(STATES)))]
+    symbol = hst.sampled_from(SYMBOLS)
+
+    def action():
+        level = draw(hst.integers(1, levels))
+        if draw(hst.booleans()):
+            return Pop(level)
+        return Push(level, tuple(draw(hst.lists(symbol, max_size=2))))
+
+    transitions = tuple(
+        Transition(draw(hst.sampled_from(states)),
+                   draw(hst.sampled_from((None,) + LETTERS)),
+                   tuple(draw(hst.lists(symbol, min_size=1, max_size=levels))),
+                   draw(hst.sampled_from(states)),
+                   action())
+        for _ in range(draw(hst.integers(1, 8))))
+    return Automaton(levels=levels, states=states, initial_state="q0",
+                     input_alphabet=LETTERS, store_alphabet=SYMBOLS,
+                     initial_symbol="Z", transitions=transitions)
+
+
+@settings(deadline=None, max_examples=300)
+@given(automata(), hst.lists(hst.sampled_from(LETTERS), max_size=4))
+def test_accepts_agrees_with_reference_bfs(automaton, word):
+    bounds = SearchBounds(MAX_STORE, 10 ** 5)
+    verdict = mc.accepts(automaton, word, bounds, trace=True)
+    status, visited = reference_accepts(automaton, word, MAX_STORE)
+    assert verdict.status == status
+    if status == REJECTED:
+        # Both searches explored everything; the kernel may walk a path
+        # again up to a remembered configuration, but never multiply work.
+        assert verdict.configurations <= 4 * visited
+    if verdict.status == ACCEPTED:
+        steps = verdict.trace
+        for (cfg, tid), (nxt, _) in zip(steps, steps[1:]):
+            assert (nxt, tid) in mc.step(automaton, cfg, word)
+
+
+def test_epsilon_cycle_decided_at_once():
+    # The push 1 Z step rewrites Z as Z: a store-preserving epsilon-cycle.
+    automaton = mc.parse_automaton(
+        "levels: 1\nstates: q0\ninitial: q0\ninput: a\nstore: Z\n"
+        "start_symbol: Z\n"
+        "t: q0 eps Z -> q0 push 1 Z\n"
+        "t: q0 a Z -> q0 pop 1\n")
+    for word, status in (("", REJECTED), ("a", ACCEPTED), ("aa", REJECTED)):
+        verdict = mc.accepts(automaton, word)
+        assert verdict.status == status, word
+        assert verdict.configurations <= 2, word
+
+
+def test_epsilon_cycle_without_branch_point_is_closed():
+    # p -> q -> r -> p keeps the store: each state has one epsilon-step.
+    cycle = _unary("s eps Z -> p push 1 Z", "p eps Z -> q push 1 Z",
+                   "q eps Z -> r push 1 Z", "r eps Z -> p push 1 Z",
+                   states="s p q r")
+    verdict = mc.accepts(cycle, "")
+    assert verdict.status == REJECTED
+    assert verdict.configurations <= 2 * 4
+
+
+def test_path_meeting_another_is_pruned_at_its_next_remembered_step():
+    # From the branch point s, path a reaches (m, 0, Z) in 3 steps and path
+    # b in 2, then both would read the same a^n.  Path a remembers its 1st,
+    # 2nd, 4th, ... configuration; b meets a at a's 3rd and is pruned at
+    # a's 4th, (m, 1, Z), one configuration more than a full memo table.
+    meet = _unary("s eps Z -> a1 push 1 Z", "s eps Z -> b1 push 1 Z",
+                  "a1 eps Z -> a2 push 1 Z", "a2 eps Z -> m push 1 Z",
+                  "b1 eps Z -> m push 1 Z", "m a Z -> m push 1 Z",
+                  states="s a1 a2 b1 m")
+    for n in (10, 100):
+        verdict = mc.accepts(meet, "a" * n)
+        assert verdict.status == REJECTED
+        assert verdict.configurations == (n + 5) + 1
+
+
+def _unary(*transitions, levels=1, states="p q"):
+    return mc.parse_automaton(
+        f"levels: {levels}\nstates: {states}\ninitial: {states.split()[0]}\n"
+        "input: a\nstore: Z F\nstart_symbol: Z\n"
+        + "".join(f"t: {t}\n" for t in transitions))
+
+
+def test_converging_paths_are_explored_once():
+    # Counts are those of a search that remembers every configuration.
+    # Two states reading a into either one: 2 configurations per letter.
+    both = _unary("p a Z -> p push 1 Z", "p a Z -> q push 1 Z",
+                  "q a Z -> p push 1 Z", "q a Z -> q push 1 Z")
+    for n, count in ((16, 33), (24, 49)):
+        verdict = mc.accepts(both, "a" * n)
+        assert (verdict.status, verdict.configurations) == (REJECTED, count)
+    # Two branches that meet again two epsilon-steps after each letter.
+    diamond = _unary("b a Z -> x1 push 1 Z", "b a Z -> y1 push 1 Z",
+                     "x1 eps Z -> x2 push 1 Z", "x2 eps Z -> b push 1 Z",
+                     "y1 eps Z -> y2 push 1 Z", "y2 eps Z -> b push 1 Z",
+                     states="b x1 x2 y1 y2")
+    for n, count in ((8, 41), (16, 81)):
+        verdict = mc.accepts(diamond, "a" * n)
+        assert (verdict.status, verdict.configurations) == (REJECTED, count)
+    # Epsilon-pops into either state: 2 configurations per popped Z.
+    pops = _unary("p eps Z -> p pop 1", "p eps Z -> q pop 1",
+                  "q eps Z -> p pop 1", "q eps Z -> q pop 1")
+    for k in (8, 16):
+        zs = st.from_pairs(1, [("Z", st.empty(0))] * k)
+        more = st.from_pairs(1, [("Z", st.empty(0))] * (k + 1))
+        verdict = mc.reachable(pops, mc.Configuration("p", 0, zs),
+                               mc.Configuration("p", 0, more), "")
+        assert (verdict.status, verdict.configurations) == (REJECTED, 2 * k + 1)
+    # After one letter, guess a height, count it down with epsilon-steps
+    # and read on: every guess meets the one before at its first step.
+    guesses = _unary("s a Z -> g push 1 Z",
+                     "g eps Z -> g push 2 F", "g eps Z -> c push 1 Z",
+                     "g eps [Z F] -> g push 2 F", "g eps [Z F] -> c push 1 Z",
+                     "c eps [Z F] -> c pop 2", "c a Z -> c push 1 Z",
+                     levels=2, states="s g c")
+    for n, count in ((100, 932), (400, 3632)):
+        verdict = mc.accepts(guesses, "a" * n)
+        assert (verdict.status, verdict.configurations) == (REJECTED, count)

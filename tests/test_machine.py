@@ -4,9 +4,12 @@ format."""
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from itpda import grammar as gr
 from itpda import machine as mc
 from itpda import store as st
-from itpda.builders import Variant, fibonacci_automaton
+from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
+                            sector_automaton)
+from itpda.contour import ContourSpec, contour_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
 
@@ -100,18 +103,48 @@ def test_verdict_bool(fib):
 
 # --- traces --------------------------------------------------------------------------
 
-def test_trace_replays_under_step(fib):
-    word = "a" * 13
-    v = mc.accepts(fib, word, trace=True)
-    assert v.status == ACCEPTED
-    trace = v.trace
-    first, _ = trace[0]
-    assert first == fib.initial_configuration()
-    last, last_tid = trace[-1]
-    assert last_tid is None
-    assert last.position == len(word) and last.store.size == 0
-    for (cfg, tid), (nxt, _) in zip(trace, trace[1:]):
-        assert (nxt, tid) in mc.step(fib, cfg, word)
+def _cycle_through_branch():
+    # (x, 0, Z) is the third configuration, counting the start, on a path
+    # without branches, so the search does not remember it.  The branch
+    # point y leads back to it first and then on to f, which reads.  Its
+    # second parent descends from it: only its first parent gives a
+    # witness that reaches the start.
+    return Automaton(
+        levels=1, states=("s", "u", "x", "y", "f"), initial_state="s",
+        input_alphabet=("a",), store_alphabet=("Z", "A"), initial_symbol="Z",
+        transitions=(
+            T("s", None, ("Z",), "u", Push(1, ("Z",))),
+            T("u", None, ("Z",), "x", Push(1, ("Z",))),
+            T("x", None, ("Z",), "y", Push(1, ("A", "Z"))),
+            T("y", None, ("A",), "x", Pop(1)),
+            T("y", None, ("A",), "f", Pop(1)),
+            T("f", "a", ("Z",), "f", Pop(1)),
+        ))
+
+
+def _trace_cases():
+    fib_system, poly6 = gr.fibonacci(), gr.polygonal(6)
+    sector = contour_word(ContourSpec(fib_system, "W", kind="sector"), 4)
+    ball = contour_word(ContourSpec(poly6, "W", sigma=6, kind="ball"), 3)
+    yield fibonacci_automaton(), "a" * 13, True
+    yield sector_automaton(fib_system, "W"), sector, True
+    yield ball_automaton(poly6, "W", 6), ball, True
+    yield _cycle_through_branch(), "a", True
+    yield ball_automaton(poly6, "W", 6), ball, False
+
+
+def test_trace_replays_under_step():
+    for automaton, word, memoize in _trace_cases():
+        v = mc.accepts(automaton, word, trace=True, memoize=memoize)
+        assert v.status == ACCEPTED
+        trace = v.trace
+        first, _ = trace[0]
+        assert first == automaton.initial_configuration()
+        last, last_tid = trace[-1]
+        assert last_tid is None
+        assert last.position == len(word) and last.store.size == 0
+        for (cfg, tid), (nxt, _) in zip(trace, trace[1:]):
+            assert (nxt, tid) in mc.step(automaton, cfg, word)
 
 
 def test_trace_absent_unless_requested(fib):

@@ -17,6 +17,13 @@ configurations might still accept.  Enlarging the store bound can only
 move verdicts toward the true language, never flip Accepted to Rejected
 or vice versa on words whose accepting runs fit the bound.
 
+On 1- and 2-level automata the acceptance search also drops every
+depth-1 push whose new elements must read more letters than the input
+has left (see :func:`least_yield`).  The bound never exceeds what an
+accepting run reads, so the prune changes no verdict; it cuts the tree
+walk of a guessed height too tall for the word at its first step.  Guess
+loops that grow a flag still run until the store bound stops them.
+
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
 it generates is looked up among those it remembers, but it remembers
@@ -28,6 +35,7 @@ the configurations visited.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -114,10 +122,14 @@ def default_bounds(input_length: int) -> SearchBounds:
 
 @dataclass
 class Verdict:
+    """``store_cut``: the store bound pruned a configuration.
+    ``yield_cut``: the yield bound pruned one (see :func:`least_yield`)."""
+
     status: str
     trace: Optional[list[tuple[Configuration, Optional[int]]]] = None
     configurations: int = 0
     store_cut: bool = False
+    yield_cut: bool = False
 
     def __bool__(self):
         return self.status == ACCEPTED
@@ -136,6 +148,8 @@ class Automaton:
     transitions: tuple[Transition, ...]
     name: str = field(default="", compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
+    _yields: Optional["_YieldTables"] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         if self.levels < 1:
@@ -200,6 +214,156 @@ class Automaton:
 
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial_state, 0, self.initial_store())
+
+    def _yield_tables(self) -> Optional["_YieldTables"]:
+        """The least-yield tables, built on first use; None above 2 levels."""
+        if self._yields is None and self.levels <= 2:
+            object.__setattr__(self, "_yields", _YieldTables(self))
+        return self._yields
+
+
+# Stands for "no run removes the element": more letters than any input has.
+_YIELD_CAP = 1 << 62
+
+
+class _YieldTables:
+    """Least-yield tables of a 1- or 2-level automaton.
+
+    For a flag f, the table C_f maps (state, sym) to the fewest letters any
+    run must read to remove the element sym[f], starting in that state with
+    the element on top; m_f[sym] is its minimum over states.  Each table is
+    the least fixpoint of one inequality per matching transition: pop 1
+    costs its letter, pop 2 adds C_{f.rest} of the target, push 1 w adds
+    C_f[target, w0] + m_f[w1] + ... , and push 2 is relaxed to its letter
+    alone (the grown element still costs at least 0), which keeps every
+    entry a lower bound.  An element left in place is never read past, so
+    emptying a store from state q costs at least C[q, top] plus m of every
+    element below it.
+
+    Tables are keyed by (top of f, table id of f.rest); the empty flag has
+    table 0.  ``lows[tid][i]`` is what the new elements of transition i, a
+    depth-1 push, must read when they carry a flag with table ``tid`` (0
+    for other transitions).
+    """
+
+    def __init__(self, automaton: Automaton):
+        symbols = automaton.store_alphabet
+        sym_id = {s: i for i, s in enumerate(symbols)}
+        nsym = len(symbols)
+        slot = {(q, s): i * nsym + sym_id[s]
+                for i, q in enumerate(automaton.states) for s in symbols}
+        self._slot = slot
+        self._sym_id = sym_id
+        # rules[top]: (slot of (state, sym), letter cost, rest-table slot of
+        # a pop 2, push 1 word as (first slot, symbol ids of the others))
+        # for the transitions that fire on sym[f] when f has top ``top``
+        # (None: f is empty).  pushes: push 1 word -> ids of the
+        # transitions that push it.
+        self._rules: dict = {}
+        self._pushes: dict = {}
+        for i, t in enumerate(automaton.transitions):
+            top = t.pattern[1] if len(t.pattern) == 2 else None
+            act = t.action
+            pop2 = push1 = None
+            if isinstance(act, Pop) and act.level == 2:
+                if top is None:
+                    continue  # pop 2 of an empty flag is undefined
+                pop2 = slot[t.target, t.pattern[0]]
+            elif isinstance(act, Push) and act.level == 1 and act.word:
+                push1 = (slot[t.target, act.word[0]],
+                         tuple(sym_id[s] for s in act.word[1:]))
+                self._pushes.setdefault(push1, []).append(i)
+            self._rules.setdefault(top, []).append(
+                (slot[t.state, t.pattern[0]], int(t.letter is not None),
+                 pop2, push1))
+        self._ntrans = len(automaton.transitions)
+        # Tables are kept for the life of the automaton, one per flag depth
+        # a guess loop reaches, so C is a compact array.
+        self.tables: list[array] = []      # table id -> C
+        self.lows: list[tuple] = []        # table id -> bound per transition
+        self._children: dict = {}          # (top, rest table id) -> table id
+        self._add(None, None)
+
+    def minima(self, C) -> list:
+        """m: the least entry of C for each symbol, over all states."""
+        nsym = len(self._sym_id)
+        return [min(C[s::nsym]) for s in range(nsym)]
+
+    def _add(self, top, rest_id) -> int:
+        """Id of the table of a flag with top ``top`` over a flag with
+        table ``rest_id`` (both None: the empty flag).  A table equal to
+        the one below it is that one, so a guess loop stops adding tables
+        once its yields reach the cap."""
+        rest = self.tables[rest_id] if rest_id is not None else None
+        C = [_YIELD_CAP] * len(self._slot)
+        m = [_YIELD_CAP] * len(self._sym_id)
+        nsym = len(m)
+        rules = self._rules.get(top, ())
+        changed = True
+        while changed:
+            changed = False
+            for at, cost, pop2, push1 in rules:
+                if pop2 is not None:
+                    cost += rest[pop2]
+                elif push1 is not None:
+                    cost += C[push1[0]] + sum(m[j] for j in push1[1])
+                cost = min(cost, _YIELD_CAP)
+                if cost < C[at]:
+                    C[at] = cost
+                    m[at % nsym] = min(m[at % nsym], cost)
+                    changed = True
+        C = array("q", C)
+        if C == rest:
+            return rest_id
+        lows = [0] * self._ntrans
+        for (first, others), tids in self._pushes.items():
+            low = min(C[first] + sum(m[j] for j in others), _YIELD_CAP)
+            for i in tids:
+                lows[i] = low
+        self.tables.append(C)
+        self.lows.append(tuple(lows))
+        return len(self.tables) - 1
+
+    def table_id(self, flag: Store, memo: dict) -> int:
+        """Table id of ``flag``.  ``memo`` maps a flag's hash to (flag,
+        table id) for flags seen before; the walk down the flag is a loop,
+        so flags deeper than the recursion limit are fine."""
+        chain = []
+        while True:
+            hit = memo.get(flag._hash)
+            if hit is not None and hit[0] is flag:
+                tid = hit[1]
+                break
+            if flag.symbol is None:
+                tid = 0
+                memo[flag._hash] = (flag, tid)
+                break
+            chain.append(flag)
+            flag = flag.rest
+        for flag in reversed(chain):
+            key = (flag.symbol, tid)
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = self._add(flag.symbol, tid)
+            tid = child
+            memo[flag._hash] = (flag, tid)
+        return tid
+
+
+def least_yield(automaton: Automaton, state: str, store: Store) -> int:
+    """A lower bound on the letters any run from ``state`` must read to
+    empty ``store`` (``1 << 62`` when no run can).  1- and 2-level
+    automata only; this is the bound the acceptance search prunes with."""
+    tables = automaton._yield_tables()
+    if tables is None:
+        raise MachineError("least yields are defined for 1 and 2 levels only")
+    memo: dict = {}
+    total = 0
+    for i, (sym, flag) in enumerate(store.entries()):
+        C = tables.tables[tables.table_id(flag, memo)]
+        total += (C[tables._slot[state, sym]] if i == 0
+                  else tables.minima(C)[tables._sym_id[sym]])
+    return min(total, _YIELD_CAP)
 
 
 def _can_branch(entries) -> bool:
@@ -271,7 +435,7 @@ def _search(automaton: Automaton, word: Word, start: tuple,
 
     parents: dict = {}
     count = 1
-    store_cut = False
+    store_cut = yield_cut = False
 
     def finish(status, final_cfg=None):
         trace = None
@@ -285,12 +449,17 @@ def _search(automaton: Automaton, word: Word, start: tuple,
                     break
                 cfg, tid = parents[cfg]
             trace.reverse()
-        return Verdict(status, trace, count, store_cut)
+        return Verdict(status, trace, count, store_cut, yield_cut)
 
     if is_goal(start):
         return finish(ACCEPTED, start)
 
     accept_mode = goal is None
+    # A depth-1 push whose new elements must read more letters than are
+    # left cannot lead to acceptance; it is dropped before it is built.
+    yields = automaton._yield_tables() if accept_mode else None
+    lows_of = yields.lows if yields is not None else None
+    flag_tables: dict = {}  # flag hash -> (flag, table id)
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
@@ -321,6 +490,13 @@ def _search(automaton: Automaton, word: Word, start: tuple,
             elif op == 2:
                 flag = cur.flag
                 fsize, fhash, ftop = flag.size, flag._hash, flag._topsym
+                if yields is not None:
+                    hit = flag_tables.get(fhash)
+                    ftable = (hit[1] if hit is not None and hit[0] is flag
+                              else yields.table_id(flag, flag_tables))
+                    if lows_of[ftable][tid] > n - npos:
+                        yield_cut = True
+                        continue
                 nstore = cur.rest
                 for sym in payload:
                     nstore = Store_(cur.level, sym, flag, nstore,
@@ -381,6 +557,11 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     configuration budget runs out and reports Inconclusive.  It also
     explores paths that meet once per path, which can take exponentially
     longer.  It saves one set lookup per configuration.
+
+    On 1- and 2-level automata either search skips the depth-1 pushes
+    whose least yield exceeds the unread input, and sets
+    ``Verdict.yield_cut`` when it did; ``Verdict.store_cut`` still tells
+    whether the store bound cut a configuration.
     """
     word = _as_word(word)
     _check_letters(automaton, word)
@@ -414,14 +595,18 @@ def enumerate_language(automaton: Automaton, max_len: int,
 
     Explores the configuration graph with the emitted prefix as part of
     the search key, so only prefixes the automaton can actually read are
-    ever visited.  Raises :class:`SearchLimitError` if the configuration
-    budget is exceeded (the result would be incomplete).
+    ever visited, and, like :func:`accepts`, skips the depth-1 pushes
+    that need more letters than ``max_len`` leaves.  Raises
+    :class:`SearchLimitError` if the configuration budget is exceeded (the
+    result would be incomplete).
     """
     if bounds is None:
         bounds = default_bounds(max_len)
     index = automaton._index
     max_store = bounds.max_store_symbols
     max_configs = bounds.max_configurations
+    yields = automaton._yield_tables()
+    flag_tables: dict = {}
     accepted: set[Word] = set()
     start = (automaton.initial_state, (), automaton.initial_store())
     seen = {start}
@@ -442,6 +627,10 @@ def enumerate_language(automaton: Automaton, max_len: int,
                 nemit = emitted + (letter,)
             else:
                 continue
+            if op == 2 and yields is not None:
+                ftable = yields.table_id(cur.flag, flag_tables)
+                if yields.lows[ftable][tid] > max_len - len(nemit):
+                    continue
             nstore = (st.push(level, push_word, cur) if op >= 2
                       else st.pop(level, cur))
             if nstore is None:

@@ -1,20 +1,23 @@
 """Differential testing of the acceptance search against a reference BFS.
 
 The reference is deliberately naive: breadth-first, one visited set over
-the whole search, and the public ``store.push``/``store.pop`` in place of
-the kernel's inlined opcodes.  Hypothesis draws small 1- and 2-level
-automata and short words; the default ``accepts`` must agree with it
-and, on rejections, do at most a few times its work.
+the whole search, no yield bound, and the public ``store.push``/
+``store.pop`` in place of the kernel's inlined opcodes.  Hypothesis draws
+small 1-, 2- and 3-level automata and short words; the default
+``accepts`` must agree with it and, on rejections, do at most a few times
+its work; ``memoize=False`` must agree or give up; ``enumerate_language``
+must list the words it accepts.
 """
 
+import itertools
 from collections import deque
 
 from hypothesis import given, settings, strategies as hst
 
 from itpda import machine as mc
 from itpda import store as st
-from itpda.machine import (ACCEPTED, REJECTED, Automaton, Pop, Push,
-                           SearchBounds, Transition)
+from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
+                           Pop, Push, SearchBounds, Transition)
 
 STATES = ("q0", "q1", "q2")
 LETTERS = ("a", "b")
@@ -57,7 +60,7 @@ def reference_accepts(automaton, word, max_store):
 
 @hst.composite
 def automata(draw):
-    levels = draw(hst.integers(1, 2))
+    levels = draw(hst.integers(1, 3))
     states = STATES[:draw(hst.integers(1, len(STATES)))]
     symbol = hst.sampled_from(SYMBOLS)
 
@@ -96,6 +99,25 @@ def test_accepts_agrees_with_reference_bfs(automaton, word):
             assert (nxt, tid) in mc.step(automaton, cfg, word)
 
 
+@settings(deadline=None, max_examples=200)
+@given(automata(), hst.lists(hst.sampled_from(LETTERS), max_size=4))
+def test_unmemoized_accepts_agrees_or_gives_up(automaton, word):
+    bounds = SearchBounds(MAX_STORE, 10 ** 4)
+    verdict = mc.accepts(automaton, word, bounds, memoize=False)
+    status, _ = reference_accepts(automaton, word, MAX_STORE)
+    assert verdict.status in (status, INCONCLUSIVE)
+
+
+@settings(deadline=None, max_examples=100)
+@given(automata())
+def test_enumeration_lists_the_accepted_words(automaton):
+    words = [w for n in range(4) for w in itertools.product(LETTERS, repeat=n)]
+    expected = {w for w in words
+                if reference_accepts(automaton, w, MAX_STORE)[0] == ACCEPTED}
+    bounds = SearchBounds(MAX_STORE, 10 ** 5)
+    assert mc.enumerate_language(automaton, 3, bounds) == expected
+
+
 def test_epsilon_cycle_decided_at_once():
     # The push 1 Z step rewrites Z as Z: a store-preserving epsilon-cycle.
     automaton = mc.parse_automaton(
@@ -111,10 +133,12 @@ def test_epsilon_cycle_decided_at_once():
 
 def test_epsilon_cycle_without_branch_point_is_closed():
     # p -> q -> r -> p keeps the store: each state has one epsilon-step.
+    # Reading b would empty the store, so the yield bound (one letter) fits
+    # the input a and leaves the cycle to the memo.
     cycle = _unary("s eps Z -> p push 1 Z", "p eps Z -> q push 1 Z",
                    "q eps Z -> r push 1 Z", "r eps Z -> p push 1 Z",
-                   states="s p q r")
-    verdict = mc.accepts(cycle, "")
+                   "p b Z -> p pop 1", states="s p q r")
+    verdict = mc.accepts(cycle, "a")
     assert verdict.status == REJECTED
     assert verdict.configurations <= 2 * 4
 
@@ -124,37 +148,44 @@ def test_path_meeting_another_is_pruned_at_its_next_remembered_step():
     # b in 2, then both would read the same a^n.  Path a remembers its 1st,
     # 2nd, 4th, ... configuration; b meets a at a's 3rd and is pruned at
     # a's 4th, (m, 1, Z), one configuration more than a full memo table.
+    # Only b empties the store, so the yield bound drops just the push
+    # after the last letter: n + 4 configurations with a full memo table.
     meet = _unary("s eps Z -> a1 push 1 Z", "s eps Z -> b1 push 1 Z",
                   "a1 eps Z -> a2 push 1 Z", "a2 eps Z -> m push 1 Z",
                   "b1 eps Z -> m push 1 Z", "m a Z -> m push 1 Z",
-                  states="s a1 a2 b1 m")
+                  "m b Z -> m pop 1", states="s a1 a2 b1 m")
     for n in (10, 100):
         verdict = mc.accepts(meet, "a" * n)
         assert verdict.status == REJECTED
-        assert verdict.configurations == (n + 5) + 1
+        assert verdict.configurations == (n + 4) + 1
 
 
 def _unary(*transitions, levels=1, states="p q"):
     return mc.parse_automaton(
         f"levels: {levels}\nstates: {states}\ninitial: {states.split()[0]}\n"
-        "input: a\nstore: Z F\nstart_symbol: Z\n"
+        "input: a b\nstore: Z F\nstart_symbol: Z\n"
         + "".join(f"t: {t}\n" for t in transitions))
 
 
 def test_converging_paths_are_explored_once():
     # Counts are those of a search that remembers every configuration.
-    # Two states reading a into either one: 2 configurations per letter.
+    # Each automaton can empty its store only by reading b, which the
+    # input a^n lacks, so the yield bound cuts just the last steps.
+    # Two states reading a into either one: 2 configurations per letter,
+    # but q needs 2 letters more and p 1.
     both = _unary("p a Z -> p push 1 Z", "p a Z -> q push 1 Z",
-                  "q a Z -> p push 1 Z", "q a Z -> q push 1 Z")
-    for n, count in ((16, 33), (24, 49)):
+                  "q a Z -> p push 1 Z", "q a Z -> q push 1 Z",
+                  "p b Z -> p pop 1")
+    for n, count in ((16, 30), (24, 46)):
         verdict = mc.accepts(both, "a" * n)
         assert (verdict.status, verdict.configurations) == (REJECTED, count)
-    # Two branches that meet again two epsilon-steps after each letter.
+    # Two branches that meet again two epsilon-steps after each letter;
+    # after the last letter both need one more.
     diamond = _unary("b a Z -> x1 push 1 Z", "b a Z -> y1 push 1 Z",
                      "x1 eps Z -> x2 push 1 Z", "x2 eps Z -> b push 1 Z",
                      "y1 eps Z -> y2 push 1 Z", "y2 eps Z -> b push 1 Z",
-                     states="b x1 x2 y1 y2")
-    for n, count in ((8, 41), (16, 81)):
+                     "b b Z -> b pop 1", states="b x1 x2 y1 y2")
+    for n, count in ((8, 36), (16, 76)):
         verdict = mc.accepts(diamond, "a" * n)
         assert (verdict.status, verdict.configurations) == (REJECTED, count)
     # Epsilon-pops into either state: 2 configurations per popped Z.
@@ -172,7 +203,7 @@ def test_converging_paths_are_explored_once():
                      "g eps Z -> g push 2 F", "g eps Z -> c push 1 Z",
                      "g eps [Z F] -> g push 2 F", "g eps [Z F] -> c push 1 Z",
                      "c eps [Z F] -> c pop 2", "c a Z -> c push 1 Z",
-                     levels=2, states="s g c")
-    for n, count in ((100, 932), (400, 3632)):
+                     "c b Z -> c pop 1", levels=2, states="s g c")
+    for n, count in ((100, 931), (400, 3631)):
         verdict = mc.accepts(guesses, "a" * n)
         assert (verdict.status, verdict.configurations) == (REJECTED, count)

@@ -1,6 +1,8 @@
 """Automaton engine: one-step semantics, bounded search, and the file
 format."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -94,6 +96,70 @@ def test_store_cut_flagged_but_still_rejected(fib):
     v = mc.accepts(fib, "a" * 4)
     assert v.status == REJECTED
     assert v.store_cut  # the guess loop was pruned by the store bound
+
+
+@pytest.mark.parametrize("n", [4, 100])
+def test_yield_cut_flagged_on_heights_too_tall(fib, n):
+    # Every height past the input's is committed to and dropped at once.
+    v = mc.accepts(fib, "a" * n, memoize=False)
+    assert v.status == REJECTED
+    assert v.yield_cut and v.store_cut
+    assert not mc.accepts(fib, "a" * 5).yield_cut  # accepted at height 4
+
+
+# --- least yields --------------------------------------------------------------------
+
+@pytest.mark.parametrize("system,root,sigma", [
+    (gr.fibonacci(), "W", 5), (gr.polygonal(6), "W", 6),
+    (gr.dodecahedral(), "O", 8)])
+def test_least_yield_of_a_tree_root_is_its_level_count(system, root, sigma):
+    ball = ball_automaton(system, root, sigma)
+    for h in range(7):
+        flagged = st.single(root, 2, ["F"] * h)
+        assert mc.least_yield(ball, "q0", flagged) == gr.total_count(system, root, h)
+
+
+def test_least_yield_of_x2_is_fibonacci(fib):
+    f = [1, 1]
+    while len(f) < 40:
+        f.append(f[-1] + f[-2])
+    for k in range(40):
+        assert mc.least_yield(fib, "q0", st.single("X2", 2, ["F"] * k)) == f[k]
+    assert mc.least_yield(fib, "q0", st.empty(2)) == 0
+
+
+def test_least_yield_lets_an_element_grow_its_flag():
+    # A is emptied only after a push 2 gives it a marker to count down, so
+    # its yield from p is unknown to the tables and bounded by 0.
+    grow = mc.parse_automaton(HEADER.replace("store: Z F", "store: Z A F") +
+                              "t: q0 eps Z -> q0 push 1 A\n"
+                              "t: q0 eps A -> q1 push 2 F\n"
+                              "t: q1 a [A F] -> q1 pop 2\n"
+                              "t: q1 a A -> q1 pop 1\n")
+    assert mc.least_yield(grow, "q0", st.single("A", 2)) == 0
+    assert mc.least_yield(grow, "q1", st.single("A", 2, ["F"])) == 2
+    assert mc.accepts(grow, "aa").status == ACCEPTED
+    assert mc.enumerate_language(grow, 3) == {("a", "a")}
+
+
+def test_least_yield_is_capped_when_nothing_empties():
+    stuck = Automaton(levels=1, states=("q",), initial_state="q",
+                      input_alphabet=("x",), store_alphabet=("Z",),
+                      initial_symbol="Z",
+                      transitions=(T("q", "x", ("Z",), "q", Push(1, ("Z",))),))
+    assert mc.least_yield(stuck, "q", stuck.initial_store()) == 1 << 62
+    v = mc.accepts(stuck, "xxx")
+    assert (v.status, v.configurations, v.yield_cut) == (REJECTED, 1, True)
+
+
+def test_yield_tables_walk_flags_deeper_than_the_recursion_limit(fib):
+    # a^300 guesses heights up to its store bound, 1,216 symbols.
+    bounds = mc.default_bounds(300)
+    assert bounds.max_store_symbols > sys.getrecursionlimit()
+    v = mc.accepts(fib, "a" * 300, bounds, memoize=False)
+    assert v.status == REJECTED and v.store_cut
+    deep = st.single("X2", 2, ["F"] * (sys.getrecursionlimit() + 500))
+    assert mc.least_yield(fibonacci_automaton(), "q0", deep) == 1 << 62
 
 
 def test_verdict_bool(fib):

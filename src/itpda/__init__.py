@@ -18,8 +18,7 @@ from .grammar import (GrammarError, SubstitutionSystem, cell120, dodecahedral,
 from .machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                       Configuration, Pop, Push, SearchBounds, Transition,
                       Verdict, accepts, default_bounds, enumerate_language,
-                      least_yield, parse_automaton, reachable,
-                      render_automaton, step)
+                      parse_automaton, reachable, render_automaton, step)
 from .store import Store, StoreError, empty, from_pairs, node, parse, pop
 from .store import push as push_store
 from .store import render, single, topsym, total_size

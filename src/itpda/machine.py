@@ -19,7 +19,7 @@ or vice versa on words whose accepting runs fit the bound.
 
 On 1- and 2-level automata the acceptance search also drops every
 depth-1 push whose new elements must read more letters than the input
-has left (see :func:`least_yield`).  The bound never exceeds what an
+has left (see ``_YieldTables``).  The bound never exceeds what an
 accepting run reads, so the prune changes no verdict; it cuts the tree
 walk of a guessed height too tall for the word at its first step.  Guess
 loops that grow a flag still run until the store bound stops them.
@@ -123,7 +123,7 @@ def default_bounds(input_length: int) -> SearchBounds:
 @dataclass
 class Verdict:
     """``store_cut``: the store bound pruned a configuration.
-    ``yield_cut``: the yield bound pruned one (see :func:`least_yield`)."""
+    ``yield_cut``: the yield bound pruned one (see ``_YieldTables``)."""
 
     status: str
     trace: Optional[list[tuple[Configuration, Optional[int]]]] = None
@@ -215,14 +215,19 @@ class Automaton:
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial_state, 0, self.initial_store())
 
-    def _yield_tables(self) -> Optional["_YieldTables"]:
-        """The least-yield tables, built on first use; None above 2 levels."""
-        if self._yields is None and self.levels <= 2:
-            object.__setattr__(self, "_yields", _YieldTables(self))
+    def _yield_tables(self, need: int) -> Optional["_YieldTables"]:
+        """Least-yield tables exact up to ``need`` letters, built on first
+        use and rebuilt with a larger cap for a longer input; None above
+        2 levels."""
+        if self.levels > 2:
+            return None
+        if self._yields is None or self._yields.cap <= need:
+            cap = min(1 << max(need, 63).bit_length(), _YIELD_CAP)
+            object.__setattr__(self, "_yields", _YieldTables(self, cap))
         return self._yields
 
 
-# Stands for "no run removes the element": more letters than any input has.
+# The largest cap: more letters than any input has.
 _YIELD_CAP = 1 << 62
 
 
@@ -240,25 +245,33 @@ class _YieldTables:
     emptying a store from state q costs at least C[q, top] plus m of every
     element below it.
 
-    Tables are keyed by (top of f, table id of f.rest); the empty flag has
-    table 0.  ``lows[tid][i]`` is what the new elements of transition i, a
-    depth-1 push, must read when they carry a flag with table ``tid`` (0
-    for other transitions).
+    Every entry is capped at ``cap``, which exceeds the input lengths the
+    tables are asked about, so a capped entry still prunes and the others
+    are exact.  Tables are keyed by (top of f, table id of f.rest); the
+    empty flag has table 0, and a table equal to an earlier one gets its
+    id.  A guess loop therefore adds tables only until its yields reach
+    the cap or repeat, not at every flag depth the store bound allows.
+    ``tables[tid]`` holds C by ``slot[state, sym]``, then m by
+    ``m_slot[sym]``.  ``lows[tid][i]`` is what the new elements of
+    transition i, a depth-1 push, must read when they carry a flag with
+    table ``tid`` (0 for other transitions).
     """
 
-    def __init__(self, automaton: Automaton):
+    def __init__(self, automaton: Automaton, cap: int):
+        self.cap = cap
         symbols = automaton.store_alphabet
         sym_id = {s: i for i, s in enumerate(symbols)}
         nsym = len(symbols)
         slot = {(q, s): i * nsym + sym_id[s]
                 for i, q in enumerate(automaton.states) for s in symbols}
-        self._slot = slot
-        self._sym_id = sym_id
-        # rules[top]: (slot of (state, sym), letter cost, rest-table slot of
-        # a pop 2, push 1 word as (first slot, symbol ids of the others))
-        # for the transitions that fire on sym[f] when f has top ``top``
-        # (None: f is empty).  pushes: push 1 word -> ids of the
-        # transitions that push it.
+        self.slot = slot
+        self.m_slot = {s: len(slot) + i for s, i in sym_id.items()}
+        self._size = len(slot) + nsym
+        # rules[top]: (slot of (state, sym), slot of m[sym], letter cost,
+        # rest-table slot of a pop 2, push 1 word as (first slot, m slots
+        # of the others)) for the transitions that fire on sym[f] when f
+        # has top ``top`` (None: f is empty).  pushes: push 1 word -> ids
+        # of the transitions that push it.
         self._rules: dict = {}
         self._pushes: dict = {}
         for i, t in enumerate(automaton.transitions):
@@ -271,57 +284,51 @@ class _YieldTables:
                 pop2 = slot[t.target, t.pattern[0]]
             elif isinstance(act, Push) and act.level == 1 and act.word:
                 push1 = (slot[t.target, act.word[0]],
-                         tuple(sym_id[s] for s in act.word[1:]))
+                         tuple(self.m_slot[s] for s in act.word[1:]))
                 self._pushes.setdefault(push1, []).append(i)
             self._rules.setdefault(top, []).append(
-                (slot[t.state, t.pattern[0]], int(t.letter is not None),
-                 pop2, push1))
+                (slot[t.state, t.pattern[0]], self.m_slot[t.pattern[0]],
+                 int(t.letter is not None), pop2, push1))
         self._ntrans = len(automaton.transitions)
-        # Tables are kept for the life of the automaton, one per flag depth
-        # a guess loop reaches, so C is a compact array.
-        self.tables: list[array] = []      # table id -> C
+        # Tables are kept for the life of the automaton, so each is a
+        # compact array, found again by its hash.
+        self.tables: list[array] = []      # table id -> C and m
         self.lows: list[tuple] = []        # table id -> bound per transition
         self._children: dict = {}          # (top, rest table id) -> table id
+        self._ids: dict = {}               # hash of a table -> table id
         self._add(None, None)
-
-    def minima(self, C) -> list:
-        """m: the least entry of C for each symbol, over all states."""
-        nsym = len(self._sym_id)
-        return [min(C[s::nsym]) for s in range(nsym)]
 
     def _add(self, top, rest_id) -> int:
         """Id of the table of a flag with top ``top`` over a flag with
-        table ``rest_id`` (both None: the empty flag).  A table equal to
-        the one below it is that one, so a guess loop stops adding tables
-        once its yields reach the cap."""
+        table ``rest_id`` (both None: the empty flag)."""
         rest = self.tables[rest_id] if rest_id is not None else None
-        C = [_YIELD_CAP] * len(self._slot)
-        m = [_YIELD_CAP] * len(self._sym_id)
-        nsym = len(m)
+        C = [self.cap] * self._size
         rules = self._rules.get(top, ())
         changed = True
         while changed:
             changed = False
-            for at, cost, pop2, push1 in rules:
+            for at, m_at, cost, pop2, push1 in rules:
                 if pop2 is not None:
                     cost += rest[pop2]
                 elif push1 is not None:
-                    cost += C[push1[0]] + sum(m[j] for j in push1[1])
-                cost = min(cost, _YIELD_CAP)
+                    cost += C[push1[0]] + sum(C[j] for j in push1[1])
                 if cost < C[at]:
                     C[at] = cost
-                    m[at % nsym] = min(m[at % nsym], cost)
+                    C[m_at] = min(C[m_at], cost)
                     changed = True
         C = array("q", C)
-        if C == rest:
-            return rest_id
+        key = hash(C.tobytes())
+        tid = self._ids.get(key)
+        if tid is not None and self.tables[tid] == C:
+            return tid
         lows = [0] * self._ntrans
         for (first, others), tids in self._pushes.items():
-            low = min(C[first] + sum(m[j] for j in others), _YIELD_CAP)
+            low = min(C[first] + sum(C[j] for j in others), self.cap)
             for i in tids:
                 lows[i] = low
         self.tables.append(C)
         self.lows.append(tuple(lows))
+        self._ids.setdefault(key, len(self.tables) - 1)
         return len(self.tables) - 1
 
     def table_id(self, flag: Store, memo: dict) -> int:
@@ -348,22 +355,6 @@ class _YieldTables:
             tid = child
             memo[flag._hash] = (flag, tid)
         return tid
-
-
-def least_yield(automaton: Automaton, state: str, store: Store) -> int:
-    """A lower bound on the letters any run from ``state`` must read to
-    empty ``store`` (``1 << 62`` when no run can).  1- and 2-level
-    automata only; this is the bound the acceptance search prunes with."""
-    tables = automaton._yield_tables()
-    if tables is None:
-        raise MachineError("least yields are defined for 1 and 2 levels only")
-    memo: dict = {}
-    total = 0
-    for i, (sym, flag) in enumerate(store.entries()):
-        C = tables.tables[tables.table_id(flag, memo)]
-        total += (C[tables._slot[state, sym]] if i == 0
-                  else tables.minima(C)[tables._sym_id[sym]])
-    return min(total, _YIELD_CAP)
 
 
 def _can_branch(entries) -> bool:
@@ -457,7 +448,7 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     accept_mode = goal is None
     # A depth-1 push whose new elements must read more letters than are
     # left cannot lead to acceptance; it is dropped before it is built.
-    yields = automaton._yield_tables() if accept_mode else None
+    yields = automaton._yield_tables(n) if accept_mode else None
     lows_of = yields.lows if yields is not None else None
     flag_tables: dict = {}  # flag hash -> (flag, table id)
     Store_ = Store
@@ -605,7 +596,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
     index = automaton._index
     max_store = bounds.max_store_symbols
     max_configs = bounds.max_configurations
-    yields = automaton._yield_tables()
+    yields = automaton._yield_tables(max_len)
     flag_tables: dict = {}
     accepted: set[Word] = set()
     start = (automaton.initial_state, (), automaton.initial_store())

@@ -133,12 +133,13 @@ def test_epsilon_cycle_decided_at_once():
 
 def test_epsilon_cycle_without_branch_point_is_closed():
     # p -> q -> r -> p keeps the store: each state has one epsilon-step.
-    # Reading b would empty the store, so the yield bound (one letter) fits
-    # the input a and leaves the cycle to the memo.
+    # No run empties the store, so accepts would drop the first push by
+    # the yield bound; reachable searches without it.
     cycle = _unary("s eps Z -> p push 1 Z", "p eps Z -> q push 1 Z",
                    "q eps Z -> r push 1 Z", "r eps Z -> p push 1 Z",
-                   "p b Z -> p pop 1", states="s p q r")
-    verdict = mc.accepts(cycle, "a")
+                   states="s p q r")
+    verdict = mc.reachable(cycle, cycle.initial_configuration(),
+                           mc.Configuration("p", 0, st.empty(1)), "")
     assert verdict.status == REJECTED
     assert verdict.configurations <= 2 * 4
 

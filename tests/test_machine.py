@@ -109,6 +109,18 @@ def test_yield_cut_flagged_on_heights_too_tall(fib, n):
 
 # --- least yields --------------------------------------------------------------------
 
+def least_yield(automaton, state, store):
+    """The tables' lower bound on the letters any run from ``state`` reads
+    to empty ``store``; ``1 << 62`` when no run can."""
+    tables = automaton._yield_tables(mc._YIELD_CAP - 1)
+    memo = {}
+    total = 0
+    for i, (sym, flag) in enumerate(store.entries()):
+        C = tables.tables[tables.table_id(flag, memo)]
+        total += C[tables.slot[state, sym] if i == 0 else tables.m_slot[sym]]
+    return min(total, tables.cap)
+
+
 @pytest.mark.parametrize("system,root,sigma", [
     (gr.fibonacci(), "W", 5), (gr.polygonal(6), "W", 6),
     (gr.dodecahedral(), "O", 8)])
@@ -116,7 +128,7 @@ def test_least_yield_of_a_tree_root_is_its_level_count(system, root, sigma):
     ball = ball_automaton(system, root, sigma)
     for h in range(7):
         flagged = st.single(root, 2, ["F"] * h)
-        assert mc.least_yield(ball, "q0", flagged) == gr.total_count(system, root, h)
+        assert least_yield(ball, "q0", flagged) == gr.total_count(system, root, h)
 
 
 def test_least_yield_of_x2_is_fibonacci(fib):
@@ -124,8 +136,8 @@ def test_least_yield_of_x2_is_fibonacci(fib):
     while len(f) < 40:
         f.append(f[-1] + f[-2])
     for k in range(40):
-        assert mc.least_yield(fib, "q0", st.single("X2", 2, ["F"] * k)) == f[k]
-    assert mc.least_yield(fib, "q0", st.empty(2)) == 0
+        assert least_yield(fib, "q0", st.single("X2", 2, ["F"] * k)) == f[k]
+    assert least_yield(fib, "q0", st.empty(2)) == 0
 
 
 def test_least_yield_lets_an_element_grow_its_flag():
@@ -136,8 +148,8 @@ def test_least_yield_lets_an_element_grow_its_flag():
                               "t: q0 eps A -> q1 push 2 F\n"
                               "t: q1 a [A F] -> q1 pop 2\n"
                               "t: q1 a A -> q1 pop 1\n")
-    assert mc.least_yield(grow, "q0", st.single("A", 2)) == 0
-    assert mc.least_yield(grow, "q1", st.single("A", 2, ["F"])) == 2
+    assert least_yield(grow, "q0", st.single("A", 2)) == 0
+    assert least_yield(grow, "q1", st.single("A", 2, ["F"])) == 2
     assert mc.accepts(grow, "aa").status == ACCEPTED
     assert mc.enumerate_language(grow, 3) == {("a", "a")}
 
@@ -147,7 +159,7 @@ def test_least_yield_is_capped_when_nothing_empties():
                       input_alphabet=("x",), store_alphabet=("Z",),
                       initial_symbol="Z",
                       transitions=(T("q", "x", ("Z",), "q", Push(1, ("Z",))),))
-    assert mc.least_yield(stuck, "q", stuck.initial_store()) == 1 << 62
+    assert least_yield(stuck, "q", stuck.initial_store()) == 1 << 62
     v = mc.accepts(stuck, "xxx")
     assert (v.status, v.configurations, v.yield_cut) == (REJECTED, 1, True)
 
@@ -159,7 +171,45 @@ def test_yield_tables_walk_flags_deeper_than_the_recursion_limit(fib):
     v = mc.accepts(fib, "a" * 300, bounds, memoize=False)
     assert v.status == REJECTED and v.store_cut
     deep = st.single("X2", 2, ["F"] * (sys.getrecursionlimit() + 500))
-    assert mc.least_yield(fibonacci_automaton(), "q0", deep) == 1 << 62
+    assert least_yield(fibonacci_automaton(), "q0", deep) == 1 << 62
+
+
+GUESS = ("t: g eps Z -> g push 2 F\n" "t: g eps [Z F] -> g push 2 F\n"
+         "t: g eps Z -> c push 1 Z\n" "t: g eps [Z F] -> c push 1 Z\n")
+
+
+def _guesser(*transitions):
+    return mc.parse_automaton(
+        "levels: 2\nstates: g c d\ninitial: g\ninput: a b\nstore: Z F\n"
+        "start_symbol: Z\n" + GUESS + "".join(f"t: {t}\n" for t in transitions))
+
+
+def test_yield_tables_stop_at_the_cap_on_linear_yields():
+    # Each pop 2 reads a letter, so Z[F^d] yields d + 1 from c: the guess
+    # loop grows its flag to the store bound, 820 symbols, but the tables
+    # stop once the yields reach the cap, 256 for this input.
+    linear = _guesser("c a [Z F] -> c pop 2", "c a Z -> c pop 1")
+    word = "a" * 200 + "b"
+    assert mc.default_bounds(len(word)).max_store_symbols == 820
+    v = mc.accepts(linear, word)
+    assert v.status == REJECTED and v.store_cut and v.yield_cut
+    tables = linear._yields
+    assert tables.cap == 256 and len(tables.tables) <= 256
+    assert mc.accepts(linear, "a" * 200).status == ACCEPTED
+    assert least_yield(linear, "c", st.single("Z", 2, ["F"] * 300)) == 301
+
+
+def test_yield_tables_that_repeat_are_shared():
+    # pop 2 alternates c and d and only c pays to pop Z, so the tables
+    # of Z[F^d] alternate with the parity of d.
+    parity = _guesser("c eps [Z F] -> d pop 2", "d eps [Z F] -> c pop 2",
+                      "c a Z -> c pop 1", "d eps Z -> d pop 1")
+    for word, status in (("a", ACCEPTED), ("", ACCEPTED), ("aa", REJECTED),
+                         ("a" * 200, REJECTED)):
+        assert mc.accepts(parity, word).status == status
+        assert len(parity._yields.tables) == 2
+    for d in (2, 3, 1500):
+        assert least_yield(parity, "c", st.single("Z", 2, ["F"] * d)) == (d + 1) % 2
 
 
 def test_verdict_bool(fib):

@@ -2,10 +2,12 @@
 """Benchmark the 120-cell-grid sector recognizer on large level words.
 
 Level 3 is ~1.5M letters; level 4 (~170M) is left out by default — pass
---max-level 4 only with patience and RAM to spare.
+--max-level 4 only with patience and RAM to spare.  Exits 1 when a level
+is not accepted.
 """
 
 import argparse
+import sys
 import time
 
 from itpda.builders import sector_automaton, suggested_store_bound
@@ -20,6 +22,7 @@ def main():
     parser.add_argument("--root", default="9")
     args = parser.parse_args()
 
+    failed = False
     system = cell120()
     automaton = sector_automaton(system, args.root)
     spec = ContourSpec(system, args.root, kind="sector")
@@ -36,7 +39,9 @@ def main():
         print(f"level {level}: {total:>12} letters  build {build:6.2f}s  "
               f"{verdict.status}  {verdict.configurations} configs  "
               f"run {run:6.2f}s  ({rate:.2f}M configs/s)")
+        failed = failed or not verdict
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

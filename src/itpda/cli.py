@@ -3,7 +3,7 @@ automata, run them on inputs, and verify recognition wholesale.
 
 Exit codes: 0 accepted / check passed, 1 rejected / check failed,
 2 inconclusive (search budget exhausted), 3 and up for usage or domain
-errors.
+errors, unreadable or unwritable paths and bad bounds among them.
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ def cmd_build(args) -> int:
 
 def _read_word_arg(args) -> tuple[str, ...]:
     if args.word is not None:
+        if args.word_file:
+            raise CliError("give the word either with --word or as a file, not both")
         return parse_word(args.word)
     if args.word_file:
         with open(args.word_file, encoding="utf-8") as f:
@@ -297,6 +299,10 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
 def cmd_check(args) -> int:
     if args.kind == "fib":
         raise CliError("check needs a contour kind: ball or sector")
+    if args.mutations < 0:
+        raise CliError(f"--mutations must be >= 0, got {args.mutations}")
+    if args.exhaustive_len is not None and args.exhaustive_len < 0:
+        raise CliError(f"--exhaustive-len must be >= 0, got {args.exhaustive_len}")
     system = get_system(args.system)
     levels = _parse_levels(args.levels, args.kind)
     report = run_check(args.kind, system, args.root, args.sigma, levels,
@@ -392,7 +398,7 @@ def main(argv=None) -> int:
         return 0
     except (CliError, GrammarError, store.StoreError, machine.MachineError,
             machine.SearchLimitError, UndeclaredLetterError,
-            FileNotFoundError, PermissionError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"itpda: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

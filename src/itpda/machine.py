@@ -30,7 +30,10 @@ it generates is looked up among those it remembers, but it remembers
 only the ones at which it can branch and a few on each path between
 them (see ``_search``).  No work is multiplied, every cycle is closed,
 and tree walks search in memory proportional to their depth, not to
-the configurations visited.
+the configurations visited.  Between branch points the search follows
+the one successor in place, without the DFS stack, and it builds the
+store nodes of pops and pushes at depths 1 and 2 itself; deeper
+operations go through :func:`itpda.store.pop` and :func:`itpda.store.push`.
 """
 
 from __future__ import annotations
@@ -109,10 +112,21 @@ class Configuration:
 @dataclass(frozen=True)
 class SearchBounds:
     """None means unlimited.  At least one bound should stay finite for
-    automata with epsilon push cycles (not statically checkable)."""
+    automata with epsilon push cycles (not statically checkable).  A
+    negative store bound or a budget below one configuration raises
+    :class:`MachineError`: either would decide every word without a
+    search."""
 
     max_store_symbols: Optional[int] = None
     max_configurations: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_store_symbols is not None and self.max_store_symbols < 0:
+            raise MachineError(
+                f"store bound must be >= 0, got {self.max_store_symbols}")
+        if self.max_configurations is not None and self.max_configurations < 1:
+            raise MachineError(
+                f"configuration budget must be >= 1, got {self.max_configurations}")
 
 
 def default_bounds(input_length: int) -> SearchBounds:
@@ -181,11 +195,12 @@ class Automaton:
                 raise MachineError(f"{where}: undeclared symbol in push word")
         # (state, pattern) -> (whether the search can branch there, ordered
         # applicable transitions), duplicates merged.  Entries carry an
-        # opcode so the search loop can inline the two by far most frequent
-        # store operations:
-        #   0 pop at depth 1, 1 pop deeper, 2 push at depth 1 (payload is
-        #   the push word reversed, ready for top-down construction),
-        #   3 push deeper (payload is the push word).
+        # opcode so the search loop can build the nodes of the store
+        # operations at depths 1 and 2 itself:
+        #   0 pop at depth 1, 1 pop at depth 2, 2 push at depth 1,
+        #   3 push at depth 2, 4 pop or push deeper (left to ``store``).
+        # A push's payload is its word reversed, ready for top-down
+        # construction; the last field is the push word (None for a pop).
         index: dict = {}
         seen = set()
         for tid, t in enumerate(self.transitions):
@@ -193,16 +208,14 @@ class Automaton:
             if key in seen:
                 continue
             seen.add(key)
+            level = t.action.level
             if isinstance(t.action, Push):
-                op = 2 if t.action.level == 1 else 3
-                payload = (tuple(reversed(t.action.word)) if op == 2
-                           else t.action.word)
-                entry = (tid, t.letter, t.target, op, t.action.level,
-                         payload, t.action.word)
+                op = 2 if level == 1 else 3 if level == 2 else 4
+                entry = (tid, t.letter, t.target, op, level,
+                         tuple(reversed(t.action.word)), t.action.word)
             else:
-                op = 0 if t.action.level == 1 else 1
-                entry = (tid, t.letter, t.target, op, t.action.level,
-                         None, None)
+                op = 0 if level == 1 else 1 if level == 2 else 4
+                entry = (tid, t.letter, t.target, op, level, None, None)
             index.setdefault((t.state, t.pattern), []).append(entry)
         for key, entries in index.items():
             index[key] = (_can_branch(entries), tuple(entries))
@@ -376,15 +389,15 @@ def step(automaton: Automaton, config: Configuration,
     out = set()
     _, entries = automaton._index.get((config.state, config.store._topsym),
                                       (None, ()))
-    for tid, letter, target, op, level, _payload, push_word in entries:
+    for tid, letter, target, _op, level, _payload, push_word in entries:
         if letter is None:
             npos = config.position
         elif config.position < len(word) and word[config.position] == letter:
             npos = config.position + 1
         else:
             continue
-        nstore = (st.push(level, push_word, config.store) if op >= 2
-                  else st.pop(level, config.store))
+        nstore = (st.pop(level, config.store) if push_word is None
+                  else st.push(level, push_word, config.store))
         if nstore is not None:
             out.add((Configuration(target, npos, nstore), tid))
     return out
@@ -411,6 +424,14 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     steps, on the next remembered configuration of that path.  A cycle
     reads no letter, so it passes a branch point or lies on such a path,
     and it is closed the same way.
+
+    Only a branch point's successors go on the stack.  Anywhere else the
+    loop walks on to the one successor in place (a chain walk): the
+    stack height stays as it was, so the bookkeeping above, the cuts,
+    the budget and the accept check see exactly what they would see had
+    the successor been pushed and popped straight back.  Index entries
+    carry an opcode, and the loop builds the nodes of pops and pushes at
+    depths 1 and 2 itself (see ``Automaton.__post_init__``).
     """
     index = automaton._index
     n = len(word)
@@ -458,73 +479,109 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     # on its path.  mark: the stack height left by popping a configuration
     # that cannot branch, so its one successor, if pushed, pops back to it.
     t = mark = 0
+    # A depth-2 push adds elements of this level, with empty flags, to the
+    # top element's flag.
+    flag_level = automaton.levels - 1
+    eflag = st.empty(max(flag_level - 1, 0))
+    ehash = eflag._hash
     stack = [(*start, index.get((start[0], start[2]._topsym), dead))]
     while stack:
         state, pos, cur, (branches, entries) = stack.pop()
-        if memoize:
-            t = t + 1 if len(stack) == mark else 1
-            mark = -1 if branches else len(stack)
-            # Successors of a branch point start a new count at 1; the
-            # others are remembered when their count t + 1 is a power of 2.
-            keep_all = branches or not t & (t + 1)
-        successors = []
-        for tid, letter, target, op, level, payload, _w in entries:
-            if letter is None:
-                npos = pos
-            elif pos < n and word[pos] == letter:
-                npos = pos + 1
-            else:
-                continue
-            # cur is nonempty here: a pattern matched its topsym.
-            if op == 0:
-                nstore = cur.rest
-            elif op == 2:
-                flag = cur.flag
-                fsize, fhash, ftop = flag.size, flag._hash, flag._topsym
-                if yields is not None:
-                    hit = flag_tables.get(fhash)
-                    ftable = (hit[1] if hit is not None and hit[0] is flag
-                              else yields.table_id(flag, flag_tables))
-                    if lows_of[ftable][tid] > n - npos:
-                        yield_cut = True
-                        continue
-                nstore = cur.rest
-                for sym in payload:
-                    nstore = Store_(cur.level, sym, flag, nstore,
-                                    1 + fsize + nstore.size,
-                                    hash((sym, fhash, nstore._hash)),
-                                    (sym,) + ftop)
-            else:
-                nstore = (pop(level, cur) if op == 1
-                          else push(level, payload, cur))
-                if nstore is None:
-                    continue
-            if max_store is not None and nstore.size > max_store:
-                store_cut = True
-                continue
-            nnode = index.get((target, nstore._topsym), dead)
+        while True:  # one turn per configuration of a chain walk
             if memoize:
-                ncfg = (target, npos, nstore)
-                if ncfg in seen:
+                t = t + 1 if len(stack) == mark else 1
+                mark = -1 if branches else len(stack)
+                # Successors of a branch point start a new count at 1; the
+                # others are remembered when their count t + 1 is a power
+                # of 2.
+                keep_all = branches or not t & (t + 1)
+            if branches:
+                successors = []
+            for tid, letter, target, op, level, payload, push_word in entries:
+                if letter is None:
+                    npos = pos
+                elif pos < n and word[pos] == letter:
+                    npos = pos + 1
+                else:
                     continue
-                if keep_all or nnode[0]:
-                    seen.add(ncfg)
-            if want_trace:
-                # First write wins: a configuration can be generated more
-                # than once, and its first parent was generated before it,
-                # so the witness walks real edges back to the start.
-                parents.setdefault((target, npos, nstore),
-                                   ((state, pos, cur), tid))
-            count += 1
-            if accept_mode:
-                if npos == n and nstore.size == 0:
-                    return finish(ACCEPTED, (target, npos, nstore))
-            elif (target, npos, nstore) == goal:
-                return finish(ACCEPTED, goal)
-            if max_configs is not None and count > max_configs:
-                return finish(INCONCLUSIVE)
-            successors.append((target, npos, nstore, nnode))
-        stack.extend(reversed(successors))
+                # cur is nonempty here: a pattern matched its topsym.
+                if op == 0:
+                    nstore = cur.rest
+                elif op == 2:
+                    flag = cur.flag
+                    fsize, fhash, ftop = flag.size, flag._hash, flag._topsym
+                    if yields is not None:
+                        hit = flag_tables.get(fhash)
+                        ftable = (hit[1] if hit is not None and hit[0] is flag
+                                  else yields.table_id(flag, flag_tables))
+                        if lows_of[ftable][tid] > n - npos:
+                            yield_cut = True
+                            continue
+                    nstore = cur.rest
+                    for sym in payload:
+                        nstore = Store_(cur.level, sym, flag, nstore,
+                                        1 + fsize + nstore.size,
+                                        hash((sym, fhash, nstore._hash)),
+                                        (sym,) + ftop)
+                elif op == 4:
+                    nstore = (pop(level, cur) if push_word is None
+                              else push(level, push_word, cur))
+                    if nstore is None:
+                        continue
+                else:
+                    # Depth 2: a new top element over a new flag.
+                    inner = cur.flag
+                    if op == 1:
+                        inner = inner.rest
+                        if inner is None:
+                            continue  # the flag was empty
+                    else:
+                        for sym in payload:
+                            inner = Store_(flag_level, sym, eflag, inner,
+                                           1 + inner.size,
+                                           hash((sym, ehash, inner._hash)),
+                                           (sym,))
+                    sym, rest = cur.symbol, cur.rest
+                    nstore = Store_(cur.level, sym, inner, rest,
+                                    1 + inner.size + rest.size,
+                                    hash((sym, inner._hash, rest._hash)),
+                                    (sym,) + inner._topsym)
+                if max_store is not None and nstore.size > max_store:
+                    store_cut = True
+                    continue
+                nnode = index.get((target, nstore._topsym), dead)
+                if memoize:
+                    ncfg = (target, npos, nstore)
+                    if ncfg in seen:
+                        continue
+                    if keep_all or nnode[0]:
+                        seen.add(ncfg)
+                if want_trace:
+                    # First write wins: a configuration can be generated
+                    # more than once, and its first parent was generated
+                    # before it, so the witness walks real edges back to
+                    # the start.
+                    parents.setdefault((target, npos, nstore),
+                                       ((state, pos, cur), tid))
+                count += 1
+                if accept_mode:
+                    if npos == n and nstore.size == 0:
+                        return finish(ACCEPTED, (target, npos, nstore))
+                elif (target, npos, nstore) == goal:
+                    return finish(ACCEPTED, goal)
+                if max_configs is not None and count > max_configs:
+                    return finish(INCONCLUSIVE)
+                if branches:
+                    successors.append((target, npos, nstore, nnode))
+                    continue
+                # The one successor: walk on with it.
+                state, pos, cur = target, npos, nstore
+                branches, entries = nnode
+                break
+            else:
+                if branches:
+                    stack.extend(reversed(successors))
+                break
     return finish(REJECTED)
 
 
@@ -568,10 +625,16 @@ def reachable(automaton: Automaton, start: Configuration, goal: Configuration,
     """Is ``goal`` reachable from ``start`` while reading ``word``?
 
     This is the executable form of the derivation relation: positions
-    index the shared input word.
+    index the shared input word.  Both stores must have the automaton's
+    level, or :class:`MachineError` is raised.
     """
     word = _as_word(word)
     _check_letters(automaton, word)
+    for cfg in (start, goal):
+        if cfg.store.level != automaton.levels:
+            raise MachineError(
+                f"store level {cfg.store.level} does not fit a "
+                f"{automaton.levels}-level automaton")
     if bounds is None:
         bounds = default_bounds(len(word))
     return _search(automaton, word,
@@ -622,8 +685,8 @@ def enumerate_language(automaton: Automaton, max_len: int,
                 ftable = yields.table_id(cur.flag, flag_tables)
                 if yields.lows[ftable][tid] > max_len - len(nemit):
                     continue
-            nstore = (st.push(level, push_word, cur) if op >= 2
-                      else st.pop(level, cur))
+            nstore = (st.pop(level, cur) if push_word is None
+                      else st.push(level, push_word, cur))
             if nstore is None:
                 continue
             if max_store is not None and nstore.size > max_store:

@@ -116,6 +116,12 @@ def node(symbol: str, flag: Store, rest: Store) -> Store:
     if flag.level != rest.level - 1:
         raise StoreError(
             f"flag level {flag.level} does not fit store level {rest.level}")
+    return _node(symbol, flag, rest)
+
+
+def _node(symbol: str, flag: Store, rest: Store) -> Store:
+    # The one place store operations build a nonempty node; callers pass
+    # a flag one level below ``rest``.
     return Store(rest.level, symbol, flag, rest,
                  1 + flag.size + rest.size,
                  hash((symbol, flag._hash, rest._hash)),
@@ -163,11 +169,7 @@ def pop(j: int, store: Store) -> Optional[Store]:
     inner = pop(j - 1, store.flag)
     if inner is None:
         return None
-    symbol, rest = store.symbol, store.rest
-    return Store(store.level, symbol, inner, rest,
-                 1 + inner.size + rest.size,
-                 hash((symbol, inner._hash, rest._hash)),
-                 (symbol,) + inner._topsym)
+    return _node(store.symbol, inner, store.rest)
 
 
 def push(j: int, word, store: Store) -> Optional[Store]:
@@ -180,55 +182,34 @@ def push(j: int, word, store: Store) -> Optional[Store]:
     the flag of the top element, where it prepends ``word`` (with empty
     flags) on top of the depth-(j+1) store; undefined on an empty store.
     """
-    if j == 1:
-        if store.symbol is None:
-            flag = empty(store.level - 1)
-            rest = store
-        else:
-            flag = store.flag
-            rest = store.rest
-        out = rest
-        fsize, fhash, ftop = flag.size, flag._hash, flag._topsym
-        for symbol in reversed(tuple(word)):
-            out = Store(out.level, symbol, flag, out,
-                        1 + fsize + out.size,
-                        hash((symbol, fhash, out._hash)),
-                        (symbol,) + ftop)
-        return out
-    if store.symbol is None:
-        return None
-    inner = _push_inner(j - 1, word, store.flag)
-    if inner is None:
-        return None
-    symbol, rest = store.symbol, store.rest
-    return Store(store.level, symbol, inner, rest,
-                 1 + inner.size + rest.size,
-                 hash((symbol, inner._hash, rest._hash)),
-                 (symbol,) + inner._topsym)
+    if j > 1 or store.symbol is None:
+        return _push_inner(j, word, store)
+    flag = store.flag
+    out = store.rest
+    for symbol in reversed(tuple(word)):
+        out = _node(symbol, flag, out)
+    return out
 
 
 def _push_inner(j: int, word, store: Store) -> Optional[Store]:
-    # Depth j >= 2 bottoms out here: new elements go on top of the inner
-    # store without replacing anything, carrying empty flags.  Replacing at
-    # the bottom would make push_2(F) a no-op on a nonempty inner store,
-    # which breaks the round-trip law pop(2, push(2, F, s)) == s and every
-    # guess loop built on it.
+    # Depth j >= 2 bottoms out here, as does depth 1 on an empty store:
+    # new elements go on top of the inner store without replacing
+    # anything, carrying empty flags.  Replacing at the bottom would make
+    # push_2(F) a no-op on a nonempty inner store, which breaks the
+    # round-trip law pop(2, push(2, F, s)) == s and every guess loop built
+    # on it.
     if j == 1:
         flag = empty(store.level - 1)
         out = store
         for symbol in reversed(tuple(word)):
-            out = node(symbol, flag, out)
+            out = _node(symbol, flag, out)
         return out
     if store.symbol is None:
         return None
     inner = _push_inner(j - 1, word, store.flag)
     if inner is None:
         return None
-    symbol, rest = store.symbol, store.rest
-    return Store(store.level, symbol, inner, rest,
-                 1 + inner.size + rest.size,
-                 hash((symbol, inner._hash, rest._hash)),
-                 (symbol,) + inner._topsym)
+    return _node(store.symbol, inner, store.rest)
 
 
 def total_size(store: Store) -> int:

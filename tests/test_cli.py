@@ -149,6 +149,31 @@ def test_run_missing_file(capsys):
     assert code >= 3
 
 
+def test_directories_as_paths_exit_3(fib_file, tmp_path, capsys):
+    # An unreadable path is a usage error, not a rejection (exit 1).
+    for argv in (("run", str(tmp_path)),
+                 ("run", fib_file, str(tmp_path)),
+                 ("word", "--system", "fib", "--root", "W", "--level", "2",
+                  "--out", str(tmp_path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "error" in err, argv
+
+
+@pytest.mark.parametrize("bound", [("--max-store", "-1"),
+                                   ("--max-configs", "0"),
+                                   ("--max-configs", "-5")])
+def test_run_bad_bounds_exit_3(fib_file, bound, capsys):
+    code, out, err = run(capsys, "run", fib_file, "--word", "aaa", *bound)
+    assert code == 3 and out == "" and "error" in err
+
+
+def test_run_word_and_word_file_together_exit_3(fib_file, tmp_path, capsys):
+    wf = tmp_path / "word.txt"
+    wf.write_text("aa\n")
+    code, out, err = run(capsys, "run", fib_file, str(wf), "--word", "aaa")
+    assert code == 3 and out == "" and "error" in err
+
+
 # --- check ---------------------------------------------------------------------------
 
 def test_check_ball_passes(capsys):
@@ -208,6 +233,17 @@ def test_check_bad_level_range(capsys):
     code, _, err = run(capsys, "check", "--kind", "ball", "--system", "fib",
                        "--root", "W", "--levels", "3..1")
     assert code >= 3
+
+
+@pytest.mark.parametrize("bad", [("--mutations", "-2"),
+                                 ("--exhaustive-len", "-1"),
+                                 ("--max-store", "-1"),
+                                 ("--max-configs", "0")])
+def test_check_bad_arguments_exit_3(bad, capsys):
+    code, out, err = run(capsys, "check", "--kind", "ball", "--system", "fib",
+                         "--root", "W", "--sigma", "5", "--levels", "0..1",
+                         *bad)
+    assert code == 3 and "PASS" not in out and "error" in err
 
 
 def test_usage_error_exits_3(capsys):

@@ -10,8 +10,8 @@ from itpda import grammar as gr
 from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
-                            sector_automaton)
-from itpda.contour import ContourSpec, contour_word
+                            sector_automaton, suggested_store_bound)
+from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
 
@@ -90,6 +90,13 @@ def test_accepts_rejects_undeclared_letters(fib):
 def test_inconclusive_when_budget_too_small(fib):
     v = mc.accepts(fib, "a" * 8, SearchBounds(100, 5))
     assert v.status == INCONCLUSIVE
+
+
+def test_search_bounds_reject_bad_values():
+    for store, configs in ((-1, None), (None, 0), (None, -1)):
+        with pytest.raises(mc.MachineError):
+            SearchBounds(store, configs)
+    SearchBounds(0, 1)  # the smallest bounds that are allowed
 
 
 def test_store_cut_flagged_but_still_rejected(fib):
@@ -267,6 +274,49 @@ def test_trace_absent_unless_requested(fib):
     assert mc.accepts(fib, "aaa").trace is None
 
 
+# --- tree-walk exploration ------------------------------------------------------------
+
+# (system, root, kind, sigma, level, letters, configurations, witness
+# length, configurations of the 5 mutants of mutate(word, 7, 5)).
+TREE_WALKS = [
+    (gr.cell120, "9", "sector", 1, 2, 13_090, 13_448, 13_328,
+     [3366, 848, 9786, 10569, 848]),
+    (lambda: gr.polygonal(7), "W", "ball", 7, 4, 3_857, 6_113, 5_893,
+     [1305, 354, 4004, 354, 795]),
+    (gr.fibonacci, "W", "sector", 1, 6, 390, 932, 866,
+     [348, 172, 789, 839, 172]),
+]
+
+
+@pytest.mark.parametrize("case", TREE_WALKS, ids=["cell120", "poly7", "fib"])
+def test_tree_walk_exploration_is_pinned(case):
+    # The search expands transitions in declaration order, depth first,
+    # so these counts and the witness fix the order in which it walks.
+    make, root, kind, sigma, level, letters, configs, witness, mutants = case
+    system = make()
+    automaton = (ball_automaton(system, root, sigma) if kind == "ball"
+                 else sector_automaton(system, root))
+    word = contour_word(ContourSpec(system, root, sigma=sigma, kind=kind),
+                        level)
+    assert len(word) == letters
+    bounds = SearchBounds(suggested_store_bound(system, sigma, level),
+                          10 ** 7)
+    for memoize in (True, False):
+        v = mc.accepts(automaton, word, bounds, memoize=memoize)
+        assert (v.status, v.configurations) == (ACCEPTED, configs)
+    trace = mc.accepts(automaton, word, bounds, trace=True).trace
+    assert len(trace) == witness
+    for (cfg, tid), (nxt, _) in zip(trace, trace[1:]):
+        assert (nxt, tid) in mc.step(automaton, cfg, word)
+    variants = mutate(word, 7, 5, alphabet=automaton.input_alphabet)
+    counts = []
+    for mutant in variants:
+        v = mc.accepts(automaton, mutant, bounds, memoize=False)
+        assert v.status == REJECTED
+        counts.append(v.configurations)
+    assert counts == mutants
+
+
 # --- determinism, memoization, monotonicity ----------------------------------------------
 
 @settings(deadline=None, max_examples=30)
@@ -309,6 +359,16 @@ def test_reachable_lemma_instance_k3(fib):
     assert mc.reachable(fib, start, goal, "aaa").status == ACCEPTED
     wrong = Configuration("q0", 2, st.empty(2))
     assert mc.reachable(fib, start, wrong, "aa").status == REJECTED
+
+
+def test_reachable_rejects_stores_of_another_level(fib):
+    ok = Configuration("q0", 0, st.single("X1", 2))
+    for bad in (st.single("X1", 1), st.single("X1", 3, ["F"])):
+        wrong = Configuration("q0", 0, bad)
+        with pytest.raises(mc.MachineError):
+            mc.reachable(fib, wrong, ok, "a")
+        with pytest.raises(mc.MachineError):
+            mc.reachable(fib, ok, wrong, "a")
 
 
 # --- enumerate_language ------------------------------------------------------------------------

@@ -19,10 +19,13 @@ or vice versa on words whose accepting runs fit the bound.
 
 On 1- and 2-level automata the acceptance search also drops every
 depth-1 push whose new elements must read more letters than the input
-has left (see ``_YieldTables``).  The bound never exceeds what an
-accepting run reads, so the prune changes no verdict; it cuts the tree
-walk of a guessed height too tall for the word at its first step.  Guess
-loops that grow a flag still run until the store bound stops them.
+has left (see ``_YieldTables``), and, where the search can branch, every
+one after which the whole store cannot read as many letters as are left
+(see ``_UpperTables``).  No accepting run breaks either bound, so the
+prunes change no verdict.  Together they cut the tree walk of a guessed
+height at its commit, whether the height is too tall or too short for
+the word, and so every height of a word whose length no height yields.
+Guess loops that grow a flag still run until the store bound stops them.
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -137,7 +140,10 @@ def default_bounds(input_length: int) -> SearchBounds:
 @dataclass
 class Verdict:
     """``store_cut``: the store bound pruned a configuration.
-    ``yield_cut``: the yield bound pruned one (see ``_YieldTables``)."""
+    ``yield_cut``: a yield bound pruned one: a push whose new elements
+    need more letters than are left (see ``_YieldTables``), or one at a
+    branch point after which the store cannot read that many (see
+    ``_UpperTables``)."""
 
     status: str
     trace: Optional[list[tuple[Configuration, Optional[int]]]] = None
@@ -244,7 +250,38 @@ class Automaton:
 _YIELD_CAP = 1 << 62
 
 
-class _YieldTables:
+class _FlagTables:
+    """Tables kept per flag, built by ``_add(top, rest table id)`` and
+    found again through ``_children``: (top, rest table id) -> table id.
+    The empty flag has table 0."""
+
+    def table_id(self, flag: Store, memo: dict) -> int:
+        """Table id of ``flag``.  ``memo`` maps a flag's hash to (flag,
+        table id) for flags seen before; the walk down the flag is a loop,
+        so flags deeper than the recursion limit are fine."""
+        chain = []
+        while True:
+            hit = memo.get(flag._hash)
+            if hit is not None and hit[0] is flag:
+                tid = hit[1]
+                break
+            if flag.symbol is None:
+                tid = 0
+                memo[flag._hash] = (flag, tid)
+                break
+            chain.append(flag)
+            flag = flag.rest
+        for flag in reversed(chain):
+            key = (flag.symbol, tid)
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = self._add(flag.symbol, tid)
+            tid = child
+            memo[flag._hash] = (flag, tid)
+        return tid
+
+
+class _YieldTables(_FlagTables):
     """Least-yield tables of a 1- or 2-level automaton.
 
     For a flag f, the table C_f maps (state, sym) to the fewest letters any
@@ -267,7 +304,9 @@ class _YieldTables:
     ``tables[tid]`` holds C by ``slot[state, sym]``, then m by
     ``m_slot[sym]``.  ``lows[tid][i]`` is what the new elements of
     transition i, a depth-1 push, must read when they carry a flag with
-    table ``tid`` (0 for other transitions).
+    table ``tid`` (0 for other transitions).  ``upper()`` gives the
+    most-yield tables of the same cap, which only acceptance searches
+    build.
     """
 
     def __init__(self, automaton: Automaton, cap: int):
@@ -303,6 +342,8 @@ class _YieldTables:
                 (slot[t.state, t.pattern[0]], self.m_slot[t.pattern[0]],
                  int(t.letter is not None), pop2, push1))
         self._ntrans = len(automaton.transitions)
+        self._source = (automaton.states, symbols, automaton.transitions)
+        self._upper: Optional[_UpperTables] = None
         # Tables are kept for the life of the automaton, so each is a
         # compact array, found again by its hash.
         self.tables: list[array] = []      # table id -> C and m
@@ -344,30 +385,224 @@ class _YieldTables:
         self._ids.setdefault(key, len(self.tables) - 1)
         return len(self.tables) - 1
 
-    def table_id(self, flag: Store, memo: dict) -> int:
-        """Table id of ``flag``.  ``memo`` maps a flag's hash to (flag,
-        table id) for flags seen before; the walk down the flag is a loop,
-        so flags deeper than the recursion limit are fine."""
+    def upper(self) -> "_UpperTables":
+        """The most-yield tables with this cap, set up on first use."""
+        if self._upper is None:
+            self._upper = _UpperTables(self._source, self.cap)
+        return self._upper
+
+
+# A most-yield entry for a way no run can remove an element.
+_NEVER = -1
+
+
+class _UpperTables(_FlagTables):
+    """Most-yield tables of a 1- or 2-level automaton.
+
+    For a flag f, H_f[q, s, q'] is the most letters any run reads from the
+    moment the element s[f] is on top in state q until it is removed in
+    state q', or ``_NEVER`` when no run removes it that way.  Each table is
+    the least fixpoint, in max-plus, of one inequality per matching
+    transition: pop 1 (and push 1 of the empty word) gives its letter
+    into its target, pop 2 adds H_{f.rest} of the target, and push 1 w
+    adds the chain H_f[target, w0, p1] + H_f[p1, w1, p2] + ... over the
+    exit states p of each new element.  Push 2 grows a flag whose table is
+    not known, so it makes the element unbounded.  Indexing by exit state
+    keeps tree walks finite: a tree node is expanded from one state into
+    children that are entered and left in another, so its entry depends
+    only on theirs from that state.  A per-symbol maximum over states
+    would feed the node's own entry back into it, and every tree element
+    would come out unbounded.
+
+    The push 1 inequalities are solved one strongly connected group of
+    symbols at a time, dependencies first.  A group none of whose entries
+    is unbounded settles within one round per entry; a group still rising
+    after that has a cycle that reads a letter, and its entries are set to
+    the cap at once instead of climbing there.  Entries are capped at
+    ``cap`` like the least yields, and an entry at the cap never prunes.
+
+    Tables are built on demand, at the branch points of an acceptance
+    search, and shared like the least-yield tables.  ``tables[uid]`` holds
+    H by ``row[state, sym] * len(states) + exit``; ``highs[uid][i]`` is the
+    most the new elements of transition i, a depth-1 push, read when they
+    carry a flag with table ``uid``, whatever state they leave in.
+    """
+
+    def __init__(self, source, cap: int):
+        states, symbols, transitions = source
+        self.cap = cap
+        nq = self._nq = len(states)
+        nsym = len(symbols)
+        state_id = {q: i for i, q in enumerate(states)}
+        sym_id = self._sym_id = {s: i for i, s in enumerate(symbols)}
+        self.row = {(q, s): state_id[q] * nsym + sym_id[s]
+                    for q in states for s in symbols}
+        self._rows_of = [range(sym_id[s], nq * nsym, nsym) for s in symbols]
+        self._nrows = nq * nsym
+        self._ntrans = len(transitions)
+        # Per flag top (None: the flag is empty): ends (row, exit, letter),
+        # pops (row, letter, row in the rest's table), grows (rows), and
+        # push groups (push 1 rules (row, letter, target, word), rows,
+        # rounds) in dependency order.  highs: the depth-1 pushes
+        # (transition id, target, word), whatever their pattern, since a
+        # table is shared by every flag with the same entries.
+        rules: dict = {}
+        self._highs = []
+        for i, t in enumerate(transitions):
+            top = t.pattern[1] if len(t.pattern) == 2 else None
+            act = t.action
+            ends, pops, grows, pushes = rules.setdefault(top, ([], [], [], []))
+            at = self.row[t.state, t.pattern[0]]
+            cost = int(t.letter is not None)
+            target = state_id[t.target]
+            if isinstance(act, Pop):
+                if act.level == 1:
+                    ends.append((at, target, cost))
+                elif top is not None:  # pop 2 of an empty flag is undefined
+                    pops.append((at, cost, self.row[t.target, t.pattern[0]]))
+            elif act.level == 2:
+                grows.append(at)
+            else:
+                word = tuple(sym_id[s] for s in act.word)
+                self._highs.append((i, target, word))
+                if word:
+                    pushes.append((at, cost, target, word))
+                else:
+                    ends.append((at, target, cost))
+        self._rules = {top: (ends, pops, grows, self._groups(pushes))
+                       for top, (ends, pops, grows, pushes) in rules.items()}
+        self.tables: list[array] = []      # table id -> H
+        self.highs: list[tuple] = []       # table id -> high per transition
+        self._top_max: list[tuple] = []    # table id -> max of H per symbol
+        self._children: dict = {}          # (top, rest table id) -> table id
+        self._ids: dict = {}               # hash of a table -> table id
+        self._add(None, None)
+
+    def _groups(self, pushes):
+        """Push 1 rules grouped by the strongly connected component of the
+        symbol they rewrite, in the symbol graph s -> letters of w, with
+        every group after the groups it reads; each with its rows and the
+        rounds after which a group still rising is unbounded."""
+        edges: dict = {}
+        for at, _cost, _target, word in pushes:
+            edges.setdefault(at % len(self._sym_id), set()).update(word)
+        reach = {}
+        for s in edges:
+            seen, todo = {s}, [s]
+            while todo:
+                for u in edges.get(todo.pop(), ()):
+                    if u not in seen:
+                        seen.add(u)
+                        todo.append(u)
+            reach[s] = seen
+        groups: dict = {}
+        for rule in pushes:
+            s = rule[0] % len(self._sym_id)
+            scc = frozenset(u for u in reach[s] if s in reach.get(u, ()))
+            groups.setdefault(scc, []).append(rule)
+        out = []
+        for scc in sorted(groups, key=lambda c: len(reach[next(iter(c))])):
+            rows = [r for s in scc for r in self._rows_of[s]]
+            out.append((groups[scc], rows, len(rows) * self._nq + 1))
+        return out
+
+    def _chain(self, H, state, word):
+        """Most letters the elements of ``word`` read, the first on top in
+        ``state``: a list by the state the last one leaves in."""
+        nq, nsym, cap = self._nq, len(self._sym_id), self.cap
+        at = (state * nsym + word[0]) * nq
+        vec = H[at:at + nq]
+        for s in word[1:]:
+            out = [_NEVER] * nq
+            for p, x in enumerate(vec):
+                if x < 0:
+                    continue
+                at = (p * nsym + s) * nq
+                for q2 in range(nq):
+                    y = H[at + q2]
+                    if y >= 0 and x + y > out[q2]:
+                        out[q2] = x + y
+            vec = [v if v < cap else cap for v in out]
+        return vec
+
+    def _add(self, top, rest_id) -> int:
+        """Id of the table of a flag with top ``top`` over a flag with
+        table ``rest_id`` (both None: the empty flag)."""
+        rest = self.tables[rest_id] if rest_id is not None else None
+        nq, cap = self._nq, self.cap
+        H = [_NEVER] * (self._nrows * nq)
+        ends, pops, grows, groups = self._rules.get(top, ((), (), (), ()))
+        for at, exit_, cost in ends:
+            H[at * nq + exit_] = max(H[at * nq + exit_], cost)
+        for at, cost, src in pops:
+            for q2 in range(nq):
+                y = rest[src * nq + q2]
+                if y >= 0:
+                    H[at * nq + q2] = max(H[at * nq + q2], min(cost + y, cap))
+        for at in grows:
+            H[at * nq:(at + 1) * nq] = [cap] * nq
+        for rules, rows, rounds in groups:
+            for _ in range(rounds):
+                changed = False
+                for at, cost, target, word in rules:
+                    for q2, y in enumerate(self._chain(H, target, word)):
+                        if y >= 0 and min(cost + y, cap) > H[at * nq + q2]:
+                            H[at * nq + q2] = min(cost + y, cap)
+                            changed = True
+                if not changed:
+                    break
+            else:
+                # Still rising: a cycle through the group reads a letter.
+                for at in rows:
+                    for j in range(at * nq, (at + 1) * nq):
+                        if H[j] >= 0:
+                            H[j] = cap
+        H = array("q", H)
+        key = hash(H.tobytes())
+        uid = self._ids.get(key)
+        if uid is not None and self.tables[uid] == H:
+            return uid
+        high = [0] * self._ntrans
+        for i, target, word in self._highs:
+            if word:
+                high[i] = max(self._chain(H, target, word))
+        self.tables.append(H)
+        self.highs.append(tuple(high))
+        self._top_max.append(tuple(
+            max(H[at * nq + q2] for at in rows for q2 in range(nq))
+            for rows in self._rows_of))
+        self._ids.setdefault(key, len(self.tables) - 1)
+        return len(self.tables) - 1
+
+    def most(self, flag: Store, rest: Store, tid: int, memo: tuple) -> int:
+        """The most letters a run reads to empty the store that the depth-1
+        push ``tid`` leaves when it rewrites an element with flag ``flag``
+        over ``rest``: the new elements' high plus each element of
+        ``rest`` at its most from any state.  ``_NEVER`` when no run can.
+        ``memo`` is a pair of dicts kept for one search, for flags and for
+        rests."""
+        flags, rests = memo
+        high = self.highs[self.table_id(flag, flags)][tid]
+        if high < 0 or rest.size == 0:
+            return high
         chain = []
         while True:
-            hit = memo.get(flag._hash)
-            if hit is not None and hit[0] is flag:
-                tid = hit[1]
+            hit = rests.get(rest._hash)
+            if hit is not None and hit[0] is rest:
+                total = hit[1]
                 break
-            if flag.symbol is None:
-                tid = 0
-                memo[flag._hash] = (flag, tid)
+            if rest.symbol is None:
+                total = 0
                 break
-            chain.append(flag)
-            flag = flag.rest
-        for flag in reversed(chain):
-            key = (flag.symbol, tid)
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._add(flag.symbol, tid)
-            tid = child
-            memo[flag._hash] = (flag, tid)
-        return tid
+            chain.append(rest)
+            rest = rest.rest
+        for node in reversed(chain):
+            top = self._top_max[self.table_id(node.flag, flags)][
+                self._sym_id[node.symbol]]
+            if total >= 0:
+                total = _NEVER if top < 0 else min(total + top, self.cap)
+            rests[node._hash] = (node, total)
+        return _NEVER if total < 0 else high + total
 
 
 def _can_branch(entries) -> bool:
@@ -472,6 +707,10 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     yields = automaton._yield_tables(n) if accept_mode else None
     lows_of = yields.lows if yields is not None else None
     flag_tables: dict = {}  # flag hash -> (flag, table id)
+    # So is one at a branch point after which the whole store cannot read
+    # as many letters as are left; those pushes commit to a guess.
+    most = yields.upper().most if yields is not None else None
+    most_memo: tuple = ({}, {})
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
@@ -514,7 +753,9 @@ def _search(automaton: Automaton, word: Word, start: tuple,
                         hit = flag_tables.get(fhash)
                         ftable = (hit[1] if hit is not None and hit[0] is flag
                                   else yields.table_id(flag, flag_tables))
-                        if lows_of[ftable][tid] > n - npos:
+                        if lows_of[ftable][tid] > n - npos or (
+                                branches and most(flag, cur.rest, tid,
+                                                  most_memo) < n - npos):
                             yield_cut = True
                             continue
                     nstore = cur.rest
@@ -587,10 +828,11 @@ def _search(automaton: Automaton, word: Word, start: tuple,
 
 def _check_letters(automaton: Automaton, word: Word):
     letters = set(automaton.input_alphabet)
-    for tok in word:
-        if tok not in letters:
-            raise UndeclaredLetterError(
-                f"input letter {tok!r} not in alphabet of {automaton.name or 'automaton'}")
+    if letters.issuperset(word):
+        return
+    tok = next(tok for tok in word if tok not in letters)
+    raise UndeclaredLetterError(
+        f"input letter {tok!r} not in alphabet of {automaton.name or 'automaton'}")
 
 
 def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
@@ -607,7 +849,8 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     longer.  It saves one set lookup per configuration.
 
     On 1- and 2-level automata either search skips the depth-1 pushes
-    whose least yield exceeds the unread input, and sets
+    whose least yield exceeds the unread input, and, at the branch points,
+    those after which the store's most yield falls short of it.  It sets
     ``Verdict.yield_cut`` when it did; ``Verdict.store_cut`` still tells
     whether the store bound cut a configuration.
     """

@@ -6,13 +6,16 @@ the whole search, no yield bound, and the public ``store.push``/
 small 1-, 2- and 3-level automata and short words; the default
 ``accepts`` must agree with it and, on rejections, do at most a few times
 its work; ``memoize=False`` must agree or give up; ``enumerate_language``
-must list the words it accepts.
+must list the words it accepts.  The upper yield bound is checked against
+the reference on its own, and drawn automata must survive a render/parse
+round trip and keep every acceptance under a larger store bound.
 """
 
 import itertools
 from collections import deque
+from unittest import mock
 
-from hypothesis import given, settings, strategies as hst
+from hypothesis import event, given, settings, strategies as hst
 
 from itpda import machine as mc
 from itpda import store as st
@@ -58,11 +61,24 @@ def reference_accepts(automaton, word, max_store):
     return REJECTED, len(visited)
 
 
+# The recognizers' shape: guess a height on Z's flag, then commit to an
+# element that carries it, in another state.
+GUESS_LOOP = (
+    Transition("q0", None, ("Z",), "q0", Push(2, ("A",))),
+    Transition("q0", None, ("Z", "A"), "q0", Push(2, ("A",))),
+    Transition("q0", None, ("Z",), "q1", Push(1, ("B",))),
+    Transition("q0", None, ("Z", "A"), "q1", Push(1, ("B",))),
+)
+
+
 @hst.composite
-def automata(draw):
-    levels = draw(hst.integers(1, 3))
-    states = STATES[:draw(hst.integers(1, len(STATES)))]
-    symbol = hst.sampled_from(SYMBOLS)
+def automata(draw, max_levels=3, guess=False):
+    """Random automata; with ``guess``, 2-level ones that start with
+    ``GUESS_LOOP`` and whose other transitions walk A and B from q1 and q2."""
+    levels = 2 if guess else draw(hst.integers(1, max_levels))
+    states = STATES if guess else STATES[:draw(hst.integers(1, len(STATES)))]
+    walk = STATES[1:] if guess else states
+    symbol = hst.sampled_from(SYMBOLS[1:] if guess else SYMBOLS)
 
     def action():
         level = draw(hst.integers(1, levels))
@@ -70,13 +86,13 @@ def automata(draw):
             return Pop(level)
         return Push(level, tuple(draw(hst.lists(symbol, max_size=2))))
 
-    transitions = tuple(
-        Transition(draw(hst.sampled_from(states)),
+    transitions = (GUESS_LOOP if guess else ()) + tuple(
+        Transition(draw(hst.sampled_from(walk)),
                    draw(hst.sampled_from((None,) + LETTERS)),
                    tuple(draw(hst.lists(symbol, min_size=1, max_size=levels))),
-                   draw(hst.sampled_from(states)),
+                   draw(hst.sampled_from(walk)),
                    action())
-        for _ in range(draw(hst.integers(1, 8))))
+        for _ in range(draw(hst.integers(4 if guess else 1, 10 if guess else 8))))
     return Automaton(levels=levels, states=states, initial_state="q0",
                      input_alphabet=LETTERS, store_alphabet=SYMBOLS,
                      initial_symbol="Z", transitions=transitions)
@@ -116,6 +132,47 @@ def test_enumeration_lists_the_accepted_words(automaton):
                 if reference_accepts(automaton, w, MAX_STORE)[0] == ACCEPTED}
     bounds = SearchBounds(MAX_STORE, 10 ** 5)
     assert mc.enumerate_language(automaton, 3, bounds) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(hst.one_of(automata(max_levels=2), automata(guess=True)),
+       hst.integers(0, 6).flatmap(lambda k: hst.lists(
+           hst.sampled_from(LETTERS), min_size=k, max_size=k)))
+def test_upper_yield_cut_agrees_with_reference_bfs(automaton, word):
+    # The same search with the most-yield test switched off tells whether
+    # the upper bound cut anything; it may only save work.
+    bounds = SearchBounds(MAX_STORE, 10 ** 5)
+    verdict = mc.accepts(automaton, word, bounds)
+    with mock.patch.object(mc._UpperTables, "most",
+                           lambda *args: mc._YIELD_CAP):
+        lower_only = mc.accepts(automaton, word, bounds)
+    status, _ = reference_accepts(automaton, word, MAX_STORE)
+    assert verdict.status == lower_only.status == status
+    if status == REJECTED:
+        assert verdict.configurations <= lower_only.configurations
+    shape = ("guess loop" if automaton.transitions[:4] == GUESS_LOOP
+             else f"{automaton.levels}-level")
+    cut = verdict.configurations < lower_only.configurations
+    event(f"{shape}: upper cut {'fired' if cut else 'saved nothing'}")
+
+
+@settings(deadline=None, max_examples=200)
+@given(automata())
+def test_render_parse_round_trip(automaton):
+    text = mc.render_automaton(automaton)
+    assert mc.parse_automaton(text) == automaton
+
+
+@settings(deadline=None, max_examples=200)
+@given(automata(), hst.lists(hst.sampled_from(LETTERS), max_size=4),
+       hst.integers(0, MAX_STORE), hst.integers(1, 4))
+def test_raising_the_store_bound_keeps_acceptance(automaton, word, small,
+                                                   extra):
+    budget = 10 ** 5
+    low = mc.accepts(automaton, word, SearchBounds(small, budget))
+    high = mc.accepts(automaton, word, SearchBounds(small + extra, budget))
+    if low.status == ACCEPTED:
+        assert high.status != REJECTED
 
 
 def test_epsilon_cycle_decided_at_once():

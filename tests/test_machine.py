@@ -85,6 +85,10 @@ def test_accepts_empty_word_nonempty_store_rejected():
 def test_accepts_rejects_undeclared_letters(fib):
     with pytest.raises(mc.UndeclaredLetterError):
         mc.accepts(fib, "ab")
+    # The message names the first letter outside the alphabet.
+    with pytest.raises(mc.UndeclaredLetterError,
+                       match="input letter 'c' not in alphabet of fibonacci"):
+        mc.accepts(fib, ("a", "c", "b"))
 
 
 def test_inconclusive_when_budget_too_small(fib):
@@ -106,12 +110,23 @@ def test_store_cut_flagged_but_still_rejected(fib):
 
 
 @pytest.mark.parametrize("n", [4, 100])
-def test_yield_cut_flagged_on_heights_too_tall(fib, n):
-    # Every height past the input's is committed to and dropped at once.
+def test_yield_cut_flagged_on_heights_too_tall_and_too_short(fib, n):
+    # X2[F^h] reads exactly f_h letters, so the least yield cuts every
+    # height too tall for a^n and the most yield every height too short.
+    for h in range(12):
+        x2 = st.single("X2", 2, ["F"] * h)
+        assert (least_yield(fib, "q0", x2) > n) != (most_yield(fib, "q0", x2) < n)
+    # Each commit is dropped at once: only the guess loop runs, one
+    # configuration per height, until the store bound stops it.
     v = mc.accepts(fib, "a" * n, memoize=False)
     assert v.status == REJECTED
     assert v.yield_cut and v.store_cut
-    assert not mc.accepts(fib, "a" * 5).yield_cut  # accepted at height 4
+    assert v.configurations == mc.default_bounds(n).max_store_symbols
+    # a^5 is accepted at height 4, after heights 0-3 were cut as too short;
+    # the one configuration off its witness is the push 2 to height 5.
+    five = mc.accepts(fib, "a" * 5, trace=True)
+    assert five.status == ACCEPTED and five.yield_cut and not five.store_cut
+    assert five.configurations == len(five.trace) + 1
 
 
 # --- least yields --------------------------------------------------------------------
@@ -128,14 +143,88 @@ def least_yield(automaton, state, store):
     return min(total, tables.cap)
 
 
-@pytest.mark.parametrize("system,root,sigma", [
-    (gr.fibonacci(), "W", 5), (gr.polygonal(6), "W", 6),
-    (gr.dodecahedral(), "O", 8)])
+def most_yield(automaton, state, store):
+    """The tables' upper bound on the letters any run from ``state`` reads
+    to empty ``store``: the top element from ``state``, the others from
+    any state, each into any state; ``1 << 62`` when unbounded and -1
+    when no run can."""
+    tables = automaton._yield_tables(mc._YIELD_CAP - 1).upper()
+    nq = len(automaton.states)
+    memo = {}
+    total = 0
+    for i, (sym, flag) in enumerate(store.entries()):
+        H = tables.tables[tables.table_id(flag, memo)]
+        starts = [state] if i == 0 else automaton.states
+        most = max(H[tables.row[q, sym] * nq + j]
+                   for q in starts for j in range(nq))
+        if most < 0:
+            return -1
+        total += most
+    return min(total, tables.cap)
+
+
+TREE_BALLS = [(gr.fibonacci(), "W", 5), (gr.polygonal(6), "W", 6),
+              (gr.dodecahedral(), "O", 8)]
+
+
+@pytest.mark.parametrize("system,root,sigma", TREE_BALLS)
 def test_least_yield_of_a_tree_root_is_its_level_count(system, root, sigma):
     ball = ball_automaton(system, root, sigma)
     for h in range(7):
         flagged = st.single(root, 2, ["F"] * h)
         assert least_yield(ball, "q0", flagged) == gr.total_count(system, root, h)
+
+
+@pytest.mark.parametrize("system,root,sigma", TREE_BALLS)
+def test_most_yield_of_a_tree_root_is_its_level_count(system, root, sigma):
+    # A tree element reads its whole level word whatever run removes it,
+    # so the two bounds meet.
+    ball = ball_automaton(system, root, sigma)
+    for h in range(7):
+        flagged = st.single(root, 2, ["F"] * h)
+        count = gr.total_count(system, root, h)
+        assert most_yield(ball, "q0", flagged) == count
+        assert least_yield(ball, "q0", flagged) == count
+
+
+def _one_level(*transitions, states="p q", store="Z"):
+    return mc.parse_automaton(
+        f"levels: 1\nstates: {states}\ninitial: {states.split()[0]}\n"
+        f"input: a b\nstore: {store}\nstart_symbol: Z\n"
+        + "".join(f"t: {t}\n" for t in transitions))
+
+
+def test_most_yield_is_capped_on_a_cycle_that_reads():
+    # Z can read any number of a's before b pops it.  The cap is 2^62, so
+    # only a detected cycle, not rounds that climb to the cap, ends this.
+    pump = _one_level("p a Z -> p push 1 Z", "p b Z -> p pop 1")
+    assert most_yield(pump, "p", pump.initial_store()) == 1 << 62
+    assert mc.accepts(pump, "aaab").status == ACCEPTED
+
+
+def test_most_yield_converges_on_a_cycle_that_reads_nothing():
+    spin = _one_level("p eps Z -> q push 1 Z", "q eps Z -> p push 1 Z",
+                      "p a Z -> p pop 1")
+    for state in ("p", "q"):
+        assert most_yield(spin, state, spin.initial_store()) == 1
+    assert mc.accepts(spin, "a").status == ACCEPTED
+    assert mc.accepts(spin, "aa").status == REJECTED
+
+
+def test_most_yield_of_a_node_that_pushes_itself_stays_finite():
+    # W, pushed in q1, rewrites itself as B W W W W entered in q0, and every
+    # element leaves in q0.  Indexed by exit state, W from q1 depends only
+    # on W from q0; a maximum over states would feed it back into itself.
+    node = _one_level("p eps Z -> q push 1 W", "q eps W -> p push 1 B W W W W",
+                      "p a W -> p pop 1", "p b B -> p pop 1", store="Z W B")
+    w = st.single("W", 1)
+    assert most_yield(node, "q", w) == 5 and least_yield(node, "q", w) == 5
+    assert most_yield(node, "p", node.initial_store()) == 5
+    # Below the top, an element may be entered in either state.
+    www = st.from_pairs(1, [("W", st.empty(0))] * 3)
+    assert most_yield(node, "p", www) == 1 + 5 + 5
+    assert mc.accepts(node, "baaaa").status == ACCEPTED
+    assert mc.accepts(node, "baaaaa").status == REJECTED
 
 
 def test_least_yield_of_x2_is_fibonacci(fib):
@@ -219,6 +308,22 @@ def test_yield_tables_that_repeat_are_shared():
         assert least_yield(parity, "c", st.single("Z", 2, ["F"] * d)) == (d + 1) % 2
 
 
+def test_most_yield_tables_shared_across_flag_tops():
+    # A and B read one letter whether or not their flag is empty, so every
+    # flag F^d has the table of the empty flag.  That table must know the
+    # high of the commit that fires on [Z F] too, or "a" is cut at height 1.
+    shared = mc.parse_automaton(
+        "levels: 2\nstates: g c\ninitial: g\ninput: a\nstore: Z A B F\n"
+        "start_symbol: Z\n"
+        "t: g eps Z -> g push 2 F\n" "t: g eps [Z F] -> g push 2 F\n"
+        "t: g eps Z -> c push 1 A B\n" "t: g eps [Z F] -> c push 1 B\n"
+        "t: c a A -> c pop 1\n" "t: c a [A F] -> c pop 1\n"
+        "t: c a B -> c pop 1\n" "t: c a [B F] -> c pop 1\n")
+    for word, status in (("a", ACCEPTED), ("aa", ACCEPTED), ("aaa", REJECTED)):
+        assert mc.accepts(shared, word).status == status
+    assert len(shared._yields.upper().tables) == 1
+
+
 def test_verdict_bool(fib):
     assert bool(mc.accepts(fib, "a"))
     assert not mc.accepts(fib, "aaaa")
@@ -279,12 +384,12 @@ def test_trace_absent_unless_requested(fib):
 # (system, root, kind, sigma, level, letters, configurations, witness
 # length, configurations of the 5 mutants of mutate(word, 7, 5)).
 TREE_WALKS = [
-    (gr.cell120, "9", "sector", 1, 2, 13_090, 13_448, 13_328,
-     [3366, 848, 9786, 10569, 848]),
-    (lambda: gr.polygonal(7), "W", "ball", 7, 4, 3_857, 6_113, 5_893,
-     [1305, 354, 4004, 354, 795]),
-    (gr.fibonacci, "W", "sector", 1, 6, 390, 932, 866,
-     [348, 172, 789, 839, 172]),
+    (gr.cell120, "9", "sector", 1, 2, 13_090, 13_329, 13_328,
+     [729, 729, 9667, 729, 729]),
+    (lambda: gr.polygonal(7), "W", "ball", 7, 4, 3_857, 5_894, 5_893,
+     [135] * 5),
+    (gr.fibonacci, "W", "sector", 1, 6, 390, 867, 866,
+     [107, 107, 724, 107, 107]),
 ]
 
 

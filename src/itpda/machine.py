@@ -473,7 +473,7 @@ class _UpperTables(_FlagTables):
                        for top, (ends, pops, grows, pushes) in rules.items()}
         self.tables: list[array] = []      # table id -> H
         self.highs: list[tuple] = []       # table id -> high per transition
-        self._top_max: list[tuple] = []    # table id -> max of H per symbol
+        self._sym_max: list[tuple] = []    # table id -> max of H per symbol
         self._children: dict = {}          # (top, rest table id) -> table id
         self._ids: dict = {}               # hash of a table -> table id
         self._add(None, None)
@@ -568,7 +568,7 @@ class _UpperTables(_FlagTables):
                 high[i] = max(self._chain(H, target, word))
         self.tables.append(H)
         self.highs.append(tuple(high))
-        self._top_max.append(tuple(
+        self._sym_max.append(tuple(
             max(H[at * nq + q2] for at in rows for q2 in range(nq))
             for rows in self._rows_of))
         self._ids.setdefault(key, len(self.tables) - 1)
@@ -597,10 +597,10 @@ class _UpperTables(_FlagTables):
             chain.append(rest)
             rest = rest.rest
         for node in reversed(chain):
-            top = self._top_max[self.table_id(node.flag, flags)][
+            most = self._sym_max[self.table_id(node.flag, flags)][
                 self._sym_id[node.symbol]]
             if total >= 0:
-                total = _NEVER if top < 0 else min(total + top, self.cap)
+                total = _NEVER if most < 0 else min(total + most, self.cap)
             rests[node._hash] = (node, total)
         return _NEVER if total < 0 else high + total
 
@@ -707,8 +707,8 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     yields = automaton._yield_tables(n) if accept_mode else None
     lows_of = yields.lows if yields is not None else None
     flag_tables: dict = {}  # flag hash -> (flag, table id)
-    # So is one at a branch point after which the whole store cannot read
-    # as many letters as are left; those pushes commit to a guess.
+    # So is one at a branch point, where the search commits to a guess,
+    # after which the whole store cannot read as many letters as are left.
     most = yields.upper().most if yields is not None else None
     most_memo: tuple = ({}, {})
     Store_ = Store

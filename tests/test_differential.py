@@ -92,7 +92,7 @@ def automata(draw, max_levels=3, guess=False):
                    tuple(draw(hst.lists(symbol, min_size=1, max_size=levels))),
                    draw(hst.sampled_from(walk)),
                    action())
-        for _ in range(draw(hst.integers(4 if guess else 1, 10 if guess else 8))))
+        for _ in range(draw(hst.integers(*((4, 10) if guess else (1, 8))))))
     return Automaton(levels=levels, states=states, initial_state="q0",
                      input_alphabet=LETTERS, store_alphabet=SYMBOLS,
                      initial_symbol="Z", transitions=transitions)

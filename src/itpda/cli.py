@@ -13,7 +13,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import builders, contour, grammar, machine, store
 from .builders import Variant
@@ -34,14 +34,7 @@ class _Parser(argparse.ArgumentParser):
     # "inconclusive" verdict code; usage problems are errors (>= 3).
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_ERROR, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(SystemExit):
-    def __init__(self, code, message=None):
-        super().__init__(code)
-        if message:
-            print(message, file=sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 _SYSTEMS = {
@@ -148,22 +141,20 @@ def _read_word_arg(args) -> tuple[str, ...]:
     return parse_word(sys.stdin.read())
 
 
-def _bounds(args, word_len: int) -> SearchBounds:
-    base = default_bounds(word_len)
+def _bounds(default: SearchBounds, max_store, max_configs) -> SearchBounds:
+    """``default`` with ``--max-store`` and ``--max-configs`` put in
+    where they were given."""
     return SearchBounds(
-        max_store_symbols=args.max_store if args.max_store is not None
-        else base.max_store_symbols,
-        max_configurations=args.max_configs if args.max_configs is not None
-        else base.max_configurations,
-    )
+        default.max_store_symbols if max_store is None else max_store,
+        default.max_configurations if max_configs is None else max_configs)
 
 
 def cmd_run(args) -> int:
     with open(args.automaton, encoding="utf-8") as f:
         automaton = machine.parse_automaton(f.read())
     word = _read_word_arg(args)
-    verdict = machine.accepts(automaton, word, _bounds(args, len(word)),
-                              trace=args.trace)
+    bounds = _bounds(default_bounds(len(word)), args.max_store, args.max_configs)
+    verdict = machine.accepts(automaton, word, bounds, trace=args.trace)
     if args.trace and verdict.trace:
         for config, _tid in verdict.trace:
             print(f"({config.state}, {config.position} read, "
@@ -259,11 +250,10 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
     for level in levels:
         start = time.perf_counter()
         word = contour.contour_word(spec, level)
-        bounds = SearchBounds(
-            max_store if max_store is not None
-            else builders.suggested_store_bound(
-                system, sigma if kind == "ball" else 1, level),
-            max_configs if max_configs is not None else 10 ** 7)
+        default = replace(default_bounds(len(word)),
+                          max_store_symbols=builders.suggested_store_bound(
+                              system, sigma if kind == "ball" else 1, level))
+        bounds = _bounds(default, max_store, max_configs)
         positive = machine.accepts(automaton, word, bounds, memoize=False)
         rejected = 0
         # Decorrelate the per-level streams while keeping the whole check
@@ -278,10 +268,7 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
         report.rows.append(CheckRow(level, len(word), positive.status,
                                     len(variants), rejected, millis))
     if exhaustive_len is not None:
-        bounds = SearchBounds(
-            max_store if max_store is not None
-            else default_bounds(exhaustive_len).max_store_symbols,
-            max_configs if max_configs is not None else 10 ** 7)
+        bounds = _bounds(default_bounds(exhaustive_len), max_store, max_configs)
         recognized = machine.enumerate_language(automaton, exhaustive_len, bounds)
         expected = set()
         level = 0 if kind == "ball" else 1
@@ -392,7 +379,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit_ as exc:
+    except SystemExit as exc:
         return exc.code
     except BrokenPipeError:
         return 0

@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
-from .grammar import (SubstitutionSystem, GrammarError, iter_level_word,
-                      level_word, read_word, total_count)
+from .grammar import (SubstitutionSystem, GrammarError, level_word, read_word,
+                      total_count)
 
 ROOT_MARK = "r"
 SIDE_MARK = "s"
@@ -59,16 +59,6 @@ def ball_contour(spec: ContourSpec, level: int) -> Word:
     return sector * spec.sigma
 
 
-def iter_ball_contour(spec: ContourSpec, level: int) -> Iterator[str]:
-    """Streaming form of :func:`ball_contour`."""
-    if spec.kind != "ball":
-        raise ValueError("ball_contour needs a ball spec")
-    reads = spec.system.read_letters
-    for _ in range(spec.sigma):
-        for label in iter_level_word(spec.system, spec.root, level):
-            yield reads[label]
-
-
 def sector_contour(spec: ContourSpec, level: int) -> Word:
     """Contour of a truncated sector at tree level ``level`` >= 1.
 
@@ -84,23 +74,6 @@ def sector_contour(spec: ContourSpec, level: int) -> Word:
         return bottom
     sides = (SIDE_MARK,) * level
     return (ROOT_MARK,) + sides + bottom + sides
-
-
-def iter_sector_contour(spec: ContourSpec, level: int) -> Iterator[str]:
-    """Streaming form of :func:`sector_contour`."""
-    if spec.kind != "sector":
-        raise ValueError("sector_contour needs a sector spec")
-    if level < 1:
-        raise GrammarError("sector contours are defined for level >= 1")
-    reads = spec.system.read_letters
-    sided = spec.system.sided
-    if sided:
-        yield ROOT_MARK
-        yield from (SIDE_MARK,) * level
-    for label in iter_level_word(spec.system, spec.root, level):
-        yield reads[label]
-    if sided:
-        yield from (SIDE_MARK,) * level
 
 
 def contour_word(spec: ContourSpec, level: int) -> Word:

@@ -57,7 +57,17 @@ Word = tuple[str, ...]
 
 
 class MachineError(ValueError):
-    """Ill-formed automaton."""
+    """Ill-formed automaton, or a search asked for something it cannot do.
+
+    ``where`` locates a fault in an automaton: the header key of the text
+    format that declares the faulty part (``"levels"``, ``"states"``,
+    ``"initial"``, ``"input"``, ``"store"`` or ``"start_symbol"``), or the
+    index of the faulty transition.  It is None for any other error.
+    """
+
+    def __init__(self, message: str, where: Union[str, int, None] = None):
+        super().__init__(message)
+        self.where = where
 
 
 class UndeclaredLetterError(MachineError):
@@ -157,7 +167,15 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Automaton:
-    """States, alphabets, iteration level and transition table."""
+    """States, alphabets, iteration level and transition table.
+
+    Construction is the one check that an automaton is well formed; it
+    raises :class:`MachineError`, with ``where`` set, at the first fault:
+    an undeclared or doubly declared name, a level or pattern length out
+    of range, or a name the text format cannot carry (empty, with
+    whitespace, ``#`` or ``->``, the letter ``eps``, or a symbol that
+    :func:`itpda.store.check_symbol` rejects).
+    """
 
     levels: int
     states: Word
@@ -173,32 +191,55 @@ class Automaton:
 
     def __post_init__(self):
         if self.levels < 1:
-            raise MachineError("iteration level must be >= 1")
+            raise MachineError("iteration level must be >= 1", "levels")
+        for key, kind, names in (("states", "state", self.states),
+                                 ("input", "input letter", self.input_alphabet),
+                                 ("store", "store symbol", self.store_alphabet)):
+            declared = set()
+            for name in names:
+                if (not name or "#" in name or "->" in name
+                        or any(c.isspace() for c in name)):
+                    raise MachineError(
+                        f"{kind} {name!r} is empty or holds whitespace, "
+                        "'#' or '->'", key)
+                if name in declared:
+                    raise MachineError(f"{kind} {name!r} declared twice", key)
+                declared.add(name)
+        if "eps" in self.input_alphabet:
+            raise MachineError("input letter 'eps' is reserved for epsilon moves",
+                               "input")
+        for sym in self.store_alphabet:
+            try:
+                st.check_symbol(sym)
+            except st.StoreError as exc:
+                raise MachineError(str(exc), "store") from None
         states = set(self.states)
         letters = set(self.input_alphabet)
         symbols = set(self.store_alphabet)
-        for sym in self.store_alphabet:
-            st.check_symbol(sym)
         if self.initial_state not in states:
-            raise MachineError(f"initial state {self.initial_state!r} undeclared")
+            raise MachineError(
+                f"initial state {self.initial_state!r} undeclared", "initial")
         if self.initial_symbol not in symbols:
-            raise MachineError(f"start symbol {self.initial_symbol!r} undeclared")
+            raise MachineError(
+                f"start symbol {self.initial_symbol!r} undeclared", "start_symbol")
         for i, t in enumerate(self.transitions):
-            where = f"transition {i}"
-            if t.state not in states or t.target not in states:
-                raise MachineError(f"{where}: undeclared state")
-            if t.letter is not None and t.letter not in letters:
-                raise MachineError(f"{where}: undeclared input letter {t.letter!r}")
+            label = f"transition {i}"
+            word = t.action.word if isinstance(t.action, Push) else ()
+            for kind, names, declared in (
+                    ("state", (t.state, t.target), states),
+                    ("input letter", () if t.letter is None else (t.letter,), letters),
+                    ("pattern symbol", t.pattern, symbols),
+                    ("push-word symbol", word, symbols)):
+                for name in names:
+                    if name not in declared:
+                        raise MachineError(f"{label}: undeclared {kind} {name!r}", i)
             if not t.pattern or len(t.pattern) > self.levels:
-                raise MachineError(f"{where}: pattern length must be 1..{self.levels}")
-            if any(s not in symbols for s in t.pattern):
-                raise MachineError(f"{where}: undeclared symbol in pattern")
+                raise MachineError(
+                    f"{label}: pattern length must be 1..{self.levels}", i)
             if not 1 <= t.action.level <= self.levels:
                 raise MachineError(
-                    f"{where}: action level {t.action.level} outside 1..{self.levels}")
-            if isinstance(t.action, Push) and any(
-                    s not in symbols for s in t.action.word):
-                raise MachineError(f"{where}: undeclared symbol in push word")
+                    f"{label}: action level {t.action.level} outside "
+                    f"1..{self.levels}", i)
         # (state, pattern) -> (whether the search can branch there, ordered
         # applicable transitions), duplicates merged.  Entries carry an
         # opcode so the search loop can build the nodes of the store
@@ -951,17 +992,16 @@ def enumerate_language(automaton: Automaton, max_len: int,
 
 
 def _format_pattern(pattern: Word, multichar: bool) -> str:
-    if multichar:
+    bare = "".join(pattern)
+    if multichar or "->" in bare:  # a bare "->" would end the left side
         return "[" + " ".join(pattern) + "]"
-    return "".join(pattern)
+    return bare
 
 
 def render_automaton(automaton: Automaton) -> str:
     """Canonical line-oriented text form; inverse of :func:`parse_automaton`."""
     multichar = any(len(s) > 1 for s in automaton.store_alphabet)
-    lines = []
-    if automaton.name:
-        lines.append(f"# {automaton.name}")
+    lines = [f"# {line}" for line in automaton.name.splitlines()]
     lines.append(f"levels: {automaton.levels}")
     lines.append("states: " + " ".join(automaton.states))
     lines.append(f"initial: {automaton.initial_state}")
@@ -975,34 +1015,33 @@ def render_automaton(automaton: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_KEYS = ("levels", "states", "initial", "input", "store", "start_symbol")
+
+
 def _parse_pattern(text: str, symbols: set[str], lineno: int) -> Word:
+    # Bracketed: symbols split at whitespace.  Bare: one declared symbol,
+    # or else one symbol per character.
     if text.startswith("["):
         if not text.endswith("]"):
             raise AutomatonFormatError(lineno, f"unterminated pattern {text!r}")
-        parts = tuple(text[1:-1].split())
-    elif text in symbols:
-        parts = (text,)
-    elif all(c in symbols for c in text):
-        parts = tuple(text)
-    else:
-        raise AutomatonFormatError(
-            lineno, f"pattern {text!r} is not a chain of declared symbols")
-    if not parts:
-        raise AutomatonFormatError(lineno, "empty topsym pattern")
-    for s in parts:
-        if s not in symbols:
-            raise AutomatonFormatError(lineno, f"undeclared symbol {s!r} in pattern")
-    return parts
+        return tuple(text[1:-1].split())
+    return (text,) if text in symbols else tuple(text)
 
 
 def parse_automaton(text: str) -> Automaton:
-    """Parse the canonical automaton file format.
+    """Parse the automaton file format (README, "Automaton files").
 
-    Raises :class:`AutomatonFormatError` with a line number on syntax
-    errors, undeclared names, or level violations.
+    The parser reads syntax only: ``key: value`` lines, comments, the
+    fields of each ``t:`` line and the split of bare patterns into
+    symbols.  Whether the automaton is well formed -- declared names,
+    levels, pattern lengths, names the format can carry -- is checked by
+    :class:`Automaton` alone.  Every error is raised as an
+    :class:`AutomatonFormatError` that carries the 1-based line of its
+    header key or transition.
     """
     header: dict[str, list[str]] = {}
-    transition_lines: list[tuple[int, str]] = []
+    lines: dict[Union[str, int], int] = {}  # header key or transition -> line
+    bodies: list[str] = []  # of the transitions
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1012,27 +1051,33 @@ def parse_automaton(text: str) -> Automaton:
         key, value = line.split(":", 1)
         key = key.strip()
         if key == "t":
-            transition_lines.append((lineno, value.strip()))
-        elif key in ("levels", "states", "initial", "input", "store", "start_symbol"):
+            lines[len(bodies)] = lineno
+            bodies.append(value.strip())
+        elif key in _HEADER_KEYS:
             if key in header:
                 raise AutomatonFormatError(lineno, f"duplicate {key!r} line")
             header[key] = value.split()
+            lines[key] = lineno
         else:
             raise AutomatonFormatError(lineno, f"unknown key {key!r}")
-    for key in ("levels", "states", "initial", "input", "store", "start_symbol"):
+    for key in _HEADER_KEYS:
         if key not in header:
             raise AutomatonFormatError(len(text.splitlines()) or 1,
                                        f"missing {key!r} line")
+    for key in ("levels", "initial", "start_symbol"):
+        if len(header[key]) != 1:
+            raise AutomatonFormatError(
+                lines[key], f"{key!r} takes one value, got {len(header[key])}")
     try:
         levels = int(header["levels"][0])
-    except (IndexError, ValueError):
-        raise AutomatonFormatError(1, "levels must be an integer") from None
+    except ValueError:
+        raise AutomatonFormatError(lines["levels"],
+                                   "levels must be an integer") from None
     symbols = set(header["store"])
-    states = set(header["states"])
-    letters = set(header["input"])
 
     transitions = []
-    for lineno, body in transition_lines:
+    for i, body in enumerate(bodies):
+        lineno = lines[i]
         if "->" not in body:
             raise AutomatonFormatError(lineno, "transition lacks '->'")
         lhs, rhs = body.split("->", 1)
@@ -1041,26 +1086,14 @@ def parse_automaton(text: str) -> Automaton:
             raise AutomatonFormatError(
                 lineno, "expected 'STATE LETTER PATTERN' before '->'")
         state, letter, pattern_text = left
-        pattern_text = pattern_text.strip()
-        if state not in states:
-            raise AutomatonFormatError(lineno, f"undeclared state {state!r}")
-        if letter != "eps" and letter not in letters:
-            raise AutomatonFormatError(lineno, f"undeclared input letter {letter!r}")
-        pattern = _parse_pattern(pattern_text, symbols, lineno)
         right = rhs.split()
         if len(right) < 3 or right[1] not in ("pop", "push"):
             raise AutomatonFormatError(
                 lineno, "expected 'STATE pop J' or 'STATE push J SYM...' after '->'")
-        target = right[0]
-        if target not in states:
-            raise AutomatonFormatError(lineno, f"undeclared state {target!r}")
         try:
             level = int(right[2])
         except ValueError:
             raise AutomatonFormatError(lineno, "action level must be an integer") from None
-        if not 1 <= level <= levels:
-            raise AutomatonFormatError(
-                lineno, f"action level {level} violates the declared {levels} levels")
         if right[1] == "pop":
             if len(right) != 3:
                 raise AutomatonFormatError(lineno, "pop takes no symbols")
@@ -1070,19 +1103,19 @@ def parse_automaton(text: str) -> Automaton:
         transitions.append(Transition(
             state=state,
             letter=None if letter == "eps" else letter,
-            pattern=pattern,
-            target=target,
+            pattern=_parse_pattern(pattern_text.strip(), symbols, lineno),
+            target=right[0],
             action=action,
         ))
     try:
         return Automaton(
             levels=levels,
             states=tuple(header["states"]),
-            initial_state=header["initial"][0] if header["initial"] else "",
+            initial_state=header["initial"][0],
             input_alphabet=tuple(header["input"]),
             store_alphabet=tuple(header["store"]),
-            initial_symbol=header["start_symbol"][0] if header["start_symbol"] else "",
+            initial_symbol=header["start_symbol"][0],
             transitions=tuple(transitions),
         )
     except MachineError as exc:
-        raise AutomatonFormatError(1, str(exc)) from exc
+        raise AutomatonFormatError(lines[exc.where], str(exc)) from exc

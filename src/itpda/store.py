@@ -60,9 +60,6 @@ class Store:
         self._hash = hashval
         self._topsym = topsym
 
-    def is_empty(self) -> bool:
-        return self.symbol is None
-
     def entries(self) -> Iterator[tuple[str, "Store"]]:
         """Top-to-bottom (symbol, flag) pairs of the outermost sequence."""
         node = self

@@ -174,6 +174,16 @@ def test_run_word_and_word_file_together_exit_3(fib_file, tmp_path, capsys):
     assert code == 3 and out == "" and "error" in err
 
 
+def test_run_malformed_file_exits_3_at_its_line(fib_file, tmp_path, capsys):
+    lines = open(fib_file).read().splitlines()
+    assert lines[5].startswith("store: Z ")
+    lines[5] += " e"  # the store's empty mark is no symbol
+    bad = tmp_path / "bad.ipda"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "run", str(bad), "--word", "aaa")
+    assert code == 3 and out == "" and "line 6:" in err
+
+
 # --- check ---------------------------------------------------------------------------
 
 def test_check_ball_passes(capsys):
@@ -249,3 +259,8 @@ def test_check_bad_arguments_exit_3(bad, capsys):
 def test_usage_error_exits_3(capsys):
     code, _, err = run(capsys, "word", "--system", "fib")
     assert code >= 3
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: itpda")

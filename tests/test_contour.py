@@ -51,8 +51,6 @@ def test_sector_level0_is_domain_error():
     spec = ContourSpec(gr.fibonacci(), "W", kind="sector")
     with pytest.raises(gr.GrammarError):
         ct.sector_contour(spec, 0)
-    with pytest.raises(gr.GrammarError):
-        list(ct.iter_sector_contour(spec, 0))
 
 
 # --- lengths and shape ----------------------------------------------------------
@@ -98,14 +96,6 @@ def test_ball_periodicity(level, sigma):
     word = ct.ball_contour(spec, level)
     period = len(word) // sigma
     assert word == word[:period] * sigma
-
-
-def test_streaming_contours_match():
-    bspec = ContourSpec(gr.fibonacci(), "W", sigma=5, kind="ball")
-    sspec = ContourSpec(gr.fibonacci(), "B", kind="sector")
-    for level in range(1, 5):
-        assert tuple(ct.iter_ball_contour(bspec, level)) == ct.ball_contour(bspec, level)
-        assert tuple(ct.iter_sector_contour(sspec, level)) == ct.sector_contour(sspec, level)
 
 
 def test_noncanonical_sigma_warns():

@@ -8,14 +8,16 @@ small 1-, 2- and 3-level automata and short words; the default
 its work; ``memoize=False`` must agree or give up; ``enumerate_language``
 must list the words it accepts.  The upper yield bound is checked against
 the reference on its own, and drawn automata must survive a render/parse
-round trip and keep every acceptance under a larger store bound.
+round trip and keep every acceptance under a larger store bound.  Names
+drawn from the characters the text format gives a meaning to must be
+rejected by ``Automaton`` or survive the round trip too.
 """
 
 import itertools
 from collections import deque
 from unittest import mock
 
-from hypothesis import event, given, settings, strategies as hst
+from hypothesis import event, example, given, settings, strategies as hst
 
 from itpda import machine as mc
 from itpda import store as st
@@ -161,6 +163,49 @@ def test_upper_yield_cut_agrees_with_reference_bfs(automaton, word):
 def test_render_parse_round_trip(automaton):
     text = mc.render_automaton(automaton)
     assert mc.parse_automaton(text) == automaton
+
+
+# Plain names, reserved ones, and strings of the characters the text
+# format gives a meaning to.
+NAMES = hst.one_of(hst.sampled_from(("q", "Z", "a", "A1", "e", "eps", "-", ">")),
+                   hst.text("qZ->#.[]: \n", max_size=3))
+
+
+@hst.composite
+def named_fields(draw):
+    """Keyword arguments of a small ``Automaton`` whose names come from
+    ``NAMES``; they need not make a well-formed one."""
+    levels = draw(hst.integers(1, 2))
+    states = draw(hst.lists(NAMES, min_size=1, max_size=2))
+    letters = draw(hst.lists(NAMES, max_size=2))
+    symbols = draw(hst.lists(NAMES, min_size=1, max_size=3))
+    symbol, level = hst.sampled_from(symbols), hst.integers(1, levels)
+    action = hst.builds(Pop, level) | hst.builds(
+        Push, level, hst.lists(symbol, max_size=2).map(tuple))
+    transitions = hst.lists(hst.builds(
+        Transition, hst.sampled_from(states), hst.sampled_from([None, *letters]),
+        hst.lists(symbol, min_size=1, max_size=levels).map(tuple),
+        hst.sampled_from(states), action), max_size=4)
+    return dict(levels=levels, states=tuple(states), initial_state=states[0],
+                input_alphabet=tuple(letters), store_alphabet=tuple(symbols),
+                initial_symbol=symbols[0], transitions=tuple(draw(transitions)),
+                name=draw(hst.text("ab #\n", max_size=4)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(named_fields())
+@example(dict(levels=2, states=("q",), initial_state="q", input_alphabet=(),
+              store_alphabet=("-", ">"), initial_symbol="-",
+              transitions=(Transition("q", None, ("-", ">"), "q", Pop(1)),),
+              name="two\nlines"))
+def test_names_are_rejected_or_survive_render_parse(fields):
+    try:
+        automaton = Automaton(**fields)
+    except mc.MachineError as exc:
+        event(f"rejected at {exc.where!r}")
+        return
+    event("built")
+    assert mc.parse_automaton(mc.render_automaton(automaton)) == automaton
 
 
 @settings(deadline=None, max_examples=200)

@@ -582,3 +582,62 @@ def test_parse_errors_carry_line_numbers(line, fragment):
 def test_parse_missing_header():
     with pytest.raises(mc.AutomatonFormatError):
         mc.parse_automaton("levels: 2\n")
+
+
+def _header(**values):
+    # HEADER with some values replaced, behind a comment line so that no
+    # header key sits on line 1.
+    lines = ["# test automaton"]
+    for line in HEADER.splitlines():
+        key = line.split(":")[0]
+        lines.append(f"{key}: {values[key]}" if key in values else line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("values,transitions,line,fragment", [
+    ({}, "t: q0 eps Z -> q0 pop 1\nt: q0 eps Z -> q0 push 1 Q",
+     9, "undeclared push-word symbol 'Q'"),
+    ({}, "t: q0 eps ZFF -> q0 pop 1", 8, "pattern length"),
+    ({}, "t: q0 eps [] -> q0 pop 1", 8, "pattern length"),
+    ({"initial": "qX"}, "", 4, "initial state 'qX' undeclared"),
+    ({"start_symbol": "Q"}, "", 7, "start symbol 'Q' undeclared"),
+    ({"levels": "0"}, "t: q0 eps Z -> q0 pop 1", 2, "iteration level"),
+    ({"levels": "two"}, "", 2, "levels must be an integer"),
+    ({"levels": "2 3"}, "", 2, "takes one value"),
+    ({"initial": "q0 q1"}, "", 4, "takes one value"),
+    ({"store": "Z e"}, "", 6, "reserved for the empty store"),
+    ({"store": "Z F A->"}, "", 6, "'->'"),
+    ({"states": "q0 q1 a->b"}, "", 3, "'->'"),
+    ({"states": "q0 q1 q0"}, "", 3, "state 'q0' declared twice"),
+    ({"input": "a a"}, "", 5, "input letter 'a' declared twice"),
+    ({"store": "Z F Z"}, "", 6, "store symbol 'Z' declared twice"),
+    ({"input": "a eps"}, "", 5, "'eps' is reserved"),
+])
+def test_malformed_files_fail_at_their_line(values, transitions, line, fragment):
+    with pytest.raises(mc.AutomatonFormatError) as exc:
+        mc.parse_automaton(_header(**values) + transitions)
+    assert exc.value.line == line
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("change,where", [
+    (dict(levels=0), "levels"),
+    (dict(states=("q", "q r")), "states"),
+    (dict(states=("q", "")), "states"),
+    (dict(input_alphabet=("x#",)), "input"),
+    (dict(input_alphabet=("x", "x")), "input"),
+    (dict(input_alphabet=("eps",)), "input"),
+    (dict(store_alphabet=("Z", "A\u00a0B")), "store"),
+    (dict(store_alphabet=("Z", "A.B")), "store"),
+    (dict(initial_state="p"), "initial"),
+    (dict(initial_symbol="Y"), "start_symbol"),
+    (dict(transitions=(T("q", "x", ("Z",), "q", Pop(1)),
+                       T("q", "x", ("Z",), "q", Push(1, ("Y",))))), 1),
+])
+def test_automaton_errors_name_the_part_at_fault(change, where):
+    fields = dict(levels=1, states=("q",), initial_state="q",
+                  input_alphabet=("x",), store_alphabet=("Z",),
+                  initial_symbol="Z", transitions=())
+    with pytest.raises(mc.MachineError) as exc:
+        Automaton(**{**fields, **change})
+    assert exc.value.where == where

@@ -37,10 +37,21 @@ the configurations visited.  Between branch points the search follows
 the one successor in place, without the DFS stack, and it builds the
 store nodes of pops and pushes at depths 1 and 2 itself; deeper
 operations go through :func:`itpda.store.pop` and :func:`itpda.store.push`.
+
+The acceptance search walks each repeated subtree once.  The run that
+removes a top element s[f] depends only on the state, s, f and the
+letters it reads, so the search keeps a summary of each such run it
+completes between branch points, and matches a later copy of the same
+element against the input in one comparison instead of walking it
+(see ``_search``).  In a contour word every (label, height) pair's
+level word recurs, and all its copies share one flag, so a tree walk
+builds store nodes for the first copy of each pair only.  Counts,
+verdicts and witnesses are those of walking every copy.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -149,7 +160,12 @@ def default_bounds(input_length: int) -> SearchBounds:
 
 @dataclass
 class Verdict:
-    """``store_cut``: the store bound pruned a configuration.
+    """``configurations``: the configurations the search generated.  A
+    copy of a segment that the search jumped (see ``_search``) counts as
+    the configurations walking it generates, so budgets, counts and the
+    count ``itpda run`` prints mean what they mean for a search that walks
+    every copy.
+    ``store_cut``: the store bound pruned a configuration.
     ``yield_cut``: a yield bound pruned one: a push whose new elements
     need more letters than are left (see ``_YieldTables``), or one at a
     branch point after which the store cannot read that many (see
@@ -679,6 +695,26 @@ def step(automaton: Automaton, config: Configuration,
     return out
 
 
+def _replay(automaton: Automaton, cfg: tuple, word: Word,
+            k: int) -> list[tuple[Configuration, int]]:
+    """The first ``k`` steps of the chain walk from ``cfg``, as trace
+    entries: each configuration with the transition it takes.  Off a
+    branch point every configuration has exactly one successor."""
+    config = Configuration(*cfg)
+    steps = []
+    for _ in range(k):
+        (nxt, tid), = step(automaton, config, word)
+        steps.append((config, tid))
+        config = nxt
+    return steps
+
+
+# A tree walk keeps a few open segments per tree level.  A chain walk
+# that keeps opening more, on a cycle that never returns to the store it
+# began on, stops opening them here, so its memory stays bounded.
+_MAX_OPEN_SEGMENTS = 1 << 16
+
+
 def _search(automaton: Automaton, word: Word, start: tuple,
             goal: Optional[tuple], bounds: SearchBounds,
             want_trace: bool, memoize: bool = True) -> Verdict:
@@ -708,6 +744,38 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     the successor been pushed and popped straight back.  Index entries
     carry an opcode, and the loop builds the nodes of pops and pushes at
     depths 1 and 2 itself (see ``Automaton.__post_init__``).
+
+    In accept mode a chain walk also summarises segments, after the
+    summary edges of interprocedural reachability.  A segment runs from a
+    configuration whose top element is s[f] over ``rest``, in state q, to
+    the first configuration whose store is that same ``rest`` object.  It
+    sees nothing below s[f], so it depends only on q, s, f and the letters
+    it reads.  A segment completed without passing a branch point is kept
+    under (q, s, f), f compared by identity, with its exit state, its
+    letters as (first position, length), the configurations k it
+    generated and its store high-water mark above ``rest``.  Where the
+    walk exposes an element with a summary, it jumps to (exit state,
+    position + length, rest) and counts k configurations if the input
+    there repeats the letters, the high-water mark fits the store bound on
+    this ``rest`` and k fits the budget.  Otherwise it walks the copy step
+    by step, and the copy's own elements may jump.  A matched copy meets
+    no cut: its new elements are removed within its letters, so no least
+    yield exceeds what is left, and it has no branch point for the most
+    yield to cut.
+
+    Jumps also leave the memo and the witness as they were.  With
+    ``memoize`` a copy jumps only if none of its inner configurations has
+    a count that is a power of 2, so none would be remembered, and only
+    from a position past every configuration remembered before this chain
+    walk began, so none would be found: those remembered since are its
+    ancestors, and a completed copy cannot return to one.  A configuration
+    of the copy reached earlier by another path was either explored
+    without accepting or still waits on the stack, where it would be the
+    first parent in the witness.  Without ``memoize`` a trace therefore
+    needs the copy to start past the waiting ones, which lie at most one
+    letter past the position this chain walk began at.  A jump is kept in
+    ``parents`` with its count negated as the transition id, and the trace
+    replays it with :func:`step`.
     """
     index = automaton._index
     n = len(word)
@@ -736,6 +804,11 @@ def _search(automaton: Automaton, word: Word, start: tuple,
                 if cfg == start:
                     break
                 cfg, tid = parents[cfg]
+                if tid < 0:
+                    # A jump over -tid configurations: replay its steps.
+                    steps = _replay(automaton, cfg, word, -tid)
+                    trace.extend(reversed(steps[1:]))
+                    tid = steps[0][1]
             trace.reverse()
         return Verdict(status, trace, count, store_cut, yield_cut)
 
@@ -764,10 +837,35 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     flag_level = automaton.levels - 1
     eflag = st.empty(max(flag_level - 1, 0))
     ehash = eflag._hash
+    # Segment summaries, accept mode only: (state, symbol, id of flag) ->
+    # (exit state, first position, letters, configurations, store
+    # high-water mark above the rest, flag); the flag is kept so that its
+    # id is not reused.  segs: the open
+    # segments of this chain walk, innermost last, each as (key, rest of
+    # the enclosing segment, position, count, high-water mark of the
+    # enclosing segment, flag).  seg_rest and hw: the innermost one's rest
+    # and store high-water mark.  A copy jumps only from a position above
+    # hi; seen_hi is the furthest position remembered in ``seen``.
+    summaries: Optional[dict] = {} if accept_mode else None
+    segs: list = []
+    seg_rest = None
+    hw = hi = 0
+    seen_hi = start[1]
     stack = [(*start, index.get((start[0], start[2]._topsym), dead))]
     while stack:
         state, pos, cur, (branches, entries) = stack.pop()
+        if segs:
+            segs.clear()
+            seg_rest = None
+        hi = seen_hi if memoize else pos + 1 if want_trace else -1
         while True:  # one turn per configuration of a chain walk
+            while cur is seg_rest:
+                # The innermost open segment is complete: summarise it.
+                key, seg_rest, first, before, outer, flag = segs.pop()
+                summaries[key] = (state, first, pos - first, count - before,
+                                  hw - cur.size, flag)
+                if outer > hw:
+                    hw = outer
             if memoize:
                 t = t + 1 if len(stack) == mark else 1
                 mark = -1 if branches else len(stack)
@@ -777,6 +875,51 @@ def _search(automaton: Automaton, word: Word, start: tuple,
                 keep_all = branches or not t & (t + 1)
             if branches:
                 successors = []
+            elif summaries is not None:
+                flag = cur.flag
+                key = (state, cur.symbol, id(flag))
+                summary = summaries.get(key)
+                if summary is not None:
+                    target, first, letters, k, peak, _ = summary
+                    rest = cur.rest
+                    if ((max_store is None or rest.size + peak <= max_store)
+                            and (max_configs is None or count + k <= max_configs)
+                            and pos > hi
+                            and (not memoize or 1 << t.bit_length() >= t + k)
+                            and word[pos:pos + letters]
+                            == word[first:first + letters]):
+                        # Jump over the copy to its last configuration.
+                        npos = pos + letters
+                        nnode = index.get((target, rest._topsym), dead)
+                        ncfg = (target, npos, rest)
+                        if memoize:
+                            t += k - 1
+                            if ncfg in seen:
+                                count += k - 1
+                                break
+                            if nnode[0] or not (t + 1) & t:
+                                seen.add(ncfg)
+                                if npos > seen_hi:
+                                    seen_hi = npos
+                        if want_trace:
+                            parents.setdefault(ncfg, ((state, pos, cur), -k))
+                        count += k
+                        if npos == n and rest.size == 0:
+                            return finish(ACCEPTED, ncfg)
+                        if rest.size + peak > hw:
+                            hw = rest.size + peak
+                        state, pos, cur = ncfg
+                        branches, entries = nnode
+                        continue
+                # Open a segment at this configuration.
+                size = cur.size
+                if len(segs) < _MAX_OPEN_SEGMENTS:
+                    segs.append((key, seg_rest, pos, count,
+                                 hw if hw > size else size, flag))
+                    seg_rest = cur.rest
+                    hw = size
+                elif size > hw:
+                    hw = size
             for tid, letter, target, op, level, payload, push_word in entries:
                 if letter is None:
                     npos = pos
@@ -838,6 +981,8 @@ def _search(automaton: Automaton, word: Word, start: tuple,
                         continue
                     if keep_all or nnode[0]:
                         seen.add(ncfg)
+                        if npos > seen_hi:
+                            seen_hi = npos
                 if want_trace:
                     # First write wins: a configuration can be generated
                     # more than once, and its first parent was generated
@@ -1028,6 +1173,16 @@ def _parse_pattern(text: str, symbols: set[str], lineno: int) -> Word:
     return (text,) if text in symbols else tuple(text)
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str, lineno: int, what: str) -> int:
+    # ASCII digits only: int() would also take "0_1" and non-ASCII digits.
+    if not _INT.fullmatch(text):
+        raise AutomatonFormatError(lineno, f"{what} must be an integer")
+    return int(text)
+
+
 def parse_automaton(text: str) -> Automaton:
     """Parse the automaton file format (README, "Automaton files").
 
@@ -1068,11 +1223,7 @@ def parse_automaton(text: str) -> Automaton:
         if len(header[key]) != 1:
             raise AutomatonFormatError(
                 lines[key], f"{key!r} takes one value, got {len(header[key])}")
-    try:
-        levels = int(header["levels"][0])
-    except ValueError:
-        raise AutomatonFormatError(lines["levels"],
-                                   "levels must be an integer") from None
+    levels = _parse_int(header["levels"][0], lines["levels"], "levels")
     symbols = set(header["store"])
 
     transitions = []
@@ -1090,10 +1241,7 @@ def parse_automaton(text: str) -> Automaton:
         if len(right) < 3 or right[1] not in ("pop", "push"):
             raise AutomatonFormatError(
                 lineno, "expected 'STATE pop J' or 'STATE push J SYM...' after '->'")
-        try:
-            level = int(right[2])
-        except ValueError:
-            raise AutomatonFormatError(lineno, "action level must be an integer") from None
+        level = _parse_int(right[2], lineno, "action level")
         if right[1] == "pop":
             if len(right) != 3:
                 raise AutomatonFormatError(lineno, "pop takes no symbols")

@@ -10,7 +10,9 @@ must list the words it accepts.  The upper yield bound is checked against
 the reference on its own, and drawn automata must survive a render/parse
 round trip and keep every acceptance under a larger store bound.  Names
 drawn from the characters the text format gives a meaning to must be
-rejected by ``Automaton`` or survive the round trip too.
+rejected by ``Automaton`` or survive the round trip too.  On the tree walks
+of random substitution systems, the search must give the same verdict,
+count and witness when it refuses every jump over a repeated segment.
 """
 
 import itertools
@@ -21,6 +23,9 @@ from hypothesis import event, example, given, settings, strategies as hst
 
 from itpda import machine as mc
 from itpda import store as st
+from itpda.builders import ball_automaton, suggested_store_bound
+from itpda.contour import ContourSpec, contour_word, mutate
+from itpda.grammar import SubstitutionSystem
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Pop, Push, SearchBounds, Transition)
 
@@ -218,6 +223,71 @@ def test_raising_the_store_bound_keeps_acceptance(automaton, word, small,
     high = mc.accepts(automaton, word, SearchBounds(small + extra, budget))
     if low.status == ACCEPTED:
         assert high.status != REJECTED
+
+
+@hst.composite
+def trees(draw):
+    """The ball recognizer of a random substitution system over the labels
+    A, B and C, a contour word of it, as is or with one edit, and bounds:
+    a store bound up to the one the builders suggest, and a budget."""
+    labels = ("A", "B", "C")
+    label = hst.sampled_from(labels)
+    root, sigma, level = (draw(label), draw(hst.integers(1, 3)),
+                          draw(hst.integers(0, 4)))
+    system = SubstitutionSystem(
+        "drawn", labels,
+        {x: tuple(draw(hst.lists(label, min_size=1, max_size=3)))
+         for x in labels},
+        {x: draw(hst.sampled_from(LETTERS)) for x in labels}, (sigma,))
+    automaton = ball_automaton(system, root, sigma)
+    word = contour_word(ContourSpec(system, root, sigma=sigma), level)
+    if draw(hst.booleans()):
+        word = mutate(word, draw(hst.integers(0, 99)), 1, LETTERS)[0]
+    # Store bounds up to the suggested one, and small budgets, put the
+    # bounds inside jumped copies as well as between them.
+    suggested = suggested_store_bound(system, sigma, level)
+    store = draw(hst.one_of(hst.just(suggested), hst.integers(0, suggested)))
+    budget = draw(hst.one_of(hst.just(10 ** 4),
+                             hst.integers(1, 3 * len(word) + 9)))
+    return automaton, word, SearchBounds(store, budget)
+
+
+class _Word(tuple):
+    """An input word that counts the comparisons of its slices, by which
+    the search matches a copy of a segment against a summary's letters;
+    with ``match=False`` no comparison succeeds, so every copy is walked
+    step by step."""
+
+    def __new__(cls, letters, match=True):
+        word = super().__new__(cls, letters)
+        word.match, word.compared = match, 0
+        return word
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.compared += 1
+            if not self.match:
+                return object()  # equal to nothing
+        return super().__getitem__(i)
+
+
+@settings(deadline=None, max_examples=300)
+@given(trees(), hst.booleans())
+def test_segment_jumps_change_nothing(case, memoize):
+    # A jump over a copy of a segment must leave the verdict, its flags,
+    # the configuration count and the witness as walking the copy would.
+    automaton, word, bounds = case
+    start = (automaton.initial_state, 0, automaton.initial_store())
+    jumping = _Word(word)
+    jumped, walked = (
+        mc._search(automaton, w, start, None, bounds, True, memoize)
+        for w in (jumping, _Word(word, match=False)))
+    assert ((jumped.status, jumped.configurations, jumped.store_cut,
+             jumped.yield_cut, jumped.trace)
+            == (walked.status, walked.configurations, walked.store_cut,
+                walked.yield_cut, walked.trace))
+    event(f"memoize={memoize}: "
+          f"{'a copy was compared' if jumping.compared else 'no copy'}")
 
 
 def test_epsilon_cycle_decided_at_once():

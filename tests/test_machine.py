@@ -2,6 +2,7 @@
 format."""
 
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -423,6 +424,153 @@ def test_tree_walk_exploration_is_pinned(case):
     assert counts == mutants
 
 
+# --- segment summaries -----------------------------------------------------------------
+
+# (system, root, kind, sigma, level, smallest accepting store bound,
+# configurations rejected one below it, configurations of the accepting run).
+BOUND_EDGES = [
+    (lambda: gr.polygonal(6), "W", "ball", 6, 3, 36, 41, 582),
+    (gr.cell120, "9", "sector", 1, 2, 346, 349, 13_329),
+    (gr.fibonacci, "W", "sector", 1, 6, 35, 53, 867),
+]
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+@pytest.mark.parametrize("case", BOUND_EDGES, ids=["poly6", "cell120", "fib"])
+def test_bounds_are_exact_at_their_edges(case, memoize):
+    # A later copy of a subtree can sit on a taller store than the first,
+    # and the budget can run out inside it, so a jump must stop at exactly
+    # the bounds at which the step-by-step walk stops.
+    make, root, kind, sigma, level, smallest, cut_at, configs = case
+    system = make()
+    automaton = (ball_automaton(system, root, sigma) if kind == "ball"
+                 else sector_automaton(system, root))
+    word = contour_word(ContourSpec(system, root, sigma=sigma, kind=kind),
+                        level)
+    v = mc.accepts(automaton, word, SearchBounds(smallest, 10 ** 7),
+                   memoize=memoize)
+    assert (v.status, v.configurations, v.store_cut) == (ACCEPTED, configs, False)
+    v = mc.accepts(automaton, word, SearchBounds(smallest - 1, 10 ** 7),
+                   memoize=memoize)
+    assert (v.status, v.configurations, v.store_cut) == (REJECTED, cut_at, True)
+    # The accepting run's last configuration is the budget's first over.
+    store = suggested_store_bound(system, sigma, level)
+    v = mc.accepts(automaton, word, SearchBounds(store, configs - 1),
+                   memoize=memoize)
+    assert (v.status, v.configurations) == (ACCEPTED, configs)
+    v = mc.accepts(automaton, word, SearchBounds(store, configs - 2),
+                   memoize=memoize)
+    assert (v.status, v.configurations) == (INCONCLUSIVE, configs - 1)
+
+
+class _CountingStore(st.Store):
+    built = 0
+    __slots__ = ()
+
+    def __init__(self, *args):
+        _CountingStore.built += 1
+        super().__init__(*args)
+
+
+def test_repeated_subtrees_are_walked_once():
+    # Every copy of a (label, height) subtree after the first is matched
+    # against the input in one comparison, so the search builds store
+    # nodes for a few copies only, though it counts every configuration.
+    system = gr.polygonal(7)
+    automaton = ball_automaton(system, "W", 7)
+    word = contour_word(ContourSpec(system, "W", sigma=7, kind="ball"), 6)
+    bounds = SearchBounds(suggested_store_bound(system, 7, 6), 10 ** 7)
+    for memoize in (True, False):
+        _CountingStore.built = 0
+        with mock.patch.object(mc, "Store", _CountingStore):
+            v = mc.accepts(automaton, word, bounds, memoize=memoize)
+        assert v.status == ACCEPTED
+        assert v.configurations > 10 ** 5
+        assert _CountingStore.built < v.configurations // 100
+
+
+def _two_paths(*transitions, states):
+    # From the branch point s, one path pushes A A Y and the other reads
+    # an a into B Y.  A reads a via B, and Y pops only on c.  The second A
+    # is a copy of the first, and it passes through the configuration
+    # (w, 1, B.Y) that the other path reaches.
+    return mc.parse_automaton(
+        f"levels: 1\nstates: s w r {states}\ninitial: s\ninput: a b c\n"
+        "store: Z A B Y\nstart_symbol: Z\n"
+        + "".join(f"t: {t}\n" for t in transitions)
+        + "t: w eps A -> w push 1 B\nt: w a B -> w pop 1\n"
+          "t: w c Y -> w pop 1\nt: r a Z -> w push 1 B Y\n")
+
+
+def test_jumps_keep_what_the_memo_would_remember_and_prune():
+    # The path through the copy goes first.  (w, 1, B.Y) is the 8th
+    # configuration after the branch point, so the memo remembers it, and
+    # the other path is pruned there: the copy must be walked.
+    first = _two_paths("s eps Z -> p push 1 Z", "s eps Z -> r push 1 Z",
+                       "p eps Z -> p2 push 1 Z", "p2 eps Z -> p3 push 1 Z",
+                       "p3 eps Z -> p4 push 1 Z", "p4 eps Z -> w push 1 A A Y",
+                       states="p p2 p3 p4")
+    # The other path goes first and leaves (w, 1, B.Y) remembered, so the
+    # copy is pruned there: it must be walked again.
+    second = _two_paths("s eps Z -> r push 1 Z", "s eps Z -> p push 1 Z",
+                        "p eps Z -> w push 1 A A Y", states="p")
+    for automaton, memo_count, count in ((first, 11, 13), (second, 8, 10)):
+        for memoize, expected in ((True, memo_count), (False, count)):
+            v = mc.accepts(automaton, "aab", memoize=memoize)
+            assert (v.status, v.configurations) == (REJECTED, expected)
+
+
+def test_jumps_keep_the_first_parent_of_a_pending_configuration():
+    # The branch point's second successor (w, 1, B.Y) waits on the stack
+    # while the first path's copy of A passes through it.  The witness
+    # reaches it from the branch point, its first parent.
+    pending = _two_paths("s eps Z -> w push 1 A A Y", "s a Z -> w push 1 B Y",
+                         states="")
+    for memoize in (True, False):
+        v = mc.accepts(pending, "aac", trace=True, memoize=memoize)
+        assert v.status == ACCEPTED
+        assert [(c.state, c.position, st.render(c.store)) for c, _ in v.trace] \
+            == [("s", 0, "Z"), ("w", 1, "B.Y"), ("w", 2, "Y"), ("w", 3, "e")]
+
+
+def _taller_copy():
+    # A ball word whose tree has a later copy of a subtree on a taller
+    # store than its first copy; at a store bound of 10 only the later
+    # copy breaks the bound.
+    system = gr.SubstitutionSystem(
+        "drawn", ("A", "B", "C"),
+        {"A": ("C",), "B": ("A", "C"), "C": ("C", "C", "B")},
+        {"A": "b", "B": "b", "C": "a"}, (2,))
+    return (ball_automaton(system, "B", 2),
+            contour_word(ContourSpec(system, "B", sigma=2), 3))
+
+
+def test_a_copy_on_a_taller_store_is_cut_where_the_walk_would_be():
+    automaton, word = _taller_copy()
+    for memoize in (True, False):
+        cut = mc.accepts(automaton, word, SearchBounds(10, 10 ** 4),
+                         memoize=memoize)
+        assert (cut.status, cut.configurations, cut.store_cut) \
+            == (REJECTED, 23, True)
+        v = mc.accepts(automaton, word, SearchBounds(11, 10 ** 4),
+                       memoize=memoize)
+        assert (v.status, v.configurations) == (ACCEPTED, 56)
+
+
+def test_a_cap_on_open_segments_changes_no_count():
+    # Past the cap a chain walk opens no more segments, so it records
+    # fewer summaries, but it still folds every store into the high-water
+    # marks of the segments that are open.
+    automaton, word = _taller_copy()
+    for cap in range(1, 8):
+        with mock.patch.object(mc, "_MAX_OPEN_SEGMENTS", cap):
+            for store, status, configs in ((10, REJECTED, 23),
+                                           (11, ACCEPTED, 56)):
+                v = mc.accepts(automaton, word, SearchBounds(store, 10 ** 4),
+                               memoize=False)
+                assert (v.status, v.configurations) == (status, configs)
+
+
 # --- determinism, memoization, monotonicity ----------------------------------------------
 
 @settings(deadline=None, max_examples=30)
@@ -612,6 +760,9 @@ def _header(**values):
     ({"input": "a a"}, "", 5, "input letter 'a' declared twice"),
     ({"store": "Z F Z"}, "", 6, "store symbol 'Z' declared twice"),
     ({"input": "a eps"}, "", 5, "'eps' is reserved"),
+    # Integers are ASCII digits, with no digit groups.
+    ({"levels": "\u0662"}, "", 2, "levels must be an integer"),
+    ({}, "t: q0 eps Z -> q0 pop 0_1", 8, "action level must be an integer"),
 ])
 def test_malformed_files_fail_at_their_line(values, transitions, line, fragment):
     with pytest.raises(mc.AutomatonFormatError) as exc:

@@ -19,13 +19,15 @@ or vice versa on words whose accepting runs fit the bound.
 
 On 1- and 2-level automata the acceptance search also drops every
 depth-1 push whose new elements must read more letters than the input
-has left (see ``_YieldTables``), and, where the search can branch, every
-one after which the whole store cannot read as many letters as are left
-(see ``_UpperTables``).  No accepting run breaks either bound, so the
-prunes change no verdict.  Together they cut the tree walk of a guessed
-height at its commit, whether the height is too tall or too short for
-the word, and so every height of a word whose length no height yields.
-Guess loops that grow a flag still run until the store bound stops them.
+has left, and, where the search can branch, every one after which the
+whole store cannot read as many letters as are left.  Both bounds are
+read from one table per flag, which holds the fewest and the most
+letters an element reads (see ``_YieldTables``).  No accepting run
+breaks either bound, so the prunes change no verdict.  Together they cut
+the tree walk of a guessed height at its commit, whether the height is
+too tall or too short for the word, and so every height of a word whose
+length no height yields.  Guess loops that grow a flag still run until
+the store bound stops them.
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -167,9 +169,8 @@ class Verdict:
     every copy.
     ``store_cut``: the store bound pruned a configuration.
     ``yield_cut``: a yield bound pruned one: a push whose new elements
-    need more letters than are left (see ``_YieldTables``), or one at a
-    branch point after which the store cannot read that many (see
-    ``_UpperTables``)."""
+    need more letters than are left, or one at a branch point after which
+    the store cannot read that many (see ``_YieldTables``)."""
 
     status: str
     trace: Optional[list[tuple[Configuration, Optional[int]]]] = None
@@ -292,9 +293,9 @@ class Automaton:
         return Configuration(self.initial_state, 0, self.initial_store())
 
     def _yield_tables(self, need: int) -> Optional["_YieldTables"]:
-        """Least-yield tables exact up to ``need`` letters, built on first
-        use and rebuilt with a larger cap for a longer input; None above
-        2 levels."""
+        """Yield tables exact up to ``need`` letters, built on first use
+        and rebuilt with a larger cap for a longer input; None above 2
+        levels."""
         if self.levels > 2:
             return None
         if self._yields is None or self._yields.cap <= need:
@@ -306,11 +307,106 @@ class Automaton:
 # The largest cap: more letters than any input has.
 _YIELD_CAP = 1 << 62
 
+# A most-yield entry for a way no run can remove an element.
+_NEVER = -1
 
-class _FlagTables:
-    """Tables kept per flag, built by ``_add(top, rest table id)`` and
-    found again through ``_children``: (top, rest table id) -> table id.
-    The empty flag has table 0."""
+
+class _YieldTables:
+    """Least- and most-yield tables of a 1- or 2-level automaton.
+
+    For a flag f, the table of f holds two arrays about the element s[f],
+    from the moment it is on top in state q until it is removed in state
+    q': L_f[q, s, q'] is the fewest letters any run reads meanwhile, or
+    ``cap`` when no run removes it that way, and H_f[q, s, q'] is the
+    most, or ``_NEVER``.  Both are indexed by ``row[q, s] * len(states) +
+    q'``.  Each is the least fixpoint, L in min-plus and H in max-plus, of
+    one inequality per matching transition: pop 1 (and push 1 of the empty
+    word) gives its letter into its target, pop 2 adds the rest's table at
+    the target, and push 1 w adds the chain over the new elements, the
+    first from the target into some p1, the next from p1 into p2, and so
+    on.  Push 2 grows a flag whose table is not known: it gives L its letter
+    alone for every exit (the grown element still reads at least 0), which
+    keeps every L a lower bound, and makes H unbounded.  Indexing by exit
+    state keeps tree walks finite: a tree node is expanded from one state
+    into children that are entered and left in another, so its entry
+    depends only on theirs from that state.  A per-symbol maximum over
+    states would feed the node's own entry back into it, and every tree
+    element would come out unbounded.
+
+    The push 1 inequalities are solved one strongly connected group of
+    symbols at a time, dependencies first.  A rule's value is its letter plus
+    the entries it reads, so an entry's best derivation repeats no entry,
+    and a group settles within one round per entry, as in Knuth's grammar
+    problem ("A generalization of Dijkstra's algorithm", IPL 1977).  L always
+    settles so.  An H still rising after those rounds has a cycle that reads
+    a letter, and its entries are set to the cap at once instead of climbing
+    there.
+
+    Every entry is capped at ``cap``, which exceeds the input lengths the
+    tables are asked about, so an L at the cap still prunes, an H at the cap
+    never does, and the others are exact.  An element left in place is never
+    read past, so emptying a store reads at least the sum of the Ls and at
+    most the sum of the Hs of its elements.  Tables are keyed by (top of f,
+    table id of f.rest); the empty flag has table 0, and a table equal to an
+    earlier one gets its id.  A guess loop therefore adds tables only until
+    its yields reach the cap or repeat, not at every flag depth the store
+    bound allows.  ``tables[tid]`` is the pair (L, H).  ``lows[tid][i]`` and
+    ``highs[tid][i]`` are the fewest and the most letters the new elements
+    of transition i, a depth-1 push, read when they carry a flag with table
+    ``tid``, whatever state they leave in (0 for other transitions).
+    """
+
+    def __init__(self, automaton: Automaton, cap: int):
+        self.cap = cap
+        states, symbols = automaton.states, automaton.store_alphabet
+        nq = self._nq = len(states)
+        nsym = len(symbols)
+        state_id = {q: i for i, q in enumerate(states)}
+        sym_id = self._sym_id = {s: i for i, s in enumerate(symbols)}
+        self.row = {(q, s): state_id[q] * nsym + sym_id[s]
+                    for q in states for s in symbols}
+        self._rows_of = [range(sym_id[s], nq * nsym, nsym) for s in symbols]
+        self._size = nq * nsym * nq
+        self._ntrans = len(automaton.transitions)
+        # Per flag top (None: the flag is empty): ends (row, exit, letter),
+        # pops (row, letter, row in the rest's table), grows (row, letter),
+        # and push groups (push 1 rules (row, letter, target, word), rows,
+        # rounds) in dependency order.  _pushes: the depth-1 pushes of a
+        # nonempty word (transition id, target, word), whatever their
+        # pattern, since a table is shared by every flag with its entries.
+        rules: dict = {}
+        self._pushes = []
+        for i, t in enumerate(automaton.transitions):
+            top = t.pattern[1] if len(t.pattern) == 2 else None
+            act = t.action
+            ends, pops, grows, pushes = rules.setdefault(top, ([], [], [], []))
+            at = self.row[t.state, t.pattern[0]]
+            cost = int(t.letter is not None)
+            target = state_id[t.target]
+            if isinstance(act, Pop):
+                if act.level == 1:
+                    ends.append((at, target, cost))
+                elif top is not None:  # pop 2 of an empty flag is undefined
+                    pops.append((at, cost, self.row[t.target, t.pattern[0]]))
+            elif act.level == 2:
+                grows.append((at, cost))
+            elif act.word:
+                word = tuple(sym_id[s] for s in act.word)
+                self._pushes.append((i, target, word))
+                pushes.append((at, cost, target, word))
+            else:
+                ends.append((at, target, cost))
+        self._rules = {top: (ends, pops, grows, self._groups(pushes))
+                       for top, (ends, pops, grows, pushes) in rules.items()}
+        # Tables are kept for the life of the automaton, so each is a pair
+        # of compact arrays, found again by its hash.
+        self.tables: list[tuple] = []      # table id -> (L, H)
+        self.lows: list[tuple] = []        # table id -> low per transition
+        self.highs: list[tuple] = []       # table id -> high per transition
+        self._sym_max: list[tuple] = []    # table id -> max of H per symbol
+        self._children: dict = {}          # (top, rest table id) -> table id
+        self._ids: dict = {}               # hash of a table -> table id
+        self._add(None, None)
 
     def table_id(self, flag: Store, memo: dict) -> int:
         """Table id of ``flag``.  ``memo`` maps a flag's hash to (flag,
@@ -336,204 +432,6 @@ class _FlagTables:
             tid = child
             memo[flag._hash] = (flag, tid)
         return tid
-
-
-class _YieldTables(_FlagTables):
-    """Least-yield tables of a 1- or 2-level automaton.
-
-    For a flag f, the table C_f maps (state, sym) to the fewest letters any
-    run must read to remove the element sym[f], starting in that state with
-    the element on top; m_f[sym] is its minimum over states.  Each table is
-    the least fixpoint of one inequality per matching transition: pop 1
-    costs its letter, pop 2 adds C_{f.rest} of the target, push 1 w adds
-    C_f[target, w0] + m_f[w1] + ... , and push 2 is relaxed to its letter
-    alone (the grown element still costs at least 0), which keeps every
-    entry a lower bound.  An element left in place is never read past, so
-    emptying a store from state q costs at least C[q, top] plus m of every
-    element below it.
-
-    Every entry is capped at ``cap``, which exceeds the input lengths the
-    tables are asked about, so a capped entry still prunes and the others
-    are exact.  Tables are keyed by (top of f, table id of f.rest); the
-    empty flag has table 0, and a table equal to an earlier one gets its
-    id.  A guess loop therefore adds tables only until its yields reach
-    the cap or repeat, not at every flag depth the store bound allows.
-    ``tables[tid]`` holds C by ``slot[state, sym]``, then m by
-    ``m_slot[sym]``.  ``lows[tid][i]`` is what the new elements of
-    transition i, a depth-1 push, must read when they carry a flag with
-    table ``tid`` (0 for other transitions).  ``upper()`` gives the
-    most-yield tables of the same cap, which only acceptance searches
-    build.
-    """
-
-    def __init__(self, automaton: Automaton, cap: int):
-        self.cap = cap
-        symbols = automaton.store_alphabet
-        sym_id = {s: i for i, s in enumerate(symbols)}
-        nsym = len(symbols)
-        slot = {(q, s): i * nsym + sym_id[s]
-                for i, q in enumerate(automaton.states) for s in symbols}
-        self.slot = slot
-        self.m_slot = {s: len(slot) + i for s, i in sym_id.items()}
-        self._size = len(slot) + nsym
-        # rules[top]: (slot of (state, sym), slot of m[sym], letter cost,
-        # rest-table slot of a pop 2, push 1 word as (first slot, m slots
-        # of the others)) for the transitions that fire on sym[f] when f
-        # has top ``top`` (None: f is empty).  pushes: push 1 word -> ids
-        # of the transitions that push it.
-        self._rules: dict = {}
-        self._pushes: dict = {}
-        for i, t in enumerate(automaton.transitions):
-            top = t.pattern[1] if len(t.pattern) == 2 else None
-            act = t.action
-            pop2 = push1 = None
-            if isinstance(act, Pop) and act.level == 2:
-                if top is None:
-                    continue  # pop 2 of an empty flag is undefined
-                pop2 = slot[t.target, t.pattern[0]]
-            elif isinstance(act, Push) and act.level == 1 and act.word:
-                push1 = (slot[t.target, act.word[0]],
-                         tuple(self.m_slot[s] for s in act.word[1:]))
-                self._pushes.setdefault(push1, []).append(i)
-            self._rules.setdefault(top, []).append(
-                (slot[t.state, t.pattern[0]], self.m_slot[t.pattern[0]],
-                 int(t.letter is not None), pop2, push1))
-        self._ntrans = len(automaton.transitions)
-        self._source = (automaton.states, symbols, automaton.transitions)
-        self._upper: Optional[_UpperTables] = None
-        # Tables are kept for the life of the automaton, so each is a
-        # compact array, found again by its hash.
-        self.tables: list[array] = []      # table id -> C and m
-        self.lows: list[tuple] = []        # table id -> bound per transition
-        self._children: dict = {}          # (top, rest table id) -> table id
-        self._ids: dict = {}               # hash of a table -> table id
-        self._add(None, None)
-
-    def _add(self, top, rest_id) -> int:
-        """Id of the table of a flag with top ``top`` over a flag with
-        table ``rest_id`` (both None: the empty flag)."""
-        rest = self.tables[rest_id] if rest_id is not None else None
-        C = [self.cap] * self._size
-        rules = self._rules.get(top, ())
-        changed = True
-        while changed:
-            changed = False
-            for at, m_at, cost, pop2, push1 in rules:
-                if pop2 is not None:
-                    cost += rest[pop2]
-                elif push1 is not None:
-                    cost += C[push1[0]] + sum(C[j] for j in push1[1])
-                if cost < C[at]:
-                    C[at] = cost
-                    C[m_at] = min(C[m_at], cost)
-                    changed = True
-        C = array("q", C)
-        key = hash(C.tobytes())
-        tid = self._ids.get(key)
-        if tid is not None and self.tables[tid] == C:
-            return tid
-        lows = [0] * self._ntrans
-        for (first, others), tids in self._pushes.items():
-            low = min(C[first] + sum(C[j] for j in others), self.cap)
-            for i in tids:
-                lows[i] = low
-        self.tables.append(C)
-        self.lows.append(tuple(lows))
-        self._ids.setdefault(key, len(self.tables) - 1)
-        return len(self.tables) - 1
-
-    def upper(self) -> "_UpperTables":
-        """The most-yield tables with this cap, set up on first use."""
-        if self._upper is None:
-            self._upper = _UpperTables(self._source, self.cap)
-        return self._upper
-
-
-# A most-yield entry for a way no run can remove an element.
-_NEVER = -1
-
-
-class _UpperTables(_FlagTables):
-    """Most-yield tables of a 1- or 2-level automaton.
-
-    For a flag f, H_f[q, s, q'] is the most letters any run reads from the
-    moment the element s[f] is on top in state q until it is removed in
-    state q', or ``_NEVER`` when no run removes it that way.  Each table is
-    the least fixpoint, in max-plus, of one inequality per matching
-    transition: pop 1 (and push 1 of the empty word) gives its letter
-    into its target, pop 2 adds H_{f.rest} of the target, and push 1 w
-    adds the chain H_f[target, w0, p1] + H_f[p1, w1, p2] + ... over the
-    exit states p of each new element.  Push 2 grows a flag whose table is
-    not known, so it makes the element unbounded.  Indexing by exit state
-    keeps tree walks finite: a tree node is expanded from one state into
-    children that are entered and left in another, so its entry depends
-    only on theirs from that state.  A per-symbol maximum over states
-    would feed the node's own entry back into it, and every tree element
-    would come out unbounded.
-
-    The push 1 inequalities are solved one strongly connected group of
-    symbols at a time, dependencies first.  A group none of whose entries
-    is unbounded settles within one round per entry; a group still rising
-    after that has a cycle that reads a letter, and its entries are set to
-    the cap at once instead of climbing there.  Entries are capped at
-    ``cap`` like the least yields, and an entry at the cap never prunes.
-
-    Tables are built on demand, at the branch points of an acceptance
-    search, and shared like the least-yield tables.  ``tables[uid]`` holds
-    H by ``row[state, sym] * len(states) + exit``; ``highs[uid][i]`` is the
-    most the new elements of transition i, a depth-1 push, read when they
-    carry a flag with table ``uid``, whatever state they leave in.
-    """
-
-    def __init__(self, source, cap: int):
-        states, symbols, transitions = source
-        self.cap = cap
-        nq = self._nq = len(states)
-        nsym = len(symbols)
-        state_id = {q: i for i, q in enumerate(states)}
-        sym_id = self._sym_id = {s: i for i, s in enumerate(symbols)}
-        self.row = {(q, s): state_id[q] * nsym + sym_id[s]
-                    for q in states for s in symbols}
-        self._rows_of = [range(sym_id[s], nq * nsym, nsym) for s in symbols]
-        self._nrows = nq * nsym
-        self._ntrans = len(transitions)
-        # Per flag top (None: the flag is empty): ends (row, exit, letter),
-        # pops (row, letter, row in the rest's table), grows (rows), and
-        # push groups (push 1 rules (row, letter, target, word), rows,
-        # rounds) in dependency order.  highs: the depth-1 pushes
-        # (transition id, target, word), whatever their pattern, since a
-        # table is shared by every flag with the same entries.
-        rules: dict = {}
-        self._highs = []
-        for i, t in enumerate(transitions):
-            top = t.pattern[1] if len(t.pattern) == 2 else None
-            act = t.action
-            ends, pops, grows, pushes = rules.setdefault(top, ([], [], [], []))
-            at = self.row[t.state, t.pattern[0]]
-            cost = int(t.letter is not None)
-            target = state_id[t.target]
-            if isinstance(act, Pop):
-                if act.level == 1:
-                    ends.append((at, target, cost))
-                elif top is not None:  # pop 2 of an empty flag is undefined
-                    pops.append((at, cost, self.row[t.target, t.pattern[0]]))
-            elif act.level == 2:
-                grows.append(at)
-            else:
-                word = tuple(sym_id[s] for s in act.word)
-                self._highs.append((i, target, word))
-                if word:
-                    pushes.append((at, cost, target, word))
-                else:
-                    ends.append((at, target, cost))
-        self._rules = {top: (ends, pops, grows, self._groups(pushes))
-                       for top, (ends, pops, grows, pushes) in rules.items()}
-        self.tables: list[array] = []      # table id -> H
-        self.highs: list[tuple] = []       # table id -> high per transition
-        self._sym_max: list[tuple] = []    # table id -> max of H per symbol
-        self._children: dict = {}          # (top, rest table id) -> table id
-        self._ids: dict = {}               # hash of a table -> table id
-        self._add(None, None)
 
     def _groups(self, pushes):
         """Push 1 rules grouped by the strongly connected component of the
@@ -563,83 +461,111 @@ class _UpperTables(_FlagTables):
             out.append((groups[scc], rows, len(rows) * self._nq + 1))
         return out
 
-    def _chain(self, H, state, word):
-        """Most letters the elements of ``word`` read, the first on top in
-        ``state``: a list by the state the last one leaves in."""
+    def _chain(self, L, H, state, word):
+        """The fewest and the most letters the elements of ``word`` read,
+        the first on top in ``state``: two lists by the state the last one
+        leaves in.  H is ``_NEVER`` only where L is the cap, so a state
+        that no run leaves in is skipped for both."""
         nq, nsym, cap = self._nq, len(self._sym_id), self.cap
         at = (state * nsym + word[0]) * nq
-        vec = H[at:at + nq]
+        low, high = L[at:at + nq], H[at:at + nq]
         for s in word[1:]:
-            out = [_NEVER] * nq
-            for p, x in enumerate(vec):
-                if x < 0:
+            lo, hi = [cap] * nq, [_NEVER] * nq
+            for p, y in enumerate(high):
+                if y < 0:
                     continue
+                x = low[p]
                 at = (p * nsym + s) * nq
                 for q2 in range(nq):
-                    y = H[at + q2]
-                    if y >= 0 and x + y > out[q2]:
-                        out[q2] = x + y
-            vec = [v if v < cap else cap for v in out]
-        return vec
+                    if x + L[at + q2] < lo[q2]:
+                        lo[q2] = x + L[at + q2]
+                    v = H[at + q2]
+                    if v >= 0 and y + v > hi[q2]:
+                        hi[q2] = y + v
+            low, high = lo, [v if v < cap else cap for v in hi]
+        return low, high
 
     def _add(self, top, rest_id) -> int:
         """Id of the table of a flag with top ``top`` over a flag with
         table ``rest_id`` (both None: the empty flag)."""
-        rest = self.tables[rest_id] if rest_id is not None else None
         nq, cap = self._nq, self.cap
-        H = [_NEVER] * (self._nrows * nq)
+        L = [cap] * self._size
+        H = [_NEVER] * self._size
         ends, pops, grows, groups = self._rules.get(top, ((), (), (), ()))
         for at, exit_, cost in ends:
-            H[at * nq + exit_] = max(H[at * nq + exit_], cost)
+            j = at * nq + exit_
+            L[j] = min(L[j], cost)
+            H[j] = max(H[j], cost)
+        if pops:
+            rest_low, rest_high = self.tables[rest_id]
         for at, cost, src in pops:
             for q2 in range(nq):
-                y = rest[src * nq + q2]
+                j, y = at * nq + q2, rest_high[src * nq + q2]
+                L[j] = min(L[j], cost + rest_low[src * nq + q2], cap)
                 if y >= 0:
-                    H[at * nq + q2] = max(H[at * nq + q2], min(cost + y, cap))
-        for at in grows:
-            H[at * nq:(at + 1) * nq] = [cap] * nq
+                    H[j] = max(H[j], min(cost + y, cap))
+        for at, cost in grows:
+            for j in range(at * nq, (at + 1) * nq):
+                L[j] = min(L[j], cost)
+                H[j] = cap
+        # The chains of the last round of each settled group, by (target,
+        # word): that round changed nothing, and later groups change no
+        # entry they read, so they serve the lows and highs below.
+        settled: dict = {}
         for rules, rows, rounds in groups:
             for _ in range(rounds):
                 changed = False
+                chains: dict = {}
                 for at, cost, target, word in rules:
-                    for q2, y in enumerate(self._chain(H, target, word)):
-                        if y >= 0 and min(cost + y, cap) > H[at * nq + q2]:
-                            H[at * nq + q2] = min(cost + y, cap)
+                    chain = chains.get((target, word))
+                    if chain is None:
+                        chain = chains[target, word] = self._chain(
+                            L, H, target, word)
+                    j = at * nq
+                    for x, y in zip(*chain):
+                        if cost + x < L[j]:
+                            L[j] = cost + x
                             changed = True
+                        if y >= 0 and min(cost + y, cap) > H[j]:
+                            H[j] = min(cost + y, cap)
+                            changed = True
+                        j += 1
                 if not changed:
+                    settled.update(chains)
                     break
             else:
-                # Still rising: a cycle through the group reads a letter.
+                # H still rising: a cycle through the group reads a letter.
                 for at in rows:
                     for j in range(at * nq, (at + 1) * nq):
                         if H[j] >= 0:
                             H[j] = cap
-        H = array("q", H)
-        key = hash(H.tobytes())
-        uid = self._ids.get(key)
-        if uid is not None and self.tables[uid] == H:
-            return uid
-        high = [0] * self._ntrans
-        for i, target, word in self._highs:
-            if word:
-                high[i] = max(self._chain(H, target, word))
-        self.tables.append(H)
-        self.highs.append(tuple(high))
+        L, H = array("q", L), array("q", H)
+        key = hash(L.tobytes() + H.tobytes())
+        tid = self._ids.get(key)
+        if tid is not None and self.tables[tid] == (L, H):
+            return tid
+        lows = [0] * self._ntrans
+        highs = [0] * self._ntrans
+        for i, target, word in self._pushes:
+            chain = settled.get((target, word)) or self._chain(
+                L, H, target, word)
+            lows[i], highs[i] = min(chain[0]), max(chain[1])
+        self.tables.append((L, H))
+        self.lows.append(tuple(lows))
+        self.highs.append(tuple(highs))
         self._sym_max.append(tuple(
             max(H[at * nq + q2] for at in rows for q2 in range(nq))
             for rows in self._rows_of))
         self._ids.setdefault(key, len(self.tables) - 1)
         return len(self.tables) - 1
 
-    def most(self, flag: Store, rest: Store, tid: int, memo: tuple) -> int:
-        """The most letters a run reads to empty the store that the depth-1
-        push ``tid`` leaves when it rewrites an element with flag ``flag``
-        over ``rest``: the new elements' high plus each element of
-        ``rest`` at its most from any state.  ``_NEVER`` when no run can.
-        ``memo`` is a pair of dicts kept for one search, for flags and for
-        rests."""
-        flags, rests = memo
-        high = self.highs[self.table_id(flag, flags)][tid]
+    def most(self, high: int, rest: Store, flags: dict, rests: dict) -> int:
+        """The most letters a run reads to empty the store that a depth-1
+        push leaves when its new elements read at most ``high`` over
+        ``rest``: ``high`` plus each element of ``rest`` at its most from
+        any state.  ``_NEVER`` when no run can.  ``flags`` is a flag memo
+        for ``table_id``; ``rests`` maps a rest's hash to (rest, its most)
+        for the rests seen before.  Both are kept for one search."""
         if high < 0 or rest.size == 0:
             return high
         chain = []
@@ -818,20 +744,17 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     accept_mode = goal is None
     # A depth-1 push whose new elements must read more letters than are
     # left cannot lead to acceptance; it is dropped before it is built.
-    yields = automaton._yield_tables(n) if accept_mode else None
-    lows_of = yields.lows if yields is not None else None
-    flag_tables: dict = {}  # flag hash -> (flag, table id)
     # So is one at a branch point, where the search commits to a guess,
     # after which the whole store cannot read as many letters as are left.
-    most = yields.upper().most if yields is not None else None
-    most_memo: tuple = ({}, {})
+    # Both bounds are read from the table of the element's flag.
+    yields = automaton._yield_tables(n) if accept_mode else None
+    if yields is not None:
+        lows_of, highs_of, most = yields.lows, yields.highs, yields.most
+    flag_tables: dict = {}  # flag hash -> (flag, table id)
+    rest_most: dict = {}    # rest hash -> (rest, most it reads)
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
-    # t: the popped configuration is the t-th since the last branch point
-    # on its path.  mark: the stack height left by popping a configuration
-    # that cannot branch, so its one successor, if pushed, pops back to it.
-    t = mark = 0
     # A depth-2 push adds elements of this level, with empty flags, to the
     # top element's flag.
     flag_level = automaton.levels - 1
@@ -858,6 +781,9 @@ def _search(automaton: Automaton, word: Word, start: tuple,
             segs.clear()
             seg_rest = None
         hi = seen_hi if memoize else pos + 1 if want_trace else -1
+        # t: the configuration of this turn is the t-th of the chain walk,
+        # which begins at the start or at a successor of a branch point.
+        t = 0
         while True:  # one turn per configuration of a chain walk
             while cur is seg_rest:
                 # The innermost open segment is complete: summarise it.
@@ -867,8 +793,7 @@ def _search(automaton: Automaton, word: Word, start: tuple,
                 if outer > hw:
                     hw = outer
             if memoize:
-                t = t + 1 if len(stack) == mark else 1
-                mark = -1 if branches else len(stack)
+                t += 1
                 # Successors of a branch point start a new count at 1; the
                 # others are remembered when their count t + 1 is a power
                 # of 2.
@@ -938,8 +863,9 @@ def _search(automaton: Automaton, word: Word, start: tuple,
                         ftable = (hit[1] if hit is not None and hit[0] is flag
                                   else yields.table_id(flag, flag_tables))
                         if lows_of[ftable][tid] > n - npos or (
-                                branches and most(flag, cur.rest, tid,
-                                                  most_memo) < n - npos):
+                                branches and most(highs_of[ftable][tid],
+                                                  cur.rest, flag_tables,
+                                                  rest_most) < n - npos):
                             yield_cut = True
                             continue
                     nstore = cur.rest
@@ -1036,9 +962,11 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points,
-    those after which the store's most yield falls short of it.  It sets
-    ``Verdict.yield_cut`` when it did; ``Verdict.store_cut`` still tells
-    whether the store bound cut a configuration.
+    those after which the store's most yield falls short of it.  Both are
+    read from the yield table of the rewritten element's flag, which
+    searches build when they first meet the flag and the automaton keeps.
+    It sets ``Verdict.yield_cut`` when it did; ``Verdict.store_cut``
+    still tells whether the store bound cut a configuration.
     """
     word = _as_word(word)
     _check_letters(automaton, word)
@@ -1081,8 +1009,11 @@ def enumerate_language(automaton: Automaton, max_len: int,
     ever visited, and, like :func:`accepts`, skips the depth-1 pushes
     that need more letters than ``max_len`` leaves.  Raises
     :class:`SearchLimitError` if the configuration budget is exceeded (the
-    result would be incomplete).
+    result would be incomplete), and :class:`MachineError` if ``max_len``
+    is negative.
     """
+    if max_len < 0:
+        raise MachineError("max_len must be >= 0")
     if bounds is None:
         bounds = default_bounds(max_len)
     index = automaton._index

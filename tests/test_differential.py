@@ -7,12 +7,15 @@ small 1-, 2- and 3-level automata and short words; the default
 ``accepts`` must agree with it and, on rejections, do at most a few times
 its work; ``memoize=False`` must agree or give up; ``enumerate_language``
 must list the words it accepts.  The upper yield bound is checked against
-the reference on its own, and drawn automata must survive a render/parse
-round trip and keep every acceptance under a larger store bound.  Names
-drawn from the characters the text format gives a meaning to must be
-rejected by ``Automaton`` or survive the round trip too.  On the tree walks
-of random substitution systems, the search must give the same verdict,
-count and witness when it refuses every jump over a repeated segment.
+the reference on its own, and every configuration of a run that empties
+its store within a few letters, whichever they are, must have between
+the least and the most yield of its store left to read.  Drawn automata
+must survive a render/parse round trip and keep every acceptance under a
+larger store bound.  Names drawn from the characters the text format
+gives a meaning to must be rejected by ``Automaton`` or survive the round
+trip too.  On the tree walks of random substitution systems, the search
+must give the same verdict, count and witness when it refuses every jump
+over a repeated segment.
 """
 
 import itertools
@@ -35,6 +38,20 @@ SYMBOLS = ("Z", "A", "B")
 MAX_STORE = 6
 
 
+def reference_steps(automaton, state, store, max_store):
+    """(letter, target, store) for every transition that fires in
+    ``state`` on ``store`` and leaves at most ``max_store`` symbols."""
+    for t in automaton.transitions:
+        if t.state != state or t.pattern != st.topsym(store):
+            continue
+        if isinstance(t.action, Push):
+            nstore = st.push(t.action.level, t.action.word, store)
+        else:
+            nstore = st.pop(t.action.level, store)
+        if nstore is not None and nstore.size <= max_store:
+            yield t.letter, t.target, nstore
+
+
 def reference_accepts(automaton, word, max_store):
     """(ACCEPTED, None) iff some run reads ``word`` and empties the store
     while every store on the way holds at most ``max_store`` symbols;
@@ -46,26 +63,51 @@ def reference_accepts(automaton, word, max_store):
         state, pos, store = queue.popleft()
         if pos == len(word) and store.size == 0:
             return ACCEPTED, None
-        for t in automaton.transitions:
-            if t.state != state or t.pattern != st.topsym(store):
-                continue
-            if t.letter is None:
+        for letter, target, nstore in reference_steps(automaton, state, store,
+                                                      max_store):
+            if letter is None:
                 npos = pos
-            elif pos < len(word) and word[pos] == t.letter:
+            elif pos < len(word) and word[pos] == letter:
                 npos = pos + 1
             else:
                 continue
-            if isinstance(t.action, Push):
-                nstore = st.push(t.action.level, t.action.word, store)
-            else:
-                nstore = st.pop(t.action.level, store)
-            if nstore is None or nstore.size > max_store:
-                continue
-            ncfg = (t.target, npos, nstore)
+            ncfg = (target, npos, nstore)
             if ncfg not in visited:
                 visited.add(ncfg)
                 queue.append(ncfg)
     return REJECTED, len(visited)
+
+
+def reference_runs(automaton, starts, max_letters, max_store):
+    """Every configuration (state, letters read, store) of a run from one
+    of ``starts``, (state, store) pairs, that reads at most
+    ``max_letters`` letters, whichever they are, and empties the store
+    within ``max_store`` symbols, with the letters that run reads in all.
+    From the initial configuration, these totals are the lengths of the
+    accepted words."""
+    parents = {(state, 0, store): set() for state, store in starts}
+    queue = deque(parents)
+    ends = []
+    while queue:
+        cfg = queue.popleft()
+        state, read, store = cfg
+        if store.size == 0:
+            ends.append(cfg)
+        for letter, target, nstore in reference_steps(automaton, state, store,
+                                                      max_store):
+            ncfg = (target, read + (letter is not None), nstore)
+            if ncfg[1] <= max_letters:
+                if ncfg not in parents:
+                    parents[ncfg] = set()
+                    queue.append(ncfg)
+                parents[ncfg].add(cfg)
+    for end in ends:
+        seen, todo = {end}, [end]
+        while todo:
+            cfg = todo.pop()
+            yield cfg, end[1]
+            todo.extend(parents[cfg] - seen)
+            seen |= parents[cfg]
 
 
 # The recognizers' shape: guess a height on Z's flag, then commit to an
@@ -150,7 +192,7 @@ def test_upper_yield_cut_agrees_with_reference_bfs(automaton, word):
     # the upper bound cut anything; it may only save work.
     bounds = SearchBounds(MAX_STORE, 10 ** 5)
     verdict = mc.accepts(automaton, word, bounds)
-    with mock.patch.object(mc._UpperTables, "most",
+    with mock.patch.object(mc._YieldTables, "most",
                            lambda *args: mc._YIELD_CAP):
         lower_only = mc.accepts(automaton, word, bounds)
     status, _ = reference_accepts(automaton, word, MAX_STORE)
@@ -161,6 +203,61 @@ def test_upper_yield_cut_agrees_with_reference_bfs(automaton, word):
              else f"{automaton.levels}-level")
     cut = verdict.configurations < lower_only.configurations
     event(f"{shape}: upper cut {'fired' if cut else 'saved nothing'}")
+
+
+def yield_bounds(automaton, state, store):
+    """The fewest and the most letters that the yield tables allow a run
+    from ``state`` to read while it empties ``store``: the top element
+    from ``state``, the others from any state, each into any state.  Both
+    are read from the table of each element's flag."""
+    tables = automaton._yield_tables(mc._YIELD_CAP - 1)
+    nq = len(automaton.states)
+    memo = {}
+    low = high = 0
+    for i, (sym, flag) in enumerate(store.entries()):
+        L, H = tables.tables[tables.table_id(flag, memo)]
+        cells = [tables.row[q, sym] * nq + j for j in range(nq)
+                 for q in ([state] if i == 0 else automaton.states)]
+        low += min(L[c] for c in cells)
+        most = max(H[c] for c in cells)
+        high = -1 if most < 0 or high < 0 else high + most
+    return low, high
+
+
+# A leaves in q1 or q2, and B, read next, leaves in q2 after one letter
+# from q1 or none from q2: the least yield of Z takes the cheaper path.
+TWO_PATHS = Automaton(
+    levels=1, states=STATES, initial_state="q0", input_alphabet=LETTERS,
+    store_alphabet=SYMBOLS, initial_symbol="Z",
+    transitions=(Transition("q0", None, ("Z",), "q1", Push(1, ("A", "B"))),
+                 Transition("q1", None, ("A",), "q1", Pop(1)),
+                 Transition("q1", None, ("A",), "q2", Pop(1)),
+                 Transition("q1", "a", ("B",), "q2", Pop(1)),
+                 Transition("q2", None, ("B",), "q2", Pop(1))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(hst.one_of(automata(max_levels=2), automata(guess=True)))
+@example(TWO_PATHS)
+def test_runs_read_within_the_yield_bounds(automaton):
+    # The tables count letters, not which letters they are.  Every
+    # configuration of a run that empties the store has between the least
+    # and the most yield of its store left to read.  The runs start from
+    # the initial configuration, so every accepted word of up to 4 letters
+    # has a length between the two, and from every one-element store whose
+    # flag holds at most one symbol.
+    flags = [()] + [(s,) for s in SYMBOLS] if automaton.levels == 2 else [()]
+    starts = [(state, st.single(sym, automaton.levels, flag))
+              for state in automaton.states for sym in SYMBOLS
+              for flag in flags]
+    checked = 0
+    for (state, read, store), total in reference_runs(automaton, starts, 4,
+                                                       MAX_STORE):
+        low, high = yield_bounds(automaton, state, store)
+        assert low <= total - read <= high, (state, read, store, total)
+        checked += 1
+    event("no run empties a store" if not checked else
+          f"{'under' if checked < 100 else 'at least'} 100 configurations checked")
 
 
 @settings(deadline=None, max_examples=200)

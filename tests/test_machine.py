@@ -135,13 +135,17 @@ def test_yield_cut_flagged_on_heights_too_tall(fib, n):
 
 def least_yield(automaton, state, store):
     """The tables' lower bound on the letters any run from ``state`` reads
-    to empty ``store``; ``1 << 62`` when no run can."""
+    to empty ``store``: the top element from ``state``, the others from
+    any state, each into any state; ``1 << 62`` when no run can."""
     tables = automaton._yield_tables(mc._YIELD_CAP - 1)
+    nq = len(automaton.states)
     memo = {}
     total = 0
     for i, (sym, flag) in enumerate(store.entries()):
-        C = tables.tables[tables.table_id(flag, memo)]
-        total += C[tables.slot[state, sym] if i == 0 else tables.m_slot[sym]]
+        L, _ = tables.tables[tables.table_id(flag, memo)]
+        starts = [state] if i == 0 else automaton.states
+        total += min(L[tables.row[q, sym] * nq + j]
+                     for q in starts for j in range(nq))
     return min(total, tables.cap)
 
 
@@ -150,12 +154,12 @@ def most_yield(automaton, state, store):
     to empty ``store``: the top element from ``state``, the others from
     any state, each into any state; ``1 << 62`` when unbounded and -1
     when no run can."""
-    tables = automaton._yield_tables(mc._YIELD_CAP - 1).upper()
+    tables = automaton._yield_tables(mc._YIELD_CAP - 1)
     nq = len(automaton.states)
     memo = {}
     total = 0
     for i, (sym, flag) in enumerate(store.entries()):
-        H = tables.tables[tables.table_id(flag, memo)]
+        _, H = tables.tables[tables.table_id(flag, memo)]
         starts = [state] if i == 0 else automaton.states
         most = max(H[tables.row[q, sym] * nq + j]
                    for q in starts for j in range(nq))
@@ -323,7 +327,7 @@ def test_most_yield_tables_shared_across_flag_tops():
         "t: c a B -> c pop 1\n" "t: c a [B F] -> c pop 1\n")
     for word, status in (("a", ACCEPTED), ("aa", ACCEPTED), ("aaa", REJECTED)):
         assert mc.accepts(shared, word).status == status
-    assert len(shared._yields.upper().tables) == 1
+    assert len(shared._yields.tables) == 1
 
 
 def test_verdict_bool(fib):
@@ -635,6 +639,19 @@ def test_enumerate_language_fibonacci(fib):
 def test_enumerate_language_budget_error(fib):
     with pytest.raises(mc.SearchLimitError):
         mc.enumerate_language(fib, 9, SearchBounds(60, 10))
+
+
+def test_enumerate_language_rejects_a_negative_length():
+    # The empty word is accepted, so a search would list it for any
+    # length; without bounds, -5 would fail on a store bound of -4.
+    empty = Automaton(levels=1, states=("q",), initial_state="q",
+                      input_alphabet=("x",), store_alphabet=("Z",),
+                      initial_symbol="Z",
+                      transitions=(T("q", None, ("Z",), "q", Pop(1)),))
+    assert mc.enumerate_language(empty, 0) == {()}
+    for max_len in (-1, -5):
+        with pytest.raises(mc.MachineError, match="max_len must be >= 0"):
+            mc.enumerate_language(empty, max_len)
 
 
 # --- construction validation ---------------------------------------------------------------------

@@ -14,7 +14,8 @@ from .contour import (ContourSpec, ball_contour, contour_length, contour_word,
                       mutate, sector_contour)
 from .grammar import (GrammarError, SubstitutionSystem, cell120, dodecahedral,
                       fibonacci, format_word, level_counts, level_word,
-                      parse_word, polygonal, read_word, total_count)
+                      parse_word, polygonal, read_level_word, read_word,
+                      total_count)
 from .machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                       Configuration, Pop, Push, SearchBounds, Transition,
                       Verdict, accepts, default_bounds, enumerate_language,

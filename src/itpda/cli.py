@@ -81,8 +81,7 @@ def cmd_word(args) -> int:
     out = _open_out(args.out)
     try:
         if args.kind == "level":
-            tokens = grammar.read_word(
-                system, grammar.level_word(system, args.root, args.level))
+            tokens = grammar.read_level_word(system, args.root, args.level)
         else:
             spec = ContourSpec(system, args.root, sigma=args.sigma, kind=args.kind)
             tokens = contour.contour_word(spec, args.level)

@@ -6,6 +6,10 @@ times, once per sector.  A truncated-sector contour in the planar (sided)
 families is ``r s^l <level word> s^l``: the root marker, the left branch,
 the bottom level, the right branch.  The 3D/4D families have no side
 marking here, so their sector contours are the bare level words.
+
+Both are built from the grammar's subtree words (``read_level_word``): the
+level word is concatenated from the words of the root's children, and a
+sided sector's markers join that one concatenation.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal, Optional, Sequence
 
-from .grammar import (SubstitutionSystem, GrammarError, level_word, read_word,
-                      total_count)
+from .grammar import (SubstitutionSystem, GrammarError, _subtree_parts,
+                      read_level_word, total_count)
 
 ROOT_MARK = "r"
 SIDE_MARK = "s"
@@ -55,8 +60,7 @@ def ball_contour(spec: ContourSpec, level: int) -> Word:
     """The level word of ``spec.root`` repeated once per sector."""
     if spec.kind != "ball":
         raise ValueError("ball_contour needs a ball spec")
-    sector = read_word(spec.system, level_word(spec.system, spec.root, level))
-    return sector * spec.sigma
+    return read_level_word(spec.system, spec.root, level) * spec.sigma
 
 
 def sector_contour(spec: ContourSpec, level: int) -> Word:
@@ -69,11 +73,12 @@ def sector_contour(spec: ContourSpec, level: int) -> Word:
         raise ValueError("sector_contour needs a sector spec")
     if level < 1:
         raise GrammarError("sector contours are defined for level >= 1")
-    bottom = read_word(spec.system, level_word(spec.system, spec.root, level))
-    if not spec.system.sided:
-        return bottom
+    system = spec.system
+    if not system.sided:
+        return read_level_word(system, spec.root, level)
     sides = (SIDE_MARK,) * level
-    return (ROOT_MARK,) + sides + bottom + sides
+    bottom = _subtree_parts(system, spec.root, level, system.read_letters)
+    return tuple(chain.from_iterable([(ROOT_MARK,), sides, *bottom, sides]))
 
 
 def contour_word(spec: ContourSpec, level: int) -> Word:

@@ -12,6 +12,9 @@ at the bottom level of a tree.  Four built-in families are provided:
 * ``dodecahedral()`` -- the four-label tree of the {5,3,4} grid;
 * ``cell120()`` -- the eleven-label tree of the {5,3,3,4} grid.
 
+Words are built by subtree: every node of a given label at a given height
+above the bottom level spans the same word, so each (label, height) word is
+concatenated once from its children's words and shared by all its copies.
 Level counting uses exact big integers through the rule-count matrix, so
 counts stay correct far beyond the sizes at which words can be expanded.
 """
@@ -19,6 +22,7 @@ counts stay correct far beyond the sizes at which words can be expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Mapping
 
 Word = tuple[str, ...]
@@ -68,20 +72,51 @@ class SubstitutionSystem:
         return label
 
 
-def level_word(system: SubstitutionSystem, root: str, level: int) -> Word:
-    """The word of node labels on tree level ``level`` below ``root``.
+def _subtree_parts(system: SubstitutionSystem, root: str, level: int,
+                   leaf: Mapping[str, str]) -> list[Word]:
+    """The words whose concatenation is level ``level`` below ``root``, one
+    per child of the root (the root's own leaf at level 0), with every
+    bottom node written as ``leaf[label]``.
 
-    Level 0 is the root itself; level n+1 is the letterwise rule expansion
-    of level n.
+    Height 0 holds each needed label's one-letter word; the height h+1
+    word of a label is one concatenation of its children's height-h words.
+    Only the labels reachable from the root at each depth are built, and
+    each height's words are dropped once the next height is built.  The
+    caller concatenates the parts, so the top word is copied once.
     """
     system.check_label(root)
     if level < 0:
         raise GrammarError("level must be >= 0")
-    word = (root,)
+    if level == 0:
+        return [(leaf[root],)]
     rules = system.rules
-    for _ in range(level):
-        word = tuple(child for label in word for child in rules[label])
-    return word
+    tiers = [set(rules[root])]
+    for _ in range(level - 1):
+        tiers.append({child for label in tiers[-1] for child in rules[label]})
+    words = {label: (leaf[label],) for label in tiers.pop()}
+    while tiers:
+        words = {label: tuple(chain.from_iterable([words[c] for c in rules[label]]))
+                 for label in tiers.pop()}
+    return [words[child] for child in rules[root]]
+
+
+def level_word(system: SubstitutionSystem, root: str, level: int) -> Word:
+    """The word of node labels on tree level ``level`` below ``root``.
+
+    Level 0 is the root itself; level n+1 is the letterwise rule expansion
+    of level n.  The word is built by subtree (see the module docstring),
+    and its tokens are the label objects of ``system.labels``.
+    """
+    labels = dict(zip(system.labels, system.labels))
+    return tuple(chain.from_iterable(_subtree_parts(system, root, level, labels)))
+
+
+def read_level_word(system: SubstitutionSystem, root: str, level: int) -> Word:
+    """``read_word(system, level_word(system, root, level))``, built by
+    subtree without the label word; its tokens are the objects of
+    ``system.read_letters``."""
+    return tuple(chain.from_iterable(
+        _subtree_parts(system, root, level, system.read_letters)))
 
 
 def iter_level_word(system: SubstitutionSystem, root: str, level: int) -> Iterator[str]:
@@ -156,13 +191,15 @@ def format_word(tokens) -> str:
 
 
 def parse_word(text: str) -> Word:
-    """Inverse of :func:`format_word` (whitespace means token-separated)."""
-    text = text.strip()
-    if not text:
-        return ()
-    if any(c.isspace() for c in text):
-        return tuple(text.split())
-    return tuple(text)
+    """Inverse of :func:`format_word` (whitespace means token-separated).
+
+    ``str.split`` splits at exactly the characters ``str.isspace`` names,
+    so a text that splits into one part is one run of single characters.
+    """
+    parts = text.split()
+    if len(parts) == 1:
+        return tuple(parts[0])
+    return tuple(parts)
 
 
 def fibonacci() -> SubstitutionSystem:

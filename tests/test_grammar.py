@@ -8,8 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from itpda import grammar as gr
+from itpda.contour import (ROOT_MARK, SIDE_MARK, ContourSpec, contour_word,
+                           sector_contour)
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def reference_level_word(system, root, level):
+    """Level by level, label by label: the expansion the subtree-built
+    words must equal."""
+    word = (root,)
+    for _ in range(level):
+        word = tuple(child for label in word for child in system.rules[label])
+    return word
 
 
 def fib_numbers(count):
@@ -199,6 +210,87 @@ def test_one_step_unfolding(level, data):
     assert unfolded == gr.level_word(system, root, max(level, 0) + 1)
 
 
+@hst.composite
+def systems(draw):
+    """A random substitution system over the labels A, B and C with rules
+    of one to three children and read letters a or b (as the drawn trees
+    of tests/test_differential.py), a root and a level."""
+    labels = ("A", "B", "C")
+    label = hst.sampled_from(labels)
+    system = gr.SubstitutionSystem(
+        "drawn", labels,
+        {x: tuple(draw(hst.lists(label, min_size=1, max_size=3)))
+         for x in labels},
+        {x: draw(hst.sampled_from(("a", "b"))) for x in labels}, (1,))
+    return system, draw(label), draw(hst.integers(0, 6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(systems())
+def test_subtree_words_equal_reference_expansion(drawn):
+    system, root, level = drawn
+    reference = reference_level_word(system, root, level)
+    labels = gr.level_word(system, root, level)
+    reads = gr.read_level_word(system, root, level)
+    assert labels == reference
+    assert reads == gr.read_word(system, reference)
+    assert len(labels) == len(reads) == gr.total_count(system, root, level)
+
+
+# The levels the acceptance suite builds contour words at.
+_ACCEPTANCE_CONTOURS = [
+    (gr.fibonacci(), "W", 5, "ball", range(9)),
+    (gr.fibonacci(), "W", 7, "ball", range(9)),
+    (gr.fibonacci(), "W", 1, "sector", range(1, 6)),
+    (gr.fibonacci(), "B", 1, "sector", range(1, 6)),
+    (gr.polygonal(6), "W", 6, "ball", range(9)),
+    (gr.polygonal(6), "W", 8, "ball", range(9)),
+    (gr.polygonal(7), "W", 7, "ball", range(9)),
+    (gr.polygonal(7), "W", 9, "ball", range(9)),
+    (gr.dodecahedral(), "O", 8, "ball", range(6)),
+    (gr.cell120(), "9", 16, "ball", (1, 2)),
+    (gr.cell120(), "9", 1, "sector", (3,)),
+]
+
+
+@pytest.mark.parametrize("system,root,sigma,kind,levels", _ACCEPTANCE_CONTOURS)
+def test_contour_words_equal_reference_expansion(system, root, sigma, kind,
+                                                 levels):
+    spec = ContourSpec(system, root, sigma=sigma, kind=kind)
+    for level in levels:
+        bottom = gr.read_word(system, reference_level_word(system, root, level))
+        if kind == "ball":
+            expected = bottom * sigma
+        elif system.sided:
+            sides = (SIDE_MARK,) * level
+            expected = (ROOT_MARK,) + sides + bottom + sides
+        else:
+            expected = bottom
+        assert contour_word(spec, level) == expected, level
+
+
+def test_subtree_words_hold_the_systems_own_objects():
+    # Equal strings built at run time are distinct objects, so only the
+    # system's own objects pass an identity check.
+    labels = tuple("".join(["L", str(i)]) for i in range(3))
+    one, two, three = labels
+    reads = {one: "".join("xy"), two: "".join("xy"), three: "".join("z")}
+    assert reads[one] == reads[two] and reads[one] is not reads[two]
+    system = gr.SubstitutionSystem(
+        "fresh", labels,
+        {one: (two, three, one), two: (three, three), three: (one, two)},
+        reads, (1,))
+    for level in range(5):
+        word = gr.level_word(system, one, level)
+        assert all(x is system.labels[system.index[x]] for x in word)
+        read = gr.read_level_word(system, one, level)
+        assert all(r is reads[x] for r, x in zip(read, word, strict=True))
+    sector = sector_contour(ContourSpec(system, one, kind="sector"), 4)
+    read = gr.read_level_word(system, one, 4)
+    assert sector[5:-4] == read
+    assert all(a is b for a, b in zip(sector[5:-4], read))
+
+
 # --- serialization ---------------------------------------------------------------
 
 def test_format_word_single_char_contiguous():
@@ -213,6 +305,13 @@ def test_format_word_multi_char_spaced():
 
 def test_parse_word_empty():
     assert gr.parse_word("  \n") == ()
+
+
+def test_parse_word_splits_at_every_whitespace_character():
+    assert gr.parse_word("6a 9") == gr.parse_word("6a\x1c9") == ("6a", "9")
+    assert gr.parse_word(" b\x1cw\n") == ("b", "w")
+    assert gr.parse_word("\x1cbw \n") == ("b", "w")
+    assert gr.parse_word("\x1c") == ()
 
 
 def test_bad_system_definitions_rejected():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import builders, contour, grammar, machine, store
 from .builders import Variant
 from .contour import ContourSpec
-from .grammar import GrammarError, SubstitutionSystem, format_word, parse_word
+from .grammar import GrammarError, SubstitutionSystem, format_word
 from .machine import (ACCEPTED, INCONCLUSIVE, REJECTED, SearchBounds,
                       UndeclaredLetterError, default_bounds)
 
@@ -129,15 +129,16 @@ def cmd_build(args) -> int:
 # run
 
 
-def _read_word_arg(args) -> tuple[str, ...]:
+def _read_word_arg(args) -> str:
+    """The text of the input word: ``--word``, the word file or stdin."""
     if args.word is not None:
         if args.word_file:
             raise CliError("give the word either with --word or as a file, not both")
-        return parse_word(args.word)
+        return args.word
     if args.word_file:
         with open(args.word_file, encoding="utf-8") as f:
-            return parse_word(f.read())
-    return parse_word(sys.stdin.read())
+            return f.read()
+    return sys.stdin.read()
 
 
 def _bounds(default: SearchBounds, max_store, max_configs) -> SearchBounds:
@@ -151,7 +152,8 @@ def _bounds(default: SearchBounds, max_store, max_configs) -> SearchBounds:
 def cmd_run(args) -> int:
     with open(args.automaton, encoding="utf-8") as f:
         automaton = machine.parse_automaton(f.read())
-    word = _read_word_arg(args)
+    # Encoded once, straight from the text; accepts takes a _Coded as it is.
+    word = machine._Coded(machine._encode(automaton, _read_word_arg(args)))
     bounds = _bounds(default_bounds(len(word)), args.max_store, args.max_configs)
     verdict = machine.accepts(automaton, word, bounds, trace=args.trace)
     if args.trace and verdict.trace:

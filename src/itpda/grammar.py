@@ -195,6 +195,10 @@ def parse_word(text: str) -> Word:
 
     ``str.split`` splits at exactly the characters ``str.isspace`` names,
     so a text that splits into one part is one run of single characters.
+    :func:`itpda.machine.accepts` and ``itpda run``, which know the
+    alphabet, read such a text as one letter when it is not a run of
+    one-character letters but is itself a letter: ``format_word`` writes
+    the one-letter word ``("6a",)`` as ``"6a"``.
     """
     parts = text.split()
     if len(parts) == 1:

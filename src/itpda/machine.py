@@ -1,12 +1,21 @@
 """k-iterated pushdown automata and their bounded acceptance search.
 
-An automaton reads input tokens while rewriting a k-level iterated store
+An automaton reads input letters while rewriting a k-level iterated store
 (see :mod:`itpda.store`).  A transition fires when its state matches, its
-input item is epsilon or the next unread token, and its topsym pattern
+input item is epsilon or the next unread letter, and its topsym pattern
 equals the store's visible symbol chain exactly (a pattern shorter than k
 therefore requires the corresponding inner stores to be empty).  A word is
 accepted when some computation reaches input exhausted + store empty, in
 any state.
+
+The search reads its input as one str of letter codes, one character per
+letter: a one-character letter is its own code, and a longer one gets a
+character that no letter contains (see ``_Codes``).  :func:`accepts`,
+:func:`reachable` and :func:`step` encode the word they are given, a
+sequence of letters or a text as :func:`itpda.grammar.format_word` writes
+it, and check its letters while they do.  Reading a letter is then one
+character comparison, and matching a repeated segment of the input one
+comparison of two str slices.
 
 Because epsilon push loops make the raw configuration graph infinite, the
 search is bounded.  ``max_store_symbols`` prunes configurations whose
@@ -53,6 +62,7 @@ verdicts and witnesses are those of walking every copy.
 
 from __future__ import annotations
 
+import itertools
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -203,6 +213,7 @@ class Automaton:
     transitions: tuple[Transition, ...]
     name: str = field(default="", compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
+    _codes: "_Codes" = field(init=False, repr=False, compare=False)
     _yields: Optional["_YieldTables"] = field(default=None, init=False,
                                               repr=False, compare=False)
 
@@ -257,10 +268,13 @@ class Automaton:
                 raise MachineError(
                     f"{label}: action level {t.action.level} outside "
                     f"1..{self.levels}", i)
+        codes = _Codes(self.input_alphabet)
+        object.__setattr__(self, "_codes", codes)
         # (state, pattern) -> (whether the search can branch there, ordered
-        # applicable transitions), duplicates merged.  Entries carry an
-        # opcode so the search loop can build the nodes of the store
-        # operations at depths 1 and 2 itself:
+        # applicable transitions), duplicates merged.  Entries carry the
+        # code of their letter (None for epsilon), and an opcode so the
+        # search loop can build the nodes of the store operations at
+        # depths 1 and 2 itself:
         #   0 pop at depth 1, 1 pop at depth 2, 2 push at depth 1,
         #   3 push at depth 2, 4 pop or push deeper (left to ``store``).
         # A push's payload is its word reversed, ready for top-down
@@ -273,13 +287,14 @@ class Automaton:
                 continue
             seen.add(key)
             level = t.action.level
+            code = None if t.letter is None else codes.code[t.letter]
             if isinstance(t.action, Push):
                 op = 2 if level == 1 else 3 if level == 2 else 4
-                entry = (tid, t.letter, t.target, op, level,
+                entry = (tid, code, t.target, op, level,
                          tuple(reversed(t.action.word)), t.action.word)
             else:
                 op = 0 if level == 1 else 1 if level == 2 else 4
-                entry = (tid, t.letter, t.target, op, level, None, None)
+                entry = (tid, code, t.target, op, level, None, None)
             index.setdefault((t.state, t.pattern), []).append(entry)
         for key, entries in index.items():
             index[key] = (_can_branch(entries), tuple(entries))
@@ -595,15 +610,120 @@ def _can_branch(entries) -> bool:
                                  or len(set(letters)) < len(letters))
 
 
-def _as_word(word) -> Word:
-    return parse_word(word) if isinstance(word, str) else tuple(word)
+class _Codes:
+    """The one-character codes of an automaton's input letters.
+
+    A one-character letter is its own code.  A longer letter gets the
+    first character from U+0001 up that no letter contains and that is
+    not whitespace, so the coded word of ASCII letters is one byte per
+    letter.  ``code`` maps each letter to its code and ``letter`` each
+    code back; ``long`` lists the longer letters with their codes,
+    longest first; ``singles`` and ``table`` are :meth:`str.translate`
+    tables that delete the one-character letters and all codes.
+    ``stepped`` is the last word :func:`step` read, with its codes."""
+
+    def __init__(self, letters: Word):
+        taken = set("".join(letters))
+        free = (c for c in map(chr, itertools.count(1))
+                if c not in taken and not c.isspace())
+        self.code = {x: x if len(x) == 1 else next(free) for x in letters}
+        self.letter = {c: x for x, c in self.code.items()}
+        self.long = tuple((x, self.code[x]) for x in
+                          sorted(self.code, key=len, reverse=True)
+                          if len(x) > 1)
+        self.singles = dict.fromkeys(ord(x) for x in letters if len(x) == 1)
+        self.table = dict.fromkeys(map(ord, self.letter))
+        self.stepped: tuple = (None, "")
+
+    def spaced(self, text: str, n: int) -> Optional[str]:
+        """The coded word of ``text``, ``n`` tokens joined by single
+        spaces (it holds ``n - 1`` spaces), or None if a token is not a
+        letter.  Each longer letter becomes its code, longest first; then
+        every token is one character, at the even places, exactly when
+        the text is ``2n - 1`` characters long and those are codes."""
+        for letter, code in self.long:
+            if code in text:
+                return None  # a literal code is no letter
+            text = text.replace(letter, code)
+        if len(text) != 2 * n - 1:
+            return None
+        coded = text[::2]
+        return None if coded.translate(self.table) else coded
+
+
+def _encode(automaton: Automaton, word) -> str:
+    """``word`` as one str of letter codes.
+
+    ``word`` is a sequence of letters, or a text in the form
+    :func:`itpda.grammar.format_word` writes, read as
+    :func:`itpda.grammar.parse_word` reads it, except that a text of one
+    part that is not a run of one-character letters but is itself a
+    letter is read as that letter.  Raises :class:`UndeclaredLetterError`
+    naming the first token that is not a letter of ``automaton``."""
+    codes = automaton._codes
+    if isinstance(word, str):
+        text = word.strip()
+        if " " not in text:
+            # One part, unless other whitespace splits it.
+            if not text.translate(codes.singles):
+                return text
+            code = codes.code.get(text)
+            if code is not None:
+                return code
+        else:
+            coded = codes.spaced(text, text.count(" ") + 1)
+            if coded is not None:
+                return coded
+        # Other whitespace, a literal code or a token that is no letter.
+        word = parse_word(word)
+    elif not isinstance(word, (tuple, list)):
+        word = tuple(word)
+    if codes.long:
+        try:
+            return "".join(map(codes.code.__getitem__, word))
+        except KeyError:
+            pass
+    elif not word:
+        return ""
+    else:
+        # Every letter is one character: join, and check what was joined.
+        try:
+            text = " ".join(word)
+        except TypeError:  # a token that is not a str
+            text = None
+        if text is not None and text.count(" ") == len(word) - 1:
+            coded = codes.spaced(text, len(word))
+            if coded is not None:
+                return coded
+    tok = next(tok for tok in word if tok not in codes.code)
+    raise UndeclaredLetterError(
+        f"input letter {tok!r} not in alphabet of {automaton.name or 'automaton'}")
+
+
+class _Coded(str):
+    """A word :func:`_encode` has read; :func:`accepts` takes it as it is."""
+
+    __slots__ = ()
 
 
 def step(automaton: Automaton, config: Configuration,
          word) -> set[tuple[Configuration, int]]:
     """All one-step successors of ``config`` on ``word``, with the id of
-    the transition applied."""
-    word = _as_word(word)
+    the transition applied.  Raises :class:`UndeclaredLetterError` if a
+    token of ``word`` is not a letter of ``automaton``.  The automaton
+    keeps the last tuple or str it stepped on with its codes, so that a
+    trace replays in time linear in the word."""
+    last, coded = automaton._codes.stepped
+    if word is not last:
+        coded = _encode(automaton, word)
+        if type(word) in (tuple, str):  # immutable: its codes stay valid
+            automaton._codes.stepped = (word, coded)
+    return _successors(automaton, config, coded)
+
+
+def _successors(automaton: Automaton, config: Configuration,
+                word: str) -> set[tuple[Configuration, int]]:
+    """:func:`step` on a coded word."""
     out = set()
     _, entries = automaton._index.get((config.state, config.store._topsym),
                                       (None, ()))
@@ -621,15 +741,16 @@ def step(automaton: Automaton, config: Configuration,
     return out
 
 
-def _replay(automaton: Automaton, cfg: tuple, word: Word,
+def _replay(automaton: Automaton, cfg: tuple, word: str,
             k: int) -> list[tuple[Configuration, int]]:
-    """The first ``k`` steps of the chain walk from ``cfg``, as trace
-    entries: each configuration with the transition it takes.  Off a
-    branch point every configuration has exactly one successor."""
+    """The first ``k`` steps of the chain walk from ``cfg`` on the coded
+    ``word``, as trace entries: each configuration with the transition
+    it takes.  Off a branch point every configuration has exactly one
+    successor."""
     config = Configuration(*cfg)
     steps = []
     for _ in range(k):
-        (nxt, tid), = step(automaton, config, word)
+        (nxt, tid), = _successors(automaton, config, word)
         steps.append((config, tid))
         config = nxt
     return steps
@@ -641,14 +762,17 @@ def _replay(automaton: Automaton, cfg: tuple, word: Word,
 _MAX_OPEN_SEGMENTS = 1 << 16
 
 
-def _search(automaton: Automaton, word: Word, start: tuple,
+def _search(automaton: Automaton, word: str, start: tuple,
             goal: Optional[tuple], bounds: SearchBounds,
             want_trace: bool, memoize: bool = True) -> Verdict:
     """Depth-first bounded reachability over the configuration graph.
 
-    ``goal`` is None for acceptance (input exhausted, store empty) or an
-    exact (state, position, store) target.  Returns a Verdict; the trace
-    is reconstructed only when ``want_trace``.
+    ``word`` is the coded input (see ``_Codes``).  The search reads it
+    only by ``word[pos] == code`` and by comparing two of its slices, so
+    a tuple of one-character letters reads the same.  ``goal`` is None
+    for acceptance (input exhausted, store empty) or an exact (state,
+    position, store) target.  Returns a Verdict; the trace is
+    reconstructed only when ``want_trace``.
 
     With ``memoize``, every generated configuration is looked up in
     ``seen`` and pruned if it is there, but only some are added to it:
@@ -701,7 +825,7 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     needs the copy to start past the waiting ones, which lie at most one
     letter past the position this chain walk began at.  A jump is kept in
     ``parents`` with its count negated as the transition id, and the trace
-    replays it with :func:`step`.
+    replays its steps.
     """
     index = automaton._index
     n = len(word)
@@ -938,18 +1062,18 @@ def _search(automaton: Automaton, word: Word, start: tuple,
     return finish(REJECTED)
 
 
-def _check_letters(automaton: Automaton, word: Word):
-    letters = set(automaton.input_alphabet)
-    if letters.issuperset(word):
-        return
-    tok = next(tok for tok in word if tok not in letters)
-    raise UndeclaredLetterError(
-        f"input letter {tok!r} not in alphabet of {automaton.name or 'automaton'}")
-
-
 def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
             trace: bool = False, memoize: bool = True) -> Verdict:
     """Bounded acceptance verdict for ``word``.
+
+    ``word`` is a sequence of letters, or a text in the form
+    :func:`itpda.grammar.format_word` writes: a run of one-character
+    letters, or letters separated by whitespace.  A text of one part that
+    is not a run of one-character letters but is itself a letter is read
+    as that letter.  The search reads the word as one str of letter codes,
+    one character per letter, so trace positions count letters.  A token
+    that is not a letter raises :class:`UndeclaredLetterError` naming the
+    first one.
 
     ``bounds=None`` uses :func:`default_bounds` for the word's length.
     Pass ``trace=True`` to get a replayable witness on acceptance.
@@ -968,8 +1092,8 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     It sets ``Verdict.yield_cut`` when it did; ``Verdict.store_cut``
     still tells whether the store bound cut a configuration.
     """
-    word = _as_word(word)
-    _check_letters(automaton, word)
+    if type(word) is not _Coded:
+        word = _encode(automaton, word)
     if bounds is None:
         bounds = default_bounds(len(word))
     start = (automaton.initial_state, 0, automaton.initial_store())
@@ -983,10 +1107,10 @@ def reachable(automaton: Automaton, start: Configuration, goal: Configuration,
 
     This is the executable form of the derivation relation: positions
     index the shared input word.  Both stores must have the automaton's
-    level, or :class:`MachineError` is raised.
+    level, or :class:`MachineError` is raised.  ``word`` is read as
+    :func:`accepts` reads it.
     """
-    word = _as_word(word)
-    _check_letters(automaton, word)
+    word = _encode(automaton, word)
     for cfg in (start, goal):
         if cfg.store.level != automaton.levels:
             raise MachineError(
@@ -1021,8 +1145,8 @@ def enumerate_language(automaton: Automaton, max_len: int,
     max_configs = bounds.max_configurations
     yields = automaton._yield_tables(max_len)
     flag_tables: dict = {}
-    accepted: set[Word] = set()
-    start = (automaton.initial_state, (), automaton.initial_store())
+    accepted: set[str] = set()  # coded words
+    start = (automaton.initial_state, "", automaton.initial_store())
     seen = {start}
     stack = [start]
     count = 1
@@ -1038,7 +1162,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
             if letter is None:
                 nemit = emitted
             elif len(emitted) < max_len:
-                nemit = emitted + (letter,)
+                nemit = emitted + letter
             else:
                 continue
             if op == 2 and yields is not None:
@@ -1060,7 +1184,8 @@ def enumerate_language(automaton: Automaton, max_len: int,
                 raise SearchLimitError(
                     "language enumeration exceeded the configuration budget")
             stack.append(ncfg)
-    return accepted
+    letters = automaton._codes.letter
+    return {tuple(map(letters.__getitem__, word)) for word in accepted}
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,26 @@ def test_run_undeclared_letter(fib_file, capsys):
     assert code >= 3
 
 
+@pytest.mark.filterwarnings("ignore:sigma=1 is not a tessellation")
+def test_run_one_letter_word_of_a_longer_letter(tmp_path, capsys):
+    # The level-0 ball word of cell120 root 6a is the one letter 6a, which
+    # itpda word writes as "6a".
+    ball, wf = tmp_path / "b.ipda", tmp_path / "w.txt"
+    code, _, _ = run(capsys, "build", "--kind", "ball", "--system", "cell120",
+                     "--root", "6a", "--sigma", "1", "--out", str(ball))
+    assert code == 0
+    code, _, _ = run(capsys, "word", "--system", "cell120", "--root", "6a",
+                     "--kind", "ball", "--sigma", "1", "--level", "0",
+                     "--out", str(wf))
+    assert code == 0 and wf.read_text() == "6a\n"
+    code, out, _ = run(capsys, "run", str(ball), str(wf))
+    assert code == 0 and out.startswith("accepted")
+    code, out, _ = run(capsys, "run", str(ball), "--word", "6b")
+    assert code == 1 and out.startswith("rejected")
+    code, _, err = run(capsys, "run", str(ball), "--word", "6")
+    assert code == 3 and "input letter '6' not in alphabet" in err
+
+
 def test_run_inconclusive(fib_file, capsys):
     code, out, _ = run(capsys, "run", fib_file, "--word", "aaa",
                        "--max-configs", "2")

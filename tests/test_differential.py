@@ -11,24 +11,29 @@ the reference on its own, and every configuration of a run that empties
 its store within a few letters, whichever they are, must have between
 the least and the most yield of its store left to read.  Drawn automata
 must survive a render/parse round trip and keep every acceptance under a
-larger store bound.  Names drawn from the characters the text format
-gives a meaning to must be rejected by ``Automaton`` or survive the round
-trip too.  On the tree walks of random substitution systems, the search
+larger store bound.  With their letters renamed to nested and odd names,
+they must read a word alike as a tuple, as ``format_word``'s text and as
+a text with mixed whitespace, name its first undeclared token, and
+enumerate words of their own letters.  Names drawn from the characters
+the text format gives a meaning to must be rejected by ``Automaton`` or
+survive the round trip too.  On the tree walks of random substitution systems, the search
 must give the same verdict, count and witness when it refuses every jump
 over a repeated segment.
 """
 
+import dataclasses
 import itertools
 from collections import deque
 from unittest import mock
 
+import pytest
 from hypothesis import event, example, given, settings, strategies as hst
 
 from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import ball_automaton, suggested_store_bound
 from itpda.contour import ContourSpec, contour_word, mutate
-from itpda.grammar import SubstitutionSystem
+from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Pop, Push, SearchBounds, Transition)
 
@@ -181,6 +186,79 @@ def test_enumeration_lists_the_accepted_words(automaton):
                 if reference_accepts(automaton, w, MAX_STORE)[0] == ACCEPTED}
     bounds = SearchBounds(MAX_STORE, 10 ** 5)
     assert mc.enumerate_language(automaton, 3, bounds) == expected
+
+
+# Letter names, nested in one another or odd, for renamed automata; the
+# letters' codes include "\x01" whenever it is not itself a letter.
+LETTER_NAMES = ("a", "b", "ab", "ba", "aab", "\x01")
+SPACES = (" ", "\t", "\n", "  ", " \n\t ", "\r\n")
+
+
+@hst.composite
+def renamed(draw):
+    """(automaton, the same automaton with letters renamed injectively
+    from ``LETTER_NAMES``, the renaming)."""
+    automaton = draw(automata())
+    names = dict(zip(LETTERS, draw(hst.permutations(LETTER_NAMES))))
+    return automaton, dataclasses.replace(
+        automaton, input_alphabet=tuple(names[x] for x in LETTERS),
+        transitions=tuple(dataclasses.replace(t, letter=names.get(t.letter))
+                          for t in automaton.transitions)), names
+
+
+def spaced_out(draw, word):
+    """``word`` with a run of whitespace drawn around every token."""
+    seps = draw(hst.lists(hst.sampled_from(SPACES), min_size=len(word) + 1,
+                          max_size=len(word) + 1))
+    return seps[0] + "".join(tok + sep for tok, sep in zip(word, seps[1:]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(renamed(), hst.lists(hst.sampled_from(LETTERS), max_size=4), hst.data())
+def test_renamed_letters_read_alike_in_every_form(case, letters, data):
+    # The token tuple, format_word's text and a text with mixed whitespace
+    # give the verdict of the automaton before renaming, trace and all.
+    automaton, named, names = case
+    word = tuple(names[x] for x in letters)
+    bounds = SearchBounds(MAX_STORE, 10 ** 5)
+    want = mc.accepts(automaton, letters, bounds, trace=True)
+    for given_word in (word, format_word(word), spaced_out(data.draw, word)):
+        got = mc.accepts(named, given_word, bounds, trace=True)
+        assert ((got.status, got.configurations, got.store_cut, got.yield_cut,
+                 got.trace)
+                == (want.status, want.configurations, want.store_cut,
+                    want.yield_cut, want.trace)), given_word
+
+
+@settings(deadline=None, max_examples=200)
+@given(renamed(), hst.lists(hst.sampled_from(LETTERS), max_size=3), hst.data())
+def test_first_undeclared_token_is_named(case, letters, data):
+    # Undeclared: the other names, and the codes of the longer letters.
+    _, named, names = case
+    codes = named._codes.code
+    bad = data.draw(hst.sampled_from(sorted(
+        {*LETTER_NAMES, *codes.values()} - set(named.input_alphabet))))
+    word = [names[x] for x in letters]
+    word.insert(data.draw(hst.integers(0, len(word))), bad)
+    word += data.draw(hst.lists(hst.sampled_from(LETTER_NAMES), max_size=2))
+    forms = [tuple(word), iter(word)]
+    if len(word) > 1:  # a one-part text may be a run of one-character letters
+        forms += [" ".join(word), spaced_out(data.draw, word)]
+    for given_word in forms:
+        with pytest.raises(mc.UndeclaredLetterError) as err:
+            mc.accepts(named, given_word)
+        assert f"input letter {bad!r} not in alphabet" in str(err.value)
+
+
+@settings(deadline=None, max_examples=100)
+@given(renamed())
+def test_enumeration_lists_renamed_letters(case):
+    automaton, named, names = case
+    bounds = SearchBounds(MAX_STORE, 10 ** 5)
+    words = mc.enumerate_language(named, 3, bounds)
+    assert words == {tuple(names[x] for x in w)
+                     for w in mc.enumerate_language(automaton, 3, bounds)}
+    assert all(tok in named.input_alphabet for w in words for tok in w)
 
 
 @settings(deadline=None, max_examples=300)

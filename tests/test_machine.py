@@ -66,6 +66,16 @@ def test_step_exact_pattern_match():
     assert mc.step(a, flagged, "x") == set()
 
 
+def test_step_rejects_undeclared_letters(fib):
+    # step checks its word as accepts and reachable do.
+    cfg = fib.initial_configuration()
+    with pytest.raises(mc.UndeclaredLetterError,
+                       match="input letter 'z' not in alphabet"):
+        mc.step(fib, cfg, "z")
+    with pytest.raises(mc.UndeclaredLetterError, match="input letter 'z'"):
+        mc.step(fib, cfg, ("a", "z"))
+
+
 # --- accepts -----------------------------------------------------------------------
 
 def test_accepts_fibonacci_lengths(fib):
@@ -90,6 +100,62 @@ def test_accepts_rejects_undeclared_letters(fib):
     with pytest.raises(mc.UndeclaredLetterError,
                        match="input letter 'c' not in alphabet of fibonacci"):
         mc.accepts(fib, ("a", "c", "b"))
+
+
+def _letters(*letters):
+    """A 1-level automaton that pops Z on each of ``letters``."""
+    return Automaton(levels=1, states=("q",), initial_state="q",
+                     input_alphabet=letters, store_alphabet=("Z",),
+                     initial_symbol="Z",
+                     transitions=tuple(T("q", x, ("Z",), "q", Pop(1))
+                                       for x in letters))
+
+
+@pytest.mark.filterwarnings("ignore:sigma=1 is not a tessellation")
+def test_one_part_text_that_is_a_letter_is_read_as_that_letter():
+    # format_word writes the one-letter word ("6a",) as "6a".
+    cell = gr.cell120()
+    ball = ball_automaton(cell, "6a", 1)
+    word = contour_word(ContourSpec(cell, "6a", sigma=1, kind="ball"), 0)
+    assert word == ("6a",) and gr.format_word(word) == "6a"
+    for given in (word, "6a", " 6a\n"):
+        assert mc.accepts(ball, given).status == ACCEPTED
+    # A run of one-character letters comes first.
+    both = _letters("a", "b", "ab")
+    assert mc.accepts(both, ("ab",)).status == ACCEPTED
+    assert mc.accepts(both, "ab").status == REJECTED  # a, b
+    assert mc.accepts(_letters("a", "ab"), "ab").status == ACCEPTED
+    # A part that is neither names its first character that is no letter.
+    with pytest.raises(mc.UndeclaredLetterError, match="input letter '6'"):
+        mc.accepts(ball, "6a9")
+
+
+def test_coded_word_reads_as_its_letters():
+    # Text and tuple give the same letters, positions and counts, whatever
+    # the separators; a literal code is no letter.
+    a = _letters("x", "yy", "yyx")
+    code = a._codes.code
+    assert code["x"] == "x" and not {code["yy"], code["yyx"]} & {"x", "y"}
+    word = ("yyx", "x", "yy", "x")
+    coded = code["yyx"] + "x" + code["yy"] + "x"
+    # Longest first, so that a text in format_word's form takes one pass.
+    assert a._codes.spaced("yyx x yy x", 4) == coded
+    for given in (word, list(word), iter(word), "yyx x yy x", "yyx\tx\n yy  x"):
+        assert mc._encode(a, given) == coded
+    for bad, tok in ((("x", code["yy"]), code["yy"]),
+                     (code["yy"], code["yy"]),
+                     ("x " + code["yy"], code["yy"]),
+                     (("x", ""), ""), (("yy", ""), ""), ("yyy x", "yyy"),
+                     (("x", 1), 1), ("x yyxyy", "yyxyy"), ("xyy x", "xyy")):
+        with pytest.raises(mc.UndeclaredLetterError) as err:
+            mc.accepts(a, bad)
+        assert f"input letter {tok!r} not" in str(err.value), bad
+    single = _letters("a", "b")
+    for bad, tok in ((("ab", ""), "ab"), (("", "ab"), ""), ("a b\tc", "c"),
+                     (("a", "b "), "b ")):
+        with pytest.raises(mc.UndeclaredLetterError) as err:
+            mc.accepts(single, bad)
+        assert f"input letter {tok!r} not" in str(err.value), bad
 
 
 def test_inconclusive_when_budget_too_small(fib):

@@ -101,11 +101,12 @@ def cmd_count(args) -> int:
     return 0
 
 
-def build_automaton(kind: str, system_name, root, sigma, variant) -> machine.Automaton:
+def build_automaton(kind: str, system: SubstitutionSystem | None, root, sigma,
+                    variant) -> machine.Automaton:
+    """The recognizer of ``kind`` for ``system`` (unused by kind ``fib``)."""
     variant = Variant(variant)
     if kind == "fib":
         return builders.fibonacci_automaton(variant)
-    system = get_system(system_name)
     if kind == "ball":
         return builders.ball_automaton(system, root, sigma, variant)
     if kind == "sector":
@@ -114,8 +115,9 @@ def build_automaton(kind: str, system_name, root, sigma, variant) -> machine.Aut
 
 
 def cmd_build(args) -> int:
-    automaton = build_automaton(args.kind, args.system, args.root,
-                                args.sigma, args.variant)
+    system = None if args.kind == "fib" else get_system(args.system)
+    automaton = build_automaton(args.kind, system, args.root, args.sigma,
+                                args.variant)
     out = _open_out(args.out)
     try:
         out.write(machine.render_automaton(automaton))
@@ -244,7 +246,7 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
     optionally an exhaustive comparison of the recognized language against
     the oracle words up to ``exhaustive_len``.
     """
-    automaton = build_automaton(kind, system.name, root, sigma, variant)
+    automaton = build_automaton(kind, system, root, sigma, variant)
     spec = ContourSpec(system, root, sigma=sigma if kind == "ball" else 1,
                        kind="ball" if kind == "ball" else "sector")
     report = CheckReport()

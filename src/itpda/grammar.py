@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Mapping
+from typing import Mapping
 
 Word = tuple[str, ...]
 
@@ -117,24 +117,6 @@ def read_level_word(system: SubstitutionSystem, root: str, level: int) -> Word:
     ``system.read_letters``."""
     return tuple(chain.from_iterable(
         _subtree_parts(system, root, level, system.read_letters)))
-
-
-def iter_level_word(system: SubstitutionSystem, root: str, level: int) -> Iterator[str]:
-    """Stream ``level_word`` depth first, without materialising any level.
-
-    Memory stays bounded by ``level * max rule length``.
-    """
-    system.check_label(root)
-    if level < 0:
-        raise GrammarError("level must be >= 0")
-    rules = system.rules
-    stack = [(root, level)]
-    while stack:
-        label, depth = stack.pop()
-        if depth == 0:
-            yield label
-        else:
-            stack.extend((child, depth - 1) for child in reversed(rules[label]))
 
 
 def read_word(system: SubstitutionSystem, labels) -> Word:

@@ -45,9 +45,11 @@ only the ones at which it can branch and a few on each path between
 them (see ``_search``).  No work is multiplied, every cycle is closed,
 and tree walks search in memory proportional to their depth, not to
 the configurations visited.  Between branch points the search follows
-the one successor in place, without the DFS stack, and it builds the
-store nodes of pops and pushes at depths 1 and 2 itself; deeper
-operations go through :func:`itpda.store.pop` and :func:`itpda.store.push`.
+the one successor in place, without the DFS stack.  It builds the store
+nodes of pops and pushes at depths 1 and 2 itself, one call of the
+:class:`itpda.store.Store` constructor per node and no call into
+:func:`itpda.store.pop` or :func:`itpda.store.push`; deeper operations go
+through those two.
 
 The acceptance search walks each repeated subtree once.  The run that
 removes a top element s[f] depends only on the state, s, f and the
@@ -793,7 +795,11 @@ def _search(automaton: Automaton, word: str, start: tuple,
     the budget and the accept check see exactly what they would see had
     the successor been pushed and popped straight back.  Index entries
     carry an opcode, and the loop builds the nodes of pops and pushes at
-    depths 1 and 2 itself (see ``Automaton.__post_init__``).
+    depths 1 and 2 itself (see ``Automaton.__post_init__``): one ``Store``
+    constructor call per node, which computes the node's size, hash and
+    top chain, and no call into ``store.pop`` or ``store.push``: one more
+    function call per configuration costs tree walks a measurable share
+    of their time.
 
     In accept mode a chain walk also summarises segments, after the
     summary edges of interprocedural reachability.  A segment runs from a
@@ -883,7 +889,6 @@ def _search(automaton: Automaton, word: str, start: tuple,
     # top element's flag.
     flag_level = automaton.levels - 1
     eflag = st.empty(max(flag_level - 1, 0))
-    ehash = eflag._hash
     # Segment summaries, accept mode only: (state, symbol, id of flag) ->
     # (exit state, first position, letters, configurations, store
     # high-water mark above the rest, flag); the flag is kept so that its
@@ -981,9 +986,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
                     nstore = cur.rest
                 elif op == 2:
                     flag = cur.flag
-                    fsize, fhash, ftop = flag.size, flag._hash, flag._topsym
                     if yields is not None:
-                        hit = flag_tables.get(fhash)
+                        hit = flag_tables.get(flag._hash)
                         ftable = (hit[1] if hit is not None and hit[0] is flag
                                   else yields.table_id(flag, flag_tables))
                         if lows_of[ftable][tid] > n - npos or (
@@ -994,10 +998,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
                             continue
                     nstore = cur.rest
                     for sym in payload:
-                        nstore = Store_(cur.level, sym, flag, nstore,
-                                        1 + fsize + nstore.size,
-                                        hash((sym, fhash, nstore._hash)),
-                                        (sym,) + ftop)
+                        nstore = Store_(cur.level, sym, flag, nstore)
                 elif op == 4:
                     nstore = (pop(level, cur) if push_word is None
                               else push(level, push_word, cur))
@@ -1012,15 +1013,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
                             continue  # the flag was empty
                     else:
                         for sym in payload:
-                            inner = Store_(flag_level, sym, eflag, inner,
-                                           1 + inner.size,
-                                           hash((sym, ehash, inner._hash)),
-                                           (sym,))
-                    sym, rest = cur.symbol, cur.rest
-                    nstore = Store_(cur.level, sym, inner, rest,
-                                    1 + inner.size + rest.size,
-                                    hash((sym, inner._hash, rest._hash)),
-                                    (sym,) + inner._topsym)
+                            inner = Store_(flag_level, sym, eflag, inner)
+                    nstore = Store_(cur.level, cur.symbol, inner, cur.rest)
                 if max_store is not None and nstore.size > max_store:
                     store_cut = True
                     continue

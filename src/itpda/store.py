@@ -6,9 +6,11 @@ the chain of top elements is visible: ``topsym`` reads it, and ``pop`` /
 ``push`` rewrite it at a chosen depth.
 
 Stores are immutable persistent structures: every operation returns a new
-store that shares unchanged substructure with its input.  Hashes and total
-symbol counts are cached per node, so stores are cheap to use as
-memoization keys even when they are large.
+store that shares unchanged substructure with its input.  Each node caches
+its total symbol count, its hash and its visible top chain, so stores are
+cheap to use as memoization keys even when they are large.  The
+:class:`Store` constructor is the one place that computes these fields
+for a nonempty node, and :func:`empty` the one place for an empty one.
 """
 
 from __future__ import annotations
@@ -41,14 +43,15 @@ class Store:
 
     A store is either empty (``symbol is None``) or ``symbol[flag].rest``
     where ``flag`` has level ``level - 1`` and ``rest`` has level ``level``.
-    Construct via :func:`empty`, :func:`node` or :func:`from_pairs`.
+    ``Store(level, symbol, flag, rest)`` builds a nonempty node, unchecked,
+    and is the only code that computes its cached fields from those of
+    ``flag`` and ``rest``: the symbol count ``size``, the hash and the top
+    chain.  Construct via :func:`empty`, :func:`node` or :func:`from_pairs`.
     """
 
     __slots__ = ("level", "symbol", "flag", "rest", "size", "_hash", "_topsym")
 
-    def __init__(self, level: int, symbol: Optional[str],
-                 flag: Optional["Store"], rest: Optional["Store"],
-                 size: int, hashval: int, topsym: tuple):
+    def __init__(self, level: int, symbol: str, flag: "Store", rest: "Store"):
         # Plain slot writes: store nodes are allocated millions of times in
         # the acceptance search, so no frozen-attribute guard here.  All
         # operations return new stores; never assign to these fields.
@@ -56,9 +59,9 @@ class Store:
         self.symbol = symbol
         self.flag = flag
         self.rest = rest
-        self.size = size
-        self._hash = hashval
-        self._topsym = topsym
+        self.size = 1 + flag.size + rest.size
+        self._hash = hash((symbol, flag._hash, rest._hash))
+        self._topsym = (symbol,) + flag._topsym
 
     def entries(self) -> Iterator[tuple[str, "Store"]]:
         """Top-to-bottom (symbol, flag) pairs of the outermost sequence."""
@@ -103,7 +106,10 @@ def empty(level: int) -> Store:
         raise StoreError("store level must be >= 0")
     store = _EMPTY_CACHE.get(level)
     if store is None:
-        store = Store(level, None, None, None, 0, hash(("itpda.empty", level)), ())
+        store = Store.__new__(Store)
+        store.level, store.size, store._topsym = level, 0, ()
+        store.symbol = store.flag = store.rest = None
+        store._hash = hash(("itpda.empty", level))
         _EMPTY_CACHE[level] = store
     return store
 
@@ -113,16 +119,7 @@ def node(symbol: str, flag: Store, rest: Store) -> Store:
     if flag.level != rest.level - 1:
         raise StoreError(
             f"flag level {flag.level} does not fit store level {rest.level}")
-    return _node(symbol, flag, rest)
-
-
-def _node(symbol: str, flag: Store, rest: Store) -> Store:
-    # The one place store operations build a nonempty node; callers pass
-    # a flag one level below ``rest``.
-    return Store(rest.level, symbol, flag, rest,
-                 1 + flag.size + rest.size,
-                 hash((symbol, flag._hash, rest._hash)),
-                 (symbol,) + flag._topsym)
+    return Store(rest.level, symbol, flag, rest)
 
 
 def from_pairs(level: int, pairs) -> Store:
@@ -166,7 +163,7 @@ def pop(j: int, store: Store) -> Optional[Store]:
     inner = pop(j - 1, store.flag)
     if inner is None:
         return None
-    return _node(store.symbol, inner, store.rest)
+    return Store(store.level, store.symbol, inner, store.rest)
 
 
 def push(j: int, word, store: Store) -> Optional[Store]:
@@ -184,7 +181,7 @@ def push(j: int, word, store: Store) -> Optional[Store]:
     flag = store.flag
     out = store.rest
     for symbol in reversed(tuple(word)):
-        out = _node(symbol, flag, out)
+        out = Store(store.level, symbol, flag, out)
     return out
 
 
@@ -199,14 +196,14 @@ def _push_inner(j: int, word, store: Store) -> Optional[Store]:
         flag = empty(store.level - 1)
         out = store
         for symbol in reversed(tuple(word)):
-            out = _node(symbol, flag, out)
+            out = Store(store.level, symbol, flag, out)
         return out
     if store.symbol is None:
         return None
     inner = _push_inner(j - 1, word, store.flag)
     if inner is None:
         return None
-    return _node(store.symbol, inner, store.rest)
+    return Store(store.level, store.symbol, inner, store.rest)
 
 
 def total_size(store: Store) -> int:

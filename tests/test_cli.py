@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, and the check report."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from itpda import cli
+from itpda import grammar as gr
 from itpda import machine as mc
 from itpda.builders import fibonacci_automaton
 
@@ -257,6 +259,19 @@ def test_check_deterministic(capsys):
     for row in d1["rows"] + d2["rows"]:
         row.pop("millis")
     assert d1 == d2
+
+
+def test_run_check_checks_the_system_it_is_given():
+    # Both systems have the rules of poly6 under names of their own; one
+    # names no built-in system and the other a built-in one with other
+    # rules.  Each is checked against the automaton built from its rules.
+    poly6 = gr.polygonal(6)
+    for name in ("tri", "fibonacci"):
+        system = replace(poly6, name=name)
+        for kind, sigma in (("ball", 6), ("sector", 1)):
+            report = cli.run_check(kind, system, "W", sigma, range(1, 4), 3, 1)
+            assert report.ok, (name, kind, report.as_text())
+            assert [row.positive for row in report.rows] == [mc.ACCEPTED] * 3
 
 
 def test_check_bad_level_range(capsys):

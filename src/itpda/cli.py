@@ -72,11 +72,30 @@ def _write_word(out, tokens) -> None:
     out.write("\n")
 
 
+# The options that only some kinds read, with their defaults, and the
+# ones each kind reads.
+_KIND_DEFAULTS = {"system": "fib", "root": "W", "sigma": 1}
+_KIND_READS = {"fib": (), "ball": ("system", "root", "sigma"),
+               "sector": ("system", "root"), "level": ("system", "root")}
+
+
+def _kind_options(args) -> None:
+    """Put in the default of each of these options that was not given;
+    raise :class:`CliError` for one given that ``args.kind`` does not
+    read."""
+    for option, default in _KIND_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif option not in _KIND_READS[args.kind]:
+            raise CliError(f"--kind {args.kind} does not read --{option}")
+
+
 # ---------------------------------------------------------------------------
 # word / count / build
 
 
 def cmd_word(args) -> int:
+    _kind_options(args)
     system = get_system(args.system)
     out = _open_out(args.out)
     try:
@@ -115,6 +134,7 @@ def build_automaton(kind: str, system: SubstitutionSystem | None, root, sigma,
 
 
 def cmd_build(args) -> int:
+    _kind_options(args)
     system = None if args.kind == "fib" else get_system(args.system)
     automaton = build_automaton(args.kind, system, args.root, args.sigma,
                                 args.variant)
@@ -289,6 +309,7 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
 def cmd_check(args) -> int:
     if args.kind == "fib":
         raise CliError("check needs a contour kind: ball or sector")
+    _kind_options(args)
     if args.mutations < 0:
         raise CliError(f"--mutations must be >= 0, got {args.mutations}")
     if args.exhaustive_len is not None and args.exhaustive_len < 0:
@@ -323,8 +344,8 @@ def make_parser() -> _Parser:
     p.add_argument("--system", required=True)
     p.add_argument("--root", required=True)
     p.add_argument("--kind", choices=("ball", "sector", "level"), default="level")
-    p.add_argument("--sigma", type=int, default=1,
-                   help="sector multiplicity for ball words (default 1)")
+    p.add_argument("--sigma", type=int,
+                   help="sector multiplicity, kind ball only (default 1)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_word)
@@ -337,9 +358,9 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("build", help="write a recognizer automaton file")
     p.add_argument("--kind", choices=("fib", "ball", "sector"), required=True)
-    p.add_argument("--system", default="fib")
-    p.add_argument("--root", default="W")
-    p.add_argument("--sigma", type=int, default=1)
+    p.add_argument("--system", help="kinds ball and sector (default fib)")
+    p.add_argument("--root", help="kinds ball and sector (default W)")
+    p.add_argument("--sigma", type=int, help="kind ball only (default 1)")
     p.add_argument("--variant", choices=("corrected", "as-printed"),
                    default="corrected")
     p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -360,7 +381,7 @@ def make_parser() -> _Parser:
     p.add_argument("--kind", choices=("ball", "sector"), required=True)
     p.add_argument("--system", required=True)
     p.add_argument("--root", required=True)
-    p.add_argument("--sigma", type=int, default=1)
+    p.add_argument("--sigma", type=int, help="kind ball only (default 1)")
     p.add_argument("--levels", default=None,
                    help="inclusive A..B (default 0..6 for balls, 1..6 for sectors)")
     p.add_argument("--mutations", type=int, default=50,

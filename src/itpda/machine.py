@@ -28,12 +28,14 @@ or vice versa on words whose accepting runs fit the bound.
 
 On 1- and 2-level automata the acceptance search also drops every
 depth-1 push whose new elements must read more letters than the input
-has left, and, where the search can branch, every one after which the
-whole store cannot read as many letters as are left.  Both bounds are
-read from one table per flag, which holds the fewest and the most
-letters an element reads (see ``_YieldTables``).  No accepting run
-breaks either bound, so the prunes change no verdict.  Together they cut
-the tree walk of a guessed height at its commit, whether the height is
+has left, and, at a branch point on a store of one element, every one
+whose new elements cannot read as many letters as are left.  Both
+bounds are read from one table per flag, which holds the fewest and the
+most letters an element reads (see ``_YieldTables``).  No accepting run
+breaks either bound, so the prunes change no verdict.  The builders'
+one branch point is the guess loop on its start symbol, alone on the
+store, so together they cut the tree walk of a guessed height at its
+commit, whether the height is
 too tall or too short for the word, and so every height of a word whose
 length no height yields.  Guess loops that grow a flag still run until
 the store bound stops them.
@@ -174,15 +176,21 @@ def default_bounds(input_length: int) -> SearchBounds:
 
 @dataclass
 class Verdict:
-    """``configurations``: the configurations the search generated.  A
+    """``trace``: on acceptance, when asked for, the path the search
+    walked from its start: each configuration with the id of the
+    transition it takes (None for the last).  The path may pass a
+    configuration more than once; each entry steps to the next under
+    :func:`step`.
+    ``configurations``: the configurations the search generated.  A
     copy of a segment that the search jumped (see ``_search``) counts as
     the configurations walking it generates, so budgets, counts and the
     count ``itpda run`` prints mean what they mean for a search that walks
     every copy.
     ``store_cut``: the store bound pruned a configuration.
     ``yield_cut``: a yield bound pruned one: a push whose new elements
-    need more letters than are left, or one at a branch point after which
-    the store cannot read that many (see ``_YieldTables``)."""
+    need more letters than are left, or one at a branch point on a store
+    of one element whose new elements cannot read that many (see
+    ``_YieldTables``)."""
 
     status: str
     trace: Optional[list[tuple[Configuration, Optional[int]]]] = None
@@ -420,7 +428,6 @@ class _YieldTables:
         self.tables: list[tuple] = []      # table id -> (L, H)
         self.lows: list[tuple] = []        # table id -> low per transition
         self.highs: list[tuple] = []       # table id -> high per transition
-        self._sym_max: list[tuple] = []    # table id -> max of H per symbol
         self._children: dict = {}          # (top, rest table id) -> table id
         self._ids: dict = {}               # hash of a table -> table id
         self._add(None, None)
@@ -570,39 +577,8 @@ class _YieldTables:
         self.tables.append((L, H))
         self.lows.append(tuple(lows))
         self.highs.append(tuple(highs))
-        self._sym_max.append(tuple(
-            max(H[at * nq + q2] for at in rows for q2 in range(nq))
-            for rows in self._rows_of))
         self._ids.setdefault(key, len(self.tables) - 1)
         return len(self.tables) - 1
-
-    def most(self, high: int, rest: Store, flags: dict, rests: dict) -> int:
-        """The most letters a run reads to empty the store that a depth-1
-        push leaves when its new elements read at most ``high`` over
-        ``rest``: ``high`` plus each element of ``rest`` at its most from
-        any state.  ``_NEVER`` when no run can.  ``flags`` is a flag memo
-        for ``table_id``; ``rests`` maps a rest's hash to (rest, its most)
-        for the rests seen before.  Both are kept for one search."""
-        if high < 0 or rest.size == 0:
-            return high
-        chain = []
-        while True:
-            hit = rests.get(rest._hash)
-            if hit is not None and hit[0] is rest:
-                total = hit[1]
-                break
-            if rest.symbol is None:
-                total = 0
-                break
-            chain.append(rest)
-            rest = rest.rest
-        for node in reversed(chain):
-            most = self._sym_max[self.table_id(node.flag, flags)][
-                self._sym_id[node.symbol]]
-            if total >= 0:
-                total = _NEVER if most < 0 else min(total + most, self.cap)
-            rests[node._hash] = (node, total)
-        return _NEVER if total < 0 else high + total
 
 
 def _can_branch(entries) -> bool:
@@ -773,8 +749,10 @@ def _search(automaton: Automaton, word: str, start: tuple,
     only by ``word[pos] == code`` and by comparing two of its slices, so
     a tuple of one-character letters reads the same.  ``goal`` is None
     for acceptance (input exhausted, store empty) or an exact (state,
-    position, store) target.  Returns a Verdict; the trace is
-    reconstructed only when ``want_trace``.
+    position, store) target.  Returns a Verdict.  With ``want_trace``
+    each stack entry and the chain walk carry the path that reached them,
+    as links (previous link, configuration, transition id), and the
+    witness is the path of the accepting configuration.
 
     With ``memoize``, every generated configuration is looked up in
     ``seen`` and pruned if it is there, but only some are added to it:
@@ -819,19 +797,14 @@ def _search(automaton: Automaton, word: str, start: tuple,
     yield exceeds what is left, and it has no branch point for the most
     yield to cut.
 
-    Jumps also leave the memo and the witness as they were.  With
-    ``memoize`` a copy jumps only if none of its inner configurations has
-    a count that is a power of 2, so none would be remembered, and only
-    from a position past every configuration remembered before this chain
-    walk began, so none would be found: those remembered since are its
-    ancestors, and a completed copy cannot return to one.  A configuration
-    of the copy reached earlier by another path was either explored
-    without accepting or still waits on the stack, where it would be the
-    first parent in the witness.  Without ``memoize`` a trace therefore
-    needs the copy to start past the waiting ones, which lie at most one
-    letter past the position this chain walk began at.  A jump is kept in
-    ``parents`` with its count negated as the transition id, and the trace
-    replays its steps.
+    Jumps also leave the memo as it was.  With ``memoize`` a copy jumps
+    only if none of its inner configurations has a count that is a power
+    of 2, so none would be remembered, and only from a position past
+    every configuration remembered before this chain walk began, so none
+    would be found: those remembered since are its ancestors, and a
+    completed copy cannot return to one.  A jump is one link of the path,
+    with its count negated as the transition id, and the trace replays
+    its steps.
     """
     index = automaton._index
     n = len(word)
@@ -845,43 +818,37 @@ def _search(automaton: Automaton, word: str, start: tuple,
             return cfg[1] == n and cfg[2].size == 0
         return cfg == goal
 
-    parents: dict = {}
     count = 1
     store_cut = yield_cut = False
 
-    def finish(status, final_cfg=None):
+    def finish(status, path=None, final_cfg=None):
         trace = None
         if status == ACCEPTED and want_trace:
-            trace = []
-            cfg = final_cfg
-            tid = None
-            while True:
-                trace.append((Configuration(cfg[0], cfg[1], cfg[2]), tid))
-                if cfg == start:
-                    break
-                cfg, tid = parents[cfg]
+            trace = [(Configuration(*final_cfg), None)]
+            while path is not None:
+                path, cfg, tid = path
                 if tid < 0:
                     # A jump over -tid configurations: replay its steps.
-                    steps = _replay(automaton, cfg, word, -tid)
-                    trace.extend(reversed(steps[1:]))
-                    tid = steps[0][1]
+                    trace.extend(reversed(_replay(automaton, cfg, word, -tid)))
+                else:
+                    trace.append((Configuration(*cfg), tid))
             trace.reverse()
         return Verdict(status, trace, count, store_cut, yield_cut)
 
     if is_goal(start):
-        return finish(ACCEPTED, start)
+        return finish(ACCEPTED, None, start)
 
     accept_mode = goal is None
     # A depth-1 push whose new elements must read more letters than are
     # left cannot lead to acceptance; it is dropped before it is built.
-    # So is one at a branch point, where the search commits to a guess,
-    # after which the whole store cannot read as many letters as are left.
-    # Both bounds are read from the table of the element's flag.
+    # So is one at a branch point on a store of one element, where the
+    # search commits to a guess, whose new elements cannot read as many
+    # letters as are left.  Both bounds are read from the table of the
+    # element's flag.
     yields = automaton._yield_tables(n) if accept_mode else None
     if yields is not None:
-        lows_of, highs_of, most = yields.lows, yields.highs, yields.most
+        lows_of, highs_of = yields.lows, yields.highs
     flag_tables: dict = {}  # flag hash -> (flag, table id)
-    rest_most: dict = {}    # rest hash -> (rest, most it reads)
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
@@ -903,13 +870,16 @@ def _search(automaton: Automaton, word: str, start: tuple,
     seg_rest = None
     hw = hi = 0
     seen_hi = start[1]
-    stack = [(*start, index.get((start[0], start[2]._topsym), dead))]
+    # path: the links that reached this configuration, npath those of its
+    # successor; both stay None unless ``want_trace``.
+    path = npath = None
+    stack = [(*start, index.get((start[0], start[2]._topsym), dead), path)]
     while stack:
-        state, pos, cur, (branches, entries) = stack.pop()
+        state, pos, cur, (branches, entries), path = stack.pop()
         if segs:
             segs.clear()
             seg_rest = None
-        hi = seen_hi if memoize else pos + 1 if want_trace else -1
+        hi = seen_hi if memoize else -1
         # t: the configuration of this turn is the t-th of the chain walk,
         # which begins at the start or at a successor of a branch point.
         t = 0
@@ -956,10 +926,10 @@ def _search(automaton: Automaton, word: str, start: tuple,
                                 if npos > seen_hi:
                                     seen_hi = npos
                         if want_trace:
-                            parents.setdefault(ncfg, ((state, pos, cur), -k))
+                            path = (path, (state, pos, cur), -k)
                         count += k
                         if npos == n and rest.size == 0:
-                            return finish(ACCEPTED, ncfg)
+                            return finish(ACCEPTED, path, ncfg)
                         if rest.size + peak > hw:
                             hw = rest.size + peak
                         state, pos, cur = ncfg
@@ -991,9 +961,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         ftable = (hit[1] if hit is not None and hit[0] is flag
                                   else yields.table_id(flag, flag_tables))
                         if lows_of[ftable][tid] > n - npos or (
-                                branches and most(highs_of[ftable][tid],
-                                                  cur.rest, flag_tables,
-                                                  rest_most) < n - npos):
+                                branches and cur.rest.size == 0
+                                and highs_of[ftable][tid] < n - npos):
                             yield_cut = True
                             continue
                     nstore = cur.rest
@@ -1028,25 +997,21 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         if npos > seen_hi:
                             seen_hi = npos
                 if want_trace:
-                    # First write wins: a configuration can be generated
-                    # more than once, and its first parent was generated
-                    # before it, so the witness walks real edges back to
-                    # the start.
-                    parents.setdefault((target, npos, nstore),
-                                       ((state, pos, cur), tid))
+                    npath = (path, (state, pos, cur), tid)
                 count += 1
                 if accept_mode:
                     if npos == n and nstore.size == 0:
-                        return finish(ACCEPTED, (target, npos, nstore))
+                        return finish(ACCEPTED, npath, (target, npos, nstore))
                 elif (target, npos, nstore) == goal:
-                    return finish(ACCEPTED, goal)
+                    return finish(ACCEPTED, npath, goal)
                 if max_configs is not None and count > max_configs:
                     return finish(INCONCLUSIVE)
                 if branches:
-                    successors.append((target, npos, nstore, nnode))
+                    successors.append((target, npos, nstore, nnode, npath))
                     continue
                 # The one successor: walk on with it.
                 state, pos, cur = target, npos, nstore
+                path = npath
                 branches, entries = nnode
                 break
             else:
@@ -1079,12 +1044,13 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     longer.  It saves one set lookup per configuration.
 
     On 1- and 2-level automata either search skips the depth-1 pushes
-    whose least yield exceeds the unread input, and, at the branch points,
-    those after which the store's most yield falls short of it.  Both are
-    read from the yield table of the rewritten element's flag, which
-    searches build when they first meet the flag and the automaton keeps.
-    It sets ``Verdict.yield_cut`` when it did; ``Verdict.store_cut``
-    still tells whether the store bound cut a configuration.
+    whose least yield exceeds the unread input, and, at the branch points
+    on a store of one element, those whose most yield falls short of it.
+    Both are read from the yield table of the rewritten element's flag,
+    which searches build when they first meet the flag and the automaton
+    keeps.  It sets ``Verdict.yield_cut`` when it did;
+    ``Verdict.store_cut`` still tells whether the store bound cut a
+    configuration.
     """
     if type(word) is not _Coded:
         word = _encode(automaton, word)

@@ -56,6 +56,15 @@ def test_word_out_file(tmp_path, capsys):
     assert code == 0 and target.read_text() == "bwbwwbww\n"
 
 
+def test_word_option_its_kind_does_not_read_exits_3(capsys):
+    # Only ball words read --sigma.
+    for kind in ("sector", "level"):
+        code, out, err = run(capsys, "word", "--system", "fib", "--root", "W",
+                             "--kind", kind, "--sigma", "2", "--level", "2")
+        assert (code, out) == (3, "")
+        assert f"--kind {kind} does not read --sigma" in err
+
+
 # --- count ----------------------------------------------------------------------
 
 def test_count_fib_level3(capsys):
@@ -91,6 +100,19 @@ def test_build_unknown_system(capsys):
     code, _, err = run(capsys, "build", "--kind", "ball", "--system", "nope",
                        "--root", "W")
     assert code >= 3
+
+
+def test_build_option_its_kind_does_not_read_exits_3(tmp_path, capsys):
+    # fib reads none of --system, --root and --sigma; sector reads no
+    # --sigma.  Nothing is written.
+    target = tmp_path / "out.ipda"
+    for kind, option, value in (("fib", "--system", "nonsense"),
+                                ("fib", "--root", "Q"), ("fib", "--sigma", "99"),
+                                ("sector", "--sigma", "2")):
+        code, _, err = run(capsys, "build", "--kind", kind, option, value,
+                           "--out", str(target))
+        assert code == 3 and f"--kind {kind} does not read {option}" in err
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("name", ["poly7", "polygonal7", "poly(7)",
@@ -272,6 +294,13 @@ def test_run_check_checks_the_system_it_is_given():
             report = cli.run_check(kind, system, "W", sigma, range(1, 4), 3, 1)
             assert report.ok, (name, kind, report.as_text())
             assert [row.positive for row in report.rows] == [mc.ACCEPTED] * 3
+
+
+def test_check_option_its_kind_does_not_read_exits_3(capsys):
+    code, out, err = run(capsys, "check", "--kind", "sector", "--system", "fib",
+                         "--root", "W", "--sigma", "5", "--levels", "1..2")
+    assert (code, out) == (3, "")
+    assert "--kind sector does not read --sigma" in err
 
 
 def test_check_bad_level_range(capsys):

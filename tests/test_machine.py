@@ -590,17 +590,42 @@ def test_jumps_keep_what_the_memo_would_remember_and_prune():
             assert (v.status, v.configurations) == (REJECTED, expected)
 
 
-def test_jumps_keep_the_first_parent_of_a_pending_configuration():
+def _pending():
     # The branch point's second successor (w, 1, B.Y) waits on the stack
-    # while the first path's copy of A passes through it.  The witness
-    # reaches it from the branch point, its first parent.
-    pending = _two_paths("s eps Z -> w push 1 A A Y", "s a Z -> w push 1 B Y",
-                         states="")
-    for memoize in (True, False):
+    # while the first path's copy of A passes through it.
+    return _two_paths("s eps Z -> w push 1 A A Y", "s a Z -> w push 1 B Y",
+                      states="")
+
+
+def test_the_witness_is_the_walked_path():
+    # With the memo the first path is pruned at (w, 1, B.Y), which the
+    # branch point left remembered, and the witness is the second path.
+    # Without it the first path walks on through (w, 1, B.Y), jumping the
+    # copy of A, and accepts.
+    for memoize, path in (
+            (True, [("s", 0, "Z"), ("w", 1, "B.Y"), ("w", 2, "Y"),
+                    ("w", 3, "e")]),
+            (False, [("s", 0, "Z"), ("w", 0, "A.A.Y"), ("w", 0, "B.A.Y"),
+                     ("w", 1, "A.Y"), ("w", 1, "B.Y"), ("w", 2, "Y"),
+                     ("w", 3, "e")])):
+        pending = _pending()
         v = mc.accepts(pending, "aac", trace=True, memoize=memoize)
         assert v.status == ACCEPTED
-        assert [(c.state, c.position, st.render(c.store)) for c, _ in v.trace] \
-            == [("s", 0, "Z"), ("w", 1, "B.Y"), ("w", 2, "Y"), ("w", 3, "e")]
+        assert [(c.state, c.position, st.render(c.store))
+                for c, _ in v.trace] == path
+        for (c, tid), (nxt, _) in zip(v.trace, v.trace[1:]):
+            assert (nxt, tid) in mc.step(pending, c, "aac")
+
+
+def test_tracing_does_not_change_the_walk():
+    # A memo-free search jumps the copy of A whether it traces or not.
+    walks = []
+    for trace in (False, True):
+        _CountingStore.built = 0
+        with mock.patch.object(mc, "Store", _CountingStore):
+            v = mc.accepts(_pending(), "aac", trace=trace, memoize=False)
+        walks.append((v.status, v.configurations, _CountingStore.built))
+    assert walks == [(ACCEPTED, 8, 6)] * 2
 
 
 def _taller_copy():

@@ -197,6 +197,7 @@ class CheckRow:
     positive: str
     mutations: int
     rejected: int
+    inconclusive: int  # verdicts of the positive and the mutants
     millis: int
 
     def ok(self) -> bool:
@@ -212,7 +213,19 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         rows_ok = all(row.ok() for row in self.rows)
-        return rows_ok and self.exhaustive_ok is not False
+        return rows_ok and (self.exhaustive_len is None
+                           or self.exhaustive_ok is True)
+
+    def _code(self) -> int:
+        """The exit code: 1 if a decided verdict is wrong (a rejected
+        positive, an accepted mutant, a mismatched sweep), else 2 if one
+        is inconclusive, else 0."""
+        wrong = self.exhaustive_ok is False or any(
+            row.positive == REJECTED
+            or (row.rejected + row.inconclusive
+                - (row.positive == INCONCLUSIVE) < row.mutations)
+            for row in self.rows)
+        return 1 if wrong else 0 if self.ok else 2
 
     def as_json(self) -> str:
         doc = {
@@ -225,18 +238,20 @@ class CheckReport:
         return json.dumps(doc, indent=2)
 
     def as_text(self) -> str:
-        header = ("level", "len", "positive", "mutations", "rejected", "millis")
+        header = ("level", "len", "positive", "mutations", "rejected",
+                  "inconclusive", "millis")
         table = [header] + [
-            tuple(str(v) for v in (r.level, r.len, r.positive,
-                                   r.mutations, r.rejected, r.millis))
+            tuple(str(v) for v in (r.level, r.len, r.positive, r.mutations,
+                                   r.rejected, r.inconclusive, r.millis))
             for r in self.rows]
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                  for row in table]
         if self.exhaustive_len is not None:
-            state = "ok" if self.exhaustive_ok else "MISMATCH"
+            state = {True: "ok", False: "MISMATCH",
+                     None: INCONCLUSIVE}[self.exhaustive_ok]
             lines.append(f"exhaustive sweep <= {self.exhaustive_len}: {state}")
-        lines.append("PASS" if self.ok else "FAIL")
+        lines.append(("PASS", "FAIL", "INCONCLUSIVE")[self._code()])
         return "\n".join(lines)
 
 
@@ -264,7 +279,8 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
     Positives for every level in ``levels``; ``mutations`` seeded
     single-edit variants per level, all of which must be rejected;
     optionally an exhaustive comparison of the recognized language against
-    the oracle words up to ``exhaustive_len``.
+    the oracle words up to ``exhaustive_len``.  A sweep over the
+    configuration budget leaves ``exhaustive_ok`` None (inconclusive).
     """
     automaton = build_automaton(kind, system, root, sigma, variant)
     spec = ContourSpec(system, root, sigma=sigma if kind == "ball" else 1,
@@ -279,20 +295,28 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
         bounds = _bounds(default, max_store, max_configs)
         positive = machine.accepts(automaton, word, bounds, memoize=False)
         rejected = 0
+        inconclusive = int(positive.status == INCONCLUSIVE)
         # Decorrelate the per-level streams while keeping the whole check
         # a pure function of the seed.
         variants = contour.mutate(word, seed * 100003 + level, mutations,
                                   alphabet=automaton.input_alphabet)
         for mutant in variants:
-            if machine.accepts(automaton, mutant, bounds,
-                               memoize=False).status == REJECTED:
-                rejected += 1
+            status = machine.accepts(automaton, mutant, bounds,
+                                     memoize=False).status
+            rejected += status == REJECTED
+            inconclusive += status == INCONCLUSIVE
         millis = int((time.perf_counter() - start) * 1000)
         report.rows.append(CheckRow(level, len(word), positive.status,
-                                    len(variants), rejected, millis))
+                                    len(variants), rejected, inconclusive,
+                                    millis))
     if exhaustive_len is not None:
+        report.exhaustive_len = exhaustive_len
         bounds = _bounds(default_bounds(exhaustive_len), max_store, max_configs)
-        recognized = machine.enumerate_language(automaton, exhaustive_len, bounds)
+        try:
+            recognized = machine.enumerate_language(automaton, exhaustive_len,
+                                                    bounds)
+        except machine.SearchLimitError:
+            return report
         expected = set()
         level = 0 if kind == "ball" else 1
         while True:
@@ -301,7 +325,6 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
                 break
             expected.add(contour.contour_word(spec, level))
             level += 1
-        report.exhaustive_len = exhaustive_len
         report.exhaustive_ok = recognized == expected
     return report
 
@@ -320,7 +343,7 @@ def cmd_check(args) -> int:
                        args.mutations, args.seed, args.exhaustive_len,
                        args.variant, args.max_store, args.max_configs)
     print(report.as_json() if args.json else report.as_text())
-    return 0 if report.ok else 1
+    return report._code()
 
 
 # ---------------------------------------------------------------------------

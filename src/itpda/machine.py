@@ -51,7 +51,8 @@ the one successor in place, without the DFS stack.  It builds the store
 nodes of pops and pushes at depths 1 and 2 itself, one call of the
 :class:`itpda.store.Store` constructor per node and no call into
 :func:`itpda.store.pop` or :func:`itpda.store.push`; deeper operations go
-through those two.
+through those two.  :func:`step`, the witness replay and
+:func:`enumerate_language` step through one function, ``_moves``.
 
 The acceptance search walks each repeated subtree once.  The run that
 removes a top element s[f] depends only on the state, s, f and the
@@ -61,7 +62,8 @@ element against the input in one comparison instead of walking it
 (see ``_search``).  In a contour word every (label, height) pair's
 level word recurs, and all its copies share one flag, so a tree walk
 builds store nodes for the first copy of each pair only.  Counts,
-verdicts and witnesses are those of walking every copy.
+verdicts and witnesses are those of walking every copy: a witness is
+the walked path, replayed from the choices made at branch points.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class Transition:
     action: Action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     state: str
     position: int
@@ -177,10 +179,10 @@ def default_bounds(input_length: int) -> SearchBounds:
 @dataclass
 class Verdict:
     """``trace``: on acceptance, when asked for, the path the search
-    walked from its start: each configuration with the id of the
-    transition it takes (None for the last).  The path may pass a
-    configuration more than once; each entry steps to the next under
-    :func:`step`.
+    walked from its start, replayed from the transitions it chose at
+    branch points: each configuration with the id of the transition it
+    takes (None for the last).  The path may pass a configuration more
+    than once; each entry steps to the next under :func:`step`.
     ``configurations``: the configurations the search generated.  A
     copy of a segment that the search jumped (see ``_search``) counts as
     the configurations walking it generates, so budgets, counts and the
@@ -696,42 +698,27 @@ def step(automaton: Automaton, config: Configuration,
         coded = _encode(automaton, word)
         if type(word) in (tuple, str):  # immutable: its codes stay valid
             automaton._codes.stepped = (word, coded)
-    return _successors(automaton, config, coded)
+    pos = config.position
+    nxt = coded[pos] if pos < len(coded) else None
+    return {(Configuration(target, pos + (code is not None), nstore), tid)
+            for tid, code, target, nstore
+            in _moves(automaton, config.state, config.store)
+            if code is None or code == nxt}
 
 
-def _successors(automaton: Automaton, config: Configuration,
-                word: str) -> set[tuple[Configuration, int]]:
-    """:func:`step` on a coded word."""
-    out = set()
-    _, entries = automaton._index.get((config.state, config.store._topsym),
-                                      (None, ()))
-    for tid, letter, target, _op, level, _payload, push_word in entries:
-        if letter is None:
-            npos = config.position
-        elif config.position < len(word) and word[config.position] == letter:
-            npos = config.position + 1
-        else:
-            continue
-        nstore = (st.pop(level, config.store) if push_word is None
-                  else st.push(level, push_word, config.store))
+def _moves(automaton: Automaton, state: str, store: Store) -> list[tuple]:
+    """(transition id, letter code or None, target, new store) of every
+    transition that fires on ``store`` in ``state``, whatever the input,
+    in declaration order: outside ``_search``, the one reader of the
+    transition index and caller of ``store.pop`` and ``store.push``."""
+    _, entries = automaton._index.get((state, store._topsym), (None, ()))
+    moves = []
+    for tid, code, target, _op, level, _payload, push_word in entries:
+        nstore = (st.pop(level, store) if push_word is None
+                  else st.push(level, push_word, store))
         if nstore is not None:
-            out.add((Configuration(target, npos, nstore), tid))
-    return out
-
-
-def _replay(automaton: Automaton, cfg: tuple, word: str,
-            k: int) -> list[tuple[Configuration, int]]:
-    """The first ``k`` steps of the chain walk from ``cfg`` on the coded
-    ``word``, as trace entries: each configuration with the transition
-    it takes.  Off a branch point every configuration has exactly one
-    successor."""
-    config = Configuration(*cfg)
-    steps = []
-    for _ in range(k):
-        (nxt, tid), = _successors(automaton, config, word)
-        steps.append((config, tid))
-        config = nxt
-    return steps
+            moves.append((tid, code, target, nstore))
+    return moves
 
 
 # A tree walk keeps a few open segments per tree level.  A chain walk
@@ -750,9 +737,9 @@ def _search(automaton: Automaton, word: str, start: tuple,
     a tuple of one-character letters reads the same.  ``goal`` is None
     for acceptance (input exhausted, store empty) or an exact (state,
     position, store) target.  Returns a Verdict.  With ``want_trace``
-    each stack entry and the chain walk carry the path that reached them,
-    as links (previous link, configuration, transition id), and the
-    witness is the path of the accepting configuration.
+    each successor of a branch point carries the choices that reached it,
+    as links (previous link, transition id), and ``finish`` replays the
+    witness from the start with them; off branch points one move fires.
 
     With ``memoize``, every generated configuration is looked up in
     ``seen`` and pruned if it is there, but only some are added to it:
@@ -802,9 +789,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
     of 2, so none would be remembered, and only from a position past
     every configuration remembered before this chain walk began, so none
     would be found: those remembered since are its ancestors, and a
-    completed copy cannot return to one.  A jump is one link of the path,
-    with its count negated as the transition id, and the trace replays
-    its steps.
+    completed copy cannot return to one.  A jump adds no link: the copy
+    has no branch point, and the replay walks it.
     """
     index = automaton._index
     n = len(word)
@@ -821,22 +807,33 @@ def _search(automaton: Automaton, word: str, start: tuple,
     count = 1
     store_cut = yield_cut = False
 
-    def finish(status, path=None, final_cfg=None):
+    def finish(status, path=None):
         trace = None
         if status == ACCEPTED and want_trace:
-            trace = [(Configuration(*final_cfg), None)]
+            # Replay: the recorded choice at each branch point, the one move
+            # that fires elsewhere.  Only the last configuration has none,
+            # and none is a branch point once the choices are used up.
+            choices = []
             while path is not None:
-                path, cfg, tid = path
-                if tid < 0:
-                    # A jump over -tid configurations: replay its steps.
-                    trace.extend(reversed(_replay(automaton, cfg, word, -tid)))
-                else:
-                    trace.append((Configuration(*cfg), tid))
-            trace.reverse()
+                path, tid = path
+                choices.append(tid)
+            trace = []
+            cfg = start
+            while not is_goal(cfg):
+                state, pos, cur = cfg
+                branches = choices and automaton._index[state, cur._topsym][0]
+                choice = choices.pop() if branches else None
+                for tid, code, target, nstore in _moves(automaton, state, cur):
+                    if (tid == choice if branches
+                            else code is None or pos < n and word[pos] == code):
+                        break
+                trace.append((Configuration(state, pos, cur), tid))
+                cfg = (target, pos + (code is not None), nstore)
+            trace.append((Configuration(*cfg), None))
         return Verdict(status, trace, count, store_cut, yield_cut)
 
     if is_goal(start):
-        return finish(ACCEPTED, None, start)
+        return finish(ACCEPTED)
 
     accept_mode = goal is None
     # A depth-1 push whose new elements must read more letters than are
@@ -870,10 +867,9 @@ def _search(automaton: Automaton, word: str, start: tuple,
     seg_rest = None
     hw = hi = 0
     seen_hi = start[1]
-    # path: the links that reached this configuration, npath those of its
-    # successor; both stay None unless ``want_trace``.
-    path = npath = None
-    stack = [(*start, index.get((start[0], start[2]._topsym), dead), path)]
+    # path: the branch-point choices that reached this chain walk, as
+    # links (previous link, transition id); None unless ``want_trace``.
+    stack = [(*start, index.get((start[0], start[2]._topsym), dead), None)]
     while stack:
         state, pos, cur, (branches, entries), path = stack.pop()
         if segs:
@@ -925,11 +921,9 @@ def _search(automaton: Automaton, word: str, start: tuple,
                                 seen.add(ncfg)
                                 if npos > seen_hi:
                                     seen_hi = npos
-                        if want_trace:
-                            path = (path, (state, pos, cur), -k)
                         count += k
                         if npos == n and rest.size == 0:
-                            return finish(ACCEPTED, path, ncfg)
+                            return finish(ACCEPTED, path)
                         if rest.size + peak > hw:
                             hw = rest.size + peak
                         state, pos, cur = ncfg
@@ -996,22 +990,18 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         seen.add(ncfg)
                         if npos > seen_hi:
                             seen_hi = npos
-                if want_trace:
-                    npath = (path, (state, pos, cur), tid)
                 count += 1
-                if accept_mode:
-                    if npos == n and nstore.size == 0:
-                        return finish(ACCEPTED, npath, (target, npos, nstore))
-                elif (target, npos, nstore) == goal:
-                    return finish(ACCEPTED, npath, goal)
+                if (npos == n and nstore.size == 0 if accept_mode
+                        else (target, npos, nstore) == goal):
+                    return finish(ACCEPTED, (path, tid) if branches else path)
                 if max_configs is not None and count > max_configs:
                     return finish(INCONCLUSIVE)
                 if branches:
-                    successors.append((target, npos, nstore, nnode, npath))
+                    successors.append((target, npos, nstore, nnode,
+                                       (path, tid) if want_trace else None))
                     continue
                 # The one successor: walk on with it.
                 state, pos, cur = target, npos, nstore
-                path = npath
                 branches, entries = nnode
                 break
             else:
@@ -1088,19 +1078,18 @@ def enumerate_language(automaton: Automaton, max_len: int,
                        bounds: Optional[SearchBounds] = None) -> set[Word]:
     """All accepted words of length <= ``max_len``.
 
-    Explores the configuration graph with the emitted prefix as part of
-    the search key, so only prefixes the automaton can actually read are
-    ever visited, and, like :func:`accepts`, skips the depth-1 pushes
-    that need more letters than ``max_len`` leaves.  Raises
-    :class:`SearchLimitError` if the configuration budget is exceeded (the
-    result would be incomplete), and :class:`MachineError` if ``max_len``
-    is negative.
+    Explores the configuration graph through ``_moves``, with the
+    emitted prefix as part of the search key, so only prefixes the
+    automaton can actually read are ever visited, and, like
+    :func:`accepts`, skips the depth-1 pushes that need more letters than
+    ``max_len`` leaves.  Raises :class:`SearchLimitError` if the
+    configuration budget is exceeded (the result would be incomplete), and
+    :class:`MachineError` if ``max_len`` is negative.
     """
     if max_len < 0:
         raise MachineError("max_len must be >= 0")
     if bounds is None:
         bounds = default_bounds(max_len)
-    index = automaton._index
     max_store = bounds.max_store_symbols
     max_configs = bounds.max_configurations
     yields = automaton._yield_tables(max_len)
@@ -1115,23 +1104,16 @@ def enumerate_language(automaton: Automaton, max_len: int,
         if cur.size == 0:
             accepted.add(emitted)
             continue
-        node = index.get((state, cur._topsym))
-        if node is None:
-            continue
-        for tid, letter, target, op, level, _payload, push_word in node[1]:
+        if yields is not None:
+            lows = yields.lows[yields.table_id(cur.flag, flag_tables)]
+        for tid, letter, target, nstore in _moves(automaton, state, cur):
             if letter is None:
                 nemit = emitted
             elif len(emitted) < max_len:
                 nemit = emitted + letter
             else:
                 continue
-            if op == 2 and yields is not None:
-                ftable = yields.table_id(cur.flag, flag_tables)
-                if yields.lows[ftable][tid] > max_len - len(nemit):
-                    continue
-            nstore = (st.pop(level, cur) if push_word is None
-                      else st.push(level, push_word, cur))
-            if nstore is None:
+            if yields is not None and lows[tid] > max_len - len(nemit):
                 continue
             if max_store is not None and nstore.size > max_store:
                 continue

@@ -260,8 +260,37 @@ def test_check_json_fields(capsys):
     assert doc["pass"] is True
     for row in doc["rows"]:
         assert set(row) == {"level", "len", "positive", "mutations",
-                            "rejected", "millis"}
+                            "rejected", "inconclusive", "millis"}
         assert row["rejected"] == row["mutations"] == 3
+
+
+def test_check_out_of_budget_verdicts_exit_2(capsys):
+    # Every verdict runs out of budget; none is wrong.
+    code, out, _ = run(capsys, "check", "--kind", "sector", "--system", "fib",
+                       "--root", "W", "--levels", "1..2", "--mutations", "1",
+                       "--max-configs", "1", "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    for row in doc["rows"]:
+        assert row["positive"] == "inconclusive"
+        assert (row["rejected"], row["inconclusive"]) == (0, 2)
+
+
+def test_check_out_of_budget_sweep_exits_2(capsys):
+    # The rows pass within the budget; the language enumeration does not.
+    args = ("check", "--kind", "sector", "--system", "fib", "--root", "W",
+            "--levels", "1..1", "--mutations", "1", "--exhaustive-len", "60",
+            "--max-configs", "300")
+    code, out, _ = run(capsys, *args)
+    assert code == 2
+    assert "exhaustive sweep <= 60: inconclusive" in out
+    assert out.strip().endswith("INCONCLUSIVE")
+    code, out, _ = run(capsys, *args, "--json")
+    doc = json.loads(out)
+    assert code == 2 and doc["pass"] is False
+    assert doc["exhaustive_ok"] is None
+    assert [row["positive"] for row in doc["rows"]] == ["accepted"]
 
 
 def test_check_exhaustive(capsys):

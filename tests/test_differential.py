@@ -173,9 +173,18 @@ def test_accepts_agrees_with_reference_bfs(automaton, word):
 @given(automata(), hst.lists(hst.sampled_from(LETTERS), max_size=4))
 def test_unmemoized_accepts_agrees_or_gives_up(automaton, word):
     bounds = SearchBounds(MAX_STORE, 10 ** 4)
-    verdict = mc.accepts(automaton, word, bounds, memoize=False)
+    verdict = mc.accepts(automaton, word, bounds, trace=True, memoize=False)
     status, _ = reference_accepts(automaton, word, MAX_STORE)
     assert verdict.status in (status, INCONCLUSIVE)
+    if verdict.status == ACCEPTED:
+        # A memo-free search passes branch points in its own order.
+        steps = verdict.trace
+        assert steps[0][0] == automaton.initial_configuration()
+        last, tid = steps[-1]
+        assert tid is None
+        assert last.position == len(word) and last.store.size == 0
+        for (cfg, tid), (nxt, _) in zip(steps, steps[1:]):
+            assert (nxt, tid) in mc.step(automaton, cfg, word)
 
 
 @settings(deadline=None, max_examples=100)

@@ -710,6 +710,41 @@ def test_reachable_lemma_instance_k3(fib):
     assert mc.reachable(fib, start, wrong, "aa").status == REJECTED
 
 
+def _assert_witness(automaton, start, goal, word, trace):
+    # The witness runs from start to goal, each entry stepping to the next.
+    assert trace[0][0] == start and trace[-1] == (goal, None)
+    for (cfg, tid), (nxt, _) in zip(trace, trace[1:]):
+        assert (nxt, tid) in mc.step(automaton, cfg, word)
+
+
+def test_reachable_witnesses(fib):
+    # A goal equal to the start, with a letter left, is its own witness.
+    cfg = Configuration("q0", 0, st.single("X1", 2))
+    assert mc.reachable(fib, cfg, cfg, "a", trace=True).trace == [(cfg, None)]
+    # The lemma instance k = 3 empties the store in 12 entries.
+    start = Configuration("q0", 0, st.single("X2", 2, ["F"] * 3))
+    goal = Configuration("q0", 3, st.empty(2))
+    v = mc.reachable(fib, start, goal, "aaa", trace=True)
+    _assert_witness(fib, start, goal, "aaa", v.trace)
+    assert len(v.trace) == 12
+
+
+def test_reachable_witness_stops_at_a_goal_partway(fib):
+    # The walk passes the guess loop's branch points and stops at the
+    # goal, with a letter and the store still left.
+    start = fib.initial_configuration()
+    goal = Configuration("q0", 1, st.parse("X2.X2[F]", 2))
+    v = mc.reachable(fib, start, goal, "aaa", trace=True)
+    assert v.status == ACCEPTED
+    _assert_witness(fib, start, goal, "aaa", v.trace)
+    assert [(c.state, c.position, st.render(c.store)) for c, _ in v.trace] == [
+        ("q0", 0, "Z"), ("q0", 0, "Z[F]"), ("q0", 0, "Z[F.F]"),
+        ("q0", 0, "Z[F.F.F]"), ("q0", 0, "X2[F.F.F]"), ("q2", 0, "X2[F.F]"),
+        ("q0", 0, "X1[F.F]"), ("q1", 0, "X1[F]"), ("q0", 0, "X1[F].X2[F]"),
+        ("q1", 0, "X1.X2[F]"), ("q0", 0, "X1.X2.X2[F]"),
+        ("q0", 1, "X2.X2[F]")]
+
+
 def test_reachable_rejects_stores_of_another_level(fib):
     ok = Configuration("q0", 0, st.single("X1", 2))
     for bad in (st.single("X1", 1), st.single("X1", 3, ["F"])):

@@ -317,12 +317,19 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
                                                     bounds)
         except machine.SearchLimitError:
             return report
-        expected = set()
+        # Each level word is the rule image of the one before, so once one
+        # repeats, so do the words from there on.  A ball's or an unsided
+        # sector's contour is a function of its level word; a sided
+        # sector's grows by its side markers, so its lengths end the loop.
+        repeats = kind == "ball" or not system.sided
+        expected, seen = set(), set()
         level = 0 if kind == "ball" else 1
-        while True:
-            length = contour.contour_length(spec, level)
-            if length > exhaustive_len:
-                break
+        while contour.contour_length(spec, level) <= exhaustive_len:
+            if repeats:
+                labels = grammar.level_word(system, root, level)
+                if labels in seen:
+                    break
+                seen.add(labels)
             expected.add(contour.contour_word(spec, level))
             level += 1
         report.exhaustive_ok = recognized == expected

@@ -69,6 +69,7 @@ the walked path, replayed from the choices made at branch points.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -169,6 +170,14 @@ class SearchBounds:
         if self.max_configurations is not None and self.max_configurations < 1:
             raise MachineError(
                 f"configuration budget must be >= 1, got {self.max_configurations}")
+
+
+def _limits(bounds: SearchBounds) -> tuple:
+    """The store bound and the budget of ``bounds``, each unlimited one as
+    infinity, which no store size or count reaches."""
+    store, budget = bounds.max_store_symbols, bounds.max_configurations
+    return (math.inf if store is None else store,
+            math.inf if budget is None else budget)
 
 
 def default_bounds(input_length: int) -> SearchBounds:
@@ -599,8 +608,7 @@ class _Codes:
     letter.  ``code`` maps each letter to its code and ``letter`` each
     code back; ``long`` lists the longer letters with their codes,
     longest first; ``singles`` and ``table`` are :meth:`str.translate`
-    tables that delete the one-character letters and all codes.
-    ``stepped`` is the last word :func:`step` read, with its codes."""
+    tables that delete the one-character letters and all codes."""
 
     def __init__(self, letters: Word):
         taken = set("".join(letters))
@@ -613,7 +621,6 @@ class _Codes:
                           if len(x) > 1)
         self.singles = dict.fromkeys(ord(x) for x in letters if len(x) == 1)
         self.table = dict.fromkeys(map(ord, self.letter))
-        self.stepped: tuple = (None, "")
 
     def spaced(self, text: str, n: int) -> Optional[str]:
         """The coded word of ``text``, ``n`` tokens joined by single
@@ -638,8 +645,9 @@ def _encode(automaton: Automaton, word) -> str:
     :func:`itpda.grammar.format_word` writes, read as
     :func:`itpda.grammar.parse_word` reads it, except that a text of one
     part that is not a run of one-character letters but is itself a
-    letter is read as that letter.  Raises :class:`UndeclaredLetterError`
-    naming the first token that is not a letter of ``automaton``."""
+    letter is read as that letter, and a sequence as its letters joined
+    by spaces.  Raises :class:`UndeclaredLetterError` naming the first
+    token that is not a letter of ``automaton``."""
     codes = automaton._codes
     if isinstance(word, str):
         text = word.strip()
@@ -658,30 +666,25 @@ def _encode(automaton: Automaton, word) -> str:
         word = parse_word(word)
     elif not isinstance(word, (tuple, list)):
         word = tuple(word)
-    if codes.long:
-        try:
-            return "".join(map(codes.code.__getitem__, word))
-        except KeyError:
-            pass
-    elif not word:
+    if not word:
         return ""
-    else:
-        # Every letter is one character: join, and check what was joined.
-        try:
-            text = " ".join(word)
-        except TypeError:  # a token that is not a str
-            text = None
-        if text is not None and text.count(" ") == len(word) - 1:
-            coded = codes.spaced(text, len(word))
-            if coded is not None:
-                return coded
+    # Join the tokens as format_word does, and check what was joined.
+    try:
+        text = " ".join(word)
+    except TypeError:  # a token that is not a str
+        text = None
+    if text is not None and text.count(" ") == len(word) - 1:
+        coded = codes.spaced(text, len(word))
+        if coded is not None:
+            return coded
     tok = next(tok for tok in word if tok not in codes.code)
     raise UndeclaredLetterError(
         f"input letter {tok!r} not in alphabet of {automaton.name or 'automaton'}")
 
 
 class _Coded(str):
-    """A word :func:`_encode` has read; :func:`accepts` takes it as it is."""
+    """A word :func:`_encode` has read; :func:`accepts`, :func:`reachable`
+    and :func:`step` take it as it is."""
 
     __slots__ = ()
 
@@ -690,16 +693,13 @@ def step(automaton: Automaton, config: Configuration,
          word) -> set[tuple[Configuration, int]]:
     """All one-step successors of ``config`` on ``word``, with the id of
     the transition applied.  Raises :class:`UndeclaredLetterError` if a
-    token of ``word`` is not a letter of ``automaton``.  The automaton
-    keeps the last tuple or str it stepped on with its codes, so that a
-    trace replays in time linear in the word."""
-    last, coded = automaton._codes.stepped
-    if word is not last:
-        coded = _encode(automaton, word)
-        if type(word) in (tuple, str):  # immutable: its codes stay valid
-            automaton._codes.stepped = (word, coded)
+    token of ``word`` is not a letter of ``automaton``.  ``word`` is read
+    as :func:`accepts` reads it: a :class:`_Coded` word as it is, so that
+    checking a trace step by step encodes its word once."""
+    if type(word) is not _Coded:
+        word = _encode(automaton, word)
     pos = config.position
-    nxt = coded[pos] if pos < len(coded) else None
+    nxt = word[pos] if pos < len(word) else None
     return {(Configuration(target, pos + (code is not None), nstore), tid)
             for tid, code, target, nstore
             in _moves(automaton, config.state, config.store)
@@ -794,8 +794,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
     """
     index = automaton._index
     n = len(word)
-    max_store = bounds.max_store_symbols
-    max_configs = bounds.max_configurations
+    max_store, max_configs = _limits(bounds)
     push = st.push
     pop = st.pop
 
@@ -902,8 +901,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 if summary is not None:
                     target, first, letters, k, peak, _ = summary
                     rest = cur.rest
-                    if ((max_store is None or rest.size + peak <= max_store)
-                            and (max_configs is None or count + k <= max_configs)
+                    if (rest.size + peak <= max_store
+                            and count + k <= max_configs
                             and pos > hi
                             and (not memoize or 1 << t.bit_length() >= t + k)
                             and word[pos:pos + letters]
@@ -978,7 +977,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         for sym in payload:
                             inner = Store_(flag_level, sym, eflag, inner)
                     nstore = Store_(cur.level, cur.symbol, inner, cur.rest)
-                if max_store is not None and nstore.size > max_store:
+                if nstore.size > max_store:
                     store_cut = True
                     continue
                 nnode = index.get((target, nstore._topsym), dead)
@@ -994,7 +993,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 if (npos == n and nstore.size == 0 if accept_mode
                         else (target, npos, nstore) == goal):
                     return finish(ACCEPTED, (path, tid) if branches else path)
-                if max_configs is not None and count > max_configs:
+                if count > max_configs:
                     return finish(INCONCLUSIVE)
                 if branches:
                     successors.append((target, npos, nstore, nnode,
@@ -1060,7 +1059,8 @@ def reachable(automaton: Automaton, start: Configuration, goal: Configuration,
     level, or :class:`MachineError` is raised.  ``word`` is read as
     :func:`accepts` reads it.
     """
-    word = _encode(automaton, word)
+    if type(word) is not _Coded:
+        word = _encode(automaton, word)
     for cfg in (start, goal):
         if cfg.store.level != automaton.levels:
             raise MachineError(
@@ -1090,8 +1090,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
         raise MachineError("max_len must be >= 0")
     if bounds is None:
         bounds = default_bounds(max_len)
-    max_store = bounds.max_store_symbols
-    max_configs = bounds.max_configurations
+    max_store, max_configs = _limits(bounds)
     yields = automaton._yield_tables(max_len)
     flag_tables: dict = {}
     accepted: set[str] = set()  # coded words
@@ -1115,14 +1114,14 @@ def enumerate_language(automaton: Automaton, max_len: int,
                 continue
             if yields is not None and lows[tid] > max_len - len(nemit):
                 continue
-            if max_store is not None and nstore.size > max_store:
+            if nstore.size > max_store:
                 continue
             ncfg = (target, nemit, nstore)
             if ncfg in seen:
                 continue
             seen.add(ncfg)
             count += 1
-            if max_configs is not None and count > max_configs:
+            if count > max_configs:
                 raise SearchLimitError(
                     "language enumeration exceeded the configuration budget")
             stack.append(ncfg)

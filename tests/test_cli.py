@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and the check report."""
 
 import json
+import threading
 from dataclasses import replace
 
 import pytest
@@ -298,6 +299,20 @@ def test_check_exhaustive(capsys):
                        "--root", "W", "--levels", "1..2", "--mutations", "2",
                        "--exhaustive-len", "14")
     assert code == 0 and "exhaustive sweep <= 14: ok" in out
+
+
+def test_exhaustive_sweep_ends_where_contour_lengths_stop_growing():
+    # A -> A: every level word is A, so every contour is a a.
+    unit = gr.SubstitutionSystem("unit", ("A",), {"A": ("A",)}, {"A": "a"}, (2,))
+    reports = []
+    worker = threading.Thread(
+        target=lambda: reports.append(cli.run_check(
+            "ball", unit, "A", 2, range(0, 2), 1, 1, exhaustive_len=6)),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "the exhaustive sweep did not end"
+    assert reports[0].exhaustive_ok is True
 
 
 def test_check_deterministic(capsys):

@@ -36,6 +36,7 @@ from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Pop, Push, SearchBounds, Transition)
+from witness import assert_witness
 
 STATES = ("q0", "q1", "q2")
 LETTERS = ("a", "b")
@@ -164,9 +165,8 @@ def test_accepts_agrees_with_reference_bfs(automaton, word):
         # again up to a remembered configuration, but never multiply work.
         assert verdict.configurations <= 4 * visited
     if verdict.status == ACCEPTED:
-        steps = verdict.trace
-        for (cfg, tid), (nxt, _) in zip(steps, steps[1:]):
-            assert (nxt, tid) in mc.step(automaton, cfg, word)
+        assert_witness(automaton, word, verdict.trace,
+                       automaton.initial_configuration())
 
 
 @settings(deadline=None, max_examples=200)
@@ -178,13 +178,8 @@ def test_unmemoized_accepts_agrees_or_gives_up(automaton, word):
     assert verdict.status in (status, INCONCLUSIVE)
     if verdict.status == ACCEPTED:
         # A memo-free search passes branch points in its own order.
-        steps = verdict.trace
-        assert steps[0][0] == automaton.initial_configuration()
-        last, tid = steps[-1]
-        assert tid is None
-        assert last.position == len(word) and last.store.size == 0
-        for (cfg, tid), (nxt, _) in zip(steps, steps[1:]):
-            assert (nxt, tid) in mc.step(automaton, cfg, word)
+        assert_witness(automaton, word, verdict.trace,
+                       automaton.initial_configuration())
 
 
 @settings(deadline=None, max_examples=100)

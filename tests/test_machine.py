@@ -15,6 +15,7 @@ from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
+from witness import assert_witness
 
 
 def T(state, letter, pattern, target, action):
@@ -182,8 +183,8 @@ def test_yield_cut_flagged_on_heights_too_tall(fib, n):
     # height too tall for a^n and the most yield every height too short.
     for h in range(12):
         x2 = st.single("X2", 2, ["F"] * h)
-        too_tall = least_yield(fib, "q0", x2) > n
-        assert too_tall != (most_yield(fib, "q0", x2) < n)
+        least, most = yields(fib, "q0", x2)
+        assert (least > n) != (most < n)
     # Each commit is dropped at once: only the guess loop runs, one
     # configuration per height, until the store bound stops it.
     v = mc.accepts(fib, "a" * n, memoize=False)
@@ -199,52 +200,28 @@ def test_yield_cut_flagged_on_heights_too_tall(fib, n):
 
 # --- least yields --------------------------------------------------------------------
 
-def least_yield(automaton, state, store):
-    """The tables' lower bound on the letters any run from ``state`` reads
-    to empty ``store``: the top element from ``state``, the others from
-    any state, each into any state; ``1 << 62`` when no run can."""
+def yields(automaton, state, store):
+    """The tables' bounds (least, most) on the letters any run from
+    ``state`` reads to empty ``store``: the top element from ``state``,
+    the others from any state, each into any state.  Both are capped at
+    ``1 << 62``, so least is ``1 << 62`` when no run can, and most is
+    ``1 << 62`` when unbounded and -1 when no run can."""
     tables = automaton._yield_tables(mc._YIELD_CAP - 1)
     nq = len(automaton.states)
     memo = {}
-    total = 0
+    least = most = 0
     for i, (sym, flag) in enumerate(store.entries()):
-        L, _ = tables.tables[tables.table_id(flag, memo)]
+        L, H = tables.tables[tables.table_id(flag, memo)]
         starts = [state] if i == 0 else automaton.states
-        total += min(L[tables.row[q, sym] * nq + j]
-                     for q in starts for j in range(nq))
-    return min(total, tables.cap)
-
-
-def most_yield(automaton, state, store):
-    """The tables' upper bound on the letters any run from ``state`` reads
-    to empty ``store``: the top element from ``state``, the others from
-    any state, each into any state; ``1 << 62`` when unbounded and -1
-    when no run can."""
-    tables = automaton._yield_tables(mc._YIELD_CAP - 1)
-    nq = len(automaton.states)
-    memo = {}
-    total = 0
-    for i, (sym, flag) in enumerate(store.entries()):
-        _, H = tables.tables[tables.table_id(flag, memo)]
-        starts = [state] if i == 0 else automaton.states
-        most = max(H[tables.row[q, sym] * nq + j]
-                   for q in starts for j in range(nq))
-        if most < 0:
-            return -1
-        total += most
-    return min(total, tables.cap)
+        at = [tables.row[q, sym] * nq + j for q in starts for j in range(nq)]
+        least += min(L[j] for j in at)
+        high = max(H[j] for j in at)
+        most = -1 if most < 0 or high < 0 else most + high
+    return min(least, tables.cap), min(most, tables.cap)
 
 
 TREE_BALLS = [(gr.fibonacci(), "W", 5), (gr.polygonal(6), "W", 6),
               (gr.dodecahedral(), "O", 8)]
-
-
-@pytest.mark.parametrize("system,root,sigma", TREE_BALLS)
-def test_least_yield_of_a_tree_root_is_its_level_count(system, root, sigma):
-    ball = ball_automaton(system, root, sigma)
-    for h in range(7):
-        flagged = st.single(root, 2, ["F"] * h)
-        assert least_yield(ball, "q0", flagged) == gr.total_count(system, root, h)
 
 
 @pytest.mark.parametrize("system,root,sigma", TREE_BALLS)
@@ -255,8 +232,7 @@ def test_most_yield_of_a_tree_root_is_its_level_count(system, root, sigma):
     for h in range(7):
         flagged = st.single(root, 2, ["F"] * h)
         count = gr.total_count(system, root, h)
-        assert most_yield(ball, "q0", flagged) == count
-        assert least_yield(ball, "q0", flagged) == count
+        assert yields(ball, "q0", flagged) == (count, count)
 
 
 def _one_level(*transitions, states="p q", store="Z"):
@@ -270,7 +246,7 @@ def test_most_yield_is_capped_on_a_cycle_that_reads():
     # Z can read any number of a's before b pops it.  The cap is 2^62, so
     # only a detected cycle, not rounds that climb to the cap, ends this.
     pump = _one_level("p a Z -> p push 1 Z", "p b Z -> p pop 1")
-    assert most_yield(pump, "p", pump.initial_store()) == 1 << 62
+    assert yields(pump, "p", pump.initial_store())[1] == 1 << 62
     assert mc.accepts(pump, "aaab").status == ACCEPTED
 
 
@@ -278,7 +254,7 @@ def test_most_yield_converges_on_a_cycle_that_reads_nothing():
     spin = _one_level("p eps Z -> q push 1 Z", "q eps Z -> p push 1 Z",
                       "p a Z -> p pop 1")
     for state in ("p", "q"):
-        assert most_yield(spin, state, spin.initial_store()) == 1
+        assert yields(spin, state, spin.initial_store())[1] == 1
     assert mc.accepts(spin, "a").status == ACCEPTED
     assert mc.accepts(spin, "aa").status == REJECTED
 
@@ -290,11 +266,11 @@ def test_most_yield_of_a_node_that_pushes_itself_stays_finite():
     node = _one_level("p eps Z -> q push 1 W", "q eps W -> p push 1 B W W W W",
                       "p a W -> p pop 1", "p b B -> p pop 1", store="Z W B")
     w = st.single("W", 1)
-    assert most_yield(node, "q", w) == 5 and least_yield(node, "q", w) == 5
-    assert most_yield(node, "p", node.initial_store()) == 5
+    assert yields(node, "q", w) == (5, 5)
+    assert yields(node, "p", node.initial_store())[1] == 5
     # Below the top, an element may be entered in either state.
     www = st.from_pairs(1, [("W", st.empty(0))] * 3)
-    assert most_yield(node, "p", www) == 1 + 5 + 5
+    assert yields(node, "p", www)[1] == 1 + 5 + 5
     assert mc.accepts(node, "baaaa").status == ACCEPTED
     assert mc.accepts(node, "baaaaa").status == REJECTED
 
@@ -304,8 +280,8 @@ def test_least_yield_of_x2_is_fibonacci(fib):
     while len(f) < 40:
         f.append(f[-1] + f[-2])
     for k in range(40):
-        assert least_yield(fib, "q0", st.single("X2", 2, ["F"] * k)) == f[k]
-    assert least_yield(fib, "q0", st.empty(2)) == 0
+        assert yields(fib, "q0", st.single("X2", 2, ["F"] * k))[0] == f[k]
+    assert yields(fib, "q0", st.empty(2))[0] == 0
 
 
 def test_least_yield_lets_an_element_grow_its_flag():
@@ -316,8 +292,8 @@ def test_least_yield_lets_an_element_grow_its_flag():
                               "t: q0 eps A -> q1 push 2 F\n"
                               "t: q1 a [A F] -> q1 pop 2\n"
                               "t: q1 a A -> q1 pop 1\n")
-    assert least_yield(grow, "q0", st.single("A", 2)) == 0
-    assert least_yield(grow, "q1", st.single("A", 2, ["F"])) == 2
+    assert yields(grow, "q0", st.single("A", 2))[0] == 0
+    assert yields(grow, "q1", st.single("A", 2, ["F"]))[0] == 2
     assert mc.accepts(grow, "aa").status == ACCEPTED
     assert mc.enumerate_language(grow, 3) == {("a", "a")}
 
@@ -327,7 +303,7 @@ def test_least_yield_is_capped_when_nothing_empties():
                       input_alphabet=("x",), store_alphabet=("Z",),
                       initial_symbol="Z",
                       transitions=(T("q", "x", ("Z",), "q", Push(1, ("Z",))),))
-    assert least_yield(stuck, "q", stuck.initial_store()) == 1 << 62
+    assert yields(stuck, "q", stuck.initial_store())[0] == 1 << 62
     v = mc.accepts(stuck, "xxx")
     assert (v.status, v.configurations, v.yield_cut) == (REJECTED, 1, True)
 
@@ -339,7 +315,7 @@ def test_yield_tables_walk_flags_deeper_than_the_recursion_limit(fib):
     v = mc.accepts(fib, "a" * 300, bounds, memoize=False)
     assert v.status == REJECTED and v.store_cut
     deep = st.single("X2", 2, ["F"] * (sys.getrecursionlimit() + 500))
-    assert least_yield(fibonacci_automaton(), "q0", deep) == 1 << 62
+    assert yields(fibonacci_automaton(), "q0", deep)[0] == 1 << 62
 
 
 GUESS = ("t: g eps Z -> g push 2 F\n" "t: g eps [Z F] -> g push 2 F\n"
@@ -364,7 +340,7 @@ def test_yield_tables_stop_at_the_cap_on_linear_yields():
     tables = linear._yields
     assert tables.cap == 256 and len(tables.tables) <= 256
     assert mc.accepts(linear, "a" * 200).status == ACCEPTED
-    assert least_yield(linear, "c", st.single("Z", 2, ["F"] * 300)) == 301
+    assert yields(linear, "c", st.single("Z", 2, ["F"] * 300))[0] == 301
 
 
 def test_yield_tables_that_repeat_are_shared():
@@ -377,7 +353,7 @@ def test_yield_tables_that_repeat_are_shared():
         assert mc.accepts(parity, word).status == status
         assert len(parity._yields.tables) == 2
     for d in (2, 3, 1500):
-        assert least_yield(parity, "c", st.single("Z", 2, ["F"] * d)) == (d + 1) % 2
+        assert yields(parity, "c", st.single("Z", 2, ["F"] * d))[0] == (d + 1) % 2
 
 
 def test_most_yield_tables_shared_across_flag_tops():
@@ -437,14 +413,8 @@ def test_trace_replays_under_step():
     for automaton, word, memoize in _trace_cases():
         v = mc.accepts(automaton, word, trace=True, memoize=memoize)
         assert v.status == ACCEPTED
-        trace = v.trace
-        first, _ = trace[0]
-        assert first == automaton.initial_configuration()
-        last, last_tid = trace[-1]
-        assert last_tid is None
-        assert last.position == len(word) and last.store.size == 0
-        for (cfg, tid), (nxt, _) in zip(trace, trace[1:]):
-            assert (nxt, tid) in mc.step(automaton, cfg, word)
+        assert_witness(automaton, word, v.trace,
+                       automaton.initial_configuration())
 
 
 def test_trace_absent_unless_requested(fib):
@@ -483,8 +453,7 @@ def test_tree_walk_exploration_is_pinned(case):
         assert (v.status, v.configurations) == (ACCEPTED, configs)
     trace = mc.accepts(automaton, word, bounds, trace=True).trace
     assert len(trace) == witness
-    for (cfg, tid), (nxt, _) in zip(trace, trace[1:]):
-        assert (nxt, tid) in mc.step(automaton, cfg, word)
+    assert_witness(automaton, word, trace, automaton.initial_configuration())
     variants = mutate(word, 7, 5, alphabet=automaton.input_alphabet)
     counts = []
     for mutant in variants:
@@ -613,8 +582,7 @@ def test_the_witness_is_the_walked_path():
         assert v.status == ACCEPTED
         assert [(c.state, c.position, st.render(c.store))
                 for c, _ in v.trace] == path
-        for (c, tid), (nxt, _) in zip(v.trace, v.trace[1:]):
-            assert (nxt, tid) in mc.step(pending, c, "aac")
+        assert_witness(pending, "aac", v.trace, pending.initial_configuration())
 
 
 def test_tracing_does_not_change_the_walk():
@@ -710,13 +678,6 @@ def test_reachable_lemma_instance_k3(fib):
     assert mc.reachable(fib, start, wrong, "aa").status == REJECTED
 
 
-def _assert_witness(automaton, start, goal, word, trace):
-    # The witness runs from start to goal, each entry stepping to the next.
-    assert trace[0][0] == start and trace[-1] == (goal, None)
-    for (cfg, tid), (nxt, _) in zip(trace, trace[1:]):
-        assert (nxt, tid) in mc.step(automaton, cfg, word)
-
-
 def test_reachable_witnesses(fib):
     # A goal equal to the start, with a letter left, is its own witness.
     cfg = Configuration("q0", 0, st.single("X1", 2))
@@ -725,7 +686,7 @@ def test_reachable_witnesses(fib):
     start = Configuration("q0", 0, st.single("X2", 2, ["F"] * 3))
     goal = Configuration("q0", 3, st.empty(2))
     v = mc.reachable(fib, start, goal, "aaa", trace=True)
-    _assert_witness(fib, start, goal, "aaa", v.trace)
+    assert_witness(fib, "aaa", v.trace, start, goal)
     assert len(v.trace) == 12
 
 
@@ -736,7 +697,7 @@ def test_reachable_witness_stops_at_a_goal_partway(fib):
     goal = Configuration("q0", 1, st.parse("X2.X2[F]", 2))
     v = mc.reachable(fib, start, goal, "aaa", trace=True)
     assert v.status == ACCEPTED
-    _assert_witness(fib, start, goal, "aaa", v.trace)
+    assert_witness(fib, "aaa", v.trace, start, goal)
     assert [(c.state, c.position, st.render(c.store)) for c, _ in v.trace] == [
         ("q0", 0, "Z"), ("q0", 0, "Z[F]"), ("q0", 0, "Z[F.F]"),
         ("q0", 0, "Z[F.F.F]"), ("q0", 0, "X2[F.F.F]"), ("q2", 0, "X2[F.F]"),

@@ -35,10 +35,9 @@ most letters an element reads (see ``_YieldTables``).  No accepting run
 breaks either bound, so the prunes change no verdict.  The builders'
 one branch point is the guess loop on its start symbol, alone on the
 store, so together they cut the tree walk of a guessed height at its
-commit, whether the height is
-too tall or too short for the word, and so every height of a word whose
-length no height yields.  Guess loops that grow a flag still run until
-the store bound stops them.
+commit, whether the height is too tall or too short for the word, and so
+every height of a word whose length no height yields.  Guess loops that
+grow a flag still run until the store bound stops them.
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -47,12 +46,10 @@ only the ones at which it can branch and a few on each path between
 them (see ``_search``).  No work is multiplied, every cycle is closed,
 and tree walks search in memory proportional to their depth, not to
 the configurations visited.  Between branch points the search follows
-the one successor in place, without the DFS stack.  It builds the store
-nodes of pops and pushes at depths 1 and 2 itself, one call of the
-:class:`itpda.store.Store` constructor per node and no call into
-:func:`itpda.store.pop` or :func:`itpda.store.push`; deeper operations go
-through those two.  :func:`step`, the witness replay and
-:func:`enumerate_language` step through one function, ``_moves``.
+the one successor in place, without the DFS stack, and it builds the
+store nodes of pops and pushes at depths 1 and 2 itself.  :func:`step`,
+the witness replay and :func:`enumerate_language` step through one
+function, ``_moves``.
 
 The acceptance search walks each repeated subtree once.  The run that
 removes a top element s[f] depends only on the state, s, f and the
@@ -61,9 +58,11 @@ completes between branch points, and matches a later copy of the same
 element against the input in one comparison instead of walking it
 (see ``_search``).  In a contour word every (label, height) pair's
 level word recurs, and all its copies share one flag, so a tree walk
-builds store nodes for the first copy of each pair only.  Counts,
-verdicts and witnesses are those of walking every copy: a witness is
-the walked path, replayed from the choices made at branch points.
+builds store nodes for the first copy of each pair only, with or
+without the memo, which takes a jumped copy as one step.  Counts,
+verdicts and witnesses are those of walking every copy (but see
+``Verdict``): a witness is the walked path, replayed from the choices
+made at branch points.
 """
 
 from __future__ import annotations
@@ -196,7 +195,8 @@ class Verdict:
     copy of a segment that the search jumped (see ``_search``) counts as
     the configurations walking it generates, so budgets, counts and the
     count ``itpda run`` prints mean what they mean for a search that walks
-    every copy.
+    every copy, save that under the memo a path meeting a jumped copy is
+    pruned at the copy's end or later, and counts what it walks of it.
     ``store_cut``: the store bound pruned a configuration.
     ``yield_cut``: a yield bound pruned one: a push whose new elements
     need more letters than are left, or one at a branch point on a store
@@ -677,7 +677,8 @@ def _encode(automaton: Automaton, word) -> str:
         coded = codes.spaced(text, len(word))
         if coded is not None:
             return coded
-    tok = next(tok for tok in word if tok not in codes.code)
+    # The tuple, not the dict: a token that is no str may be unhashable.
+    tok = next(tok for tok in word if tok not in automaton.input_alphabet)
     raise UndeclaredLetterError(
         f"input letter {tok!r} not in alphabet of {automaton.name or 'automaton'}")
 
@@ -745,14 +746,15 @@ def _search(automaton: Automaton, word: str, start: tuple,
     ``seen`` and pruned if it is there, but only some are added to it:
     those whose index key can branch (two transitions may fire) or has no
     transitions, and, between two such branch points, the 1st, 2nd, 4th,
-    8th, ... configuration after the last one.  Between branch points each
+    8th, ... configuration generated after the last one; a jumped copy
+    (below) generates one, its last.  Between branch points each
     configuration has at most one successor, so the search walks a single
     path there, and these few entries keep memory near the DFS depth on
     tree walks.  A path that meets the configuration another path
-    reached j steps after its branch point is pruned within j more
+    generated j steps after its branch point is pruned within j more
     steps, on the next remembered configuration of that path.  A cycle
     reads no letter, so it passes a branch point or lies on such a path,
-    and it is closed the same way.
+    and what it generates, jumps included, repeats: it is closed too.
 
     Only a branch point's successors go on the stack.  Anywhere else the
     loop walks on to the one successor in place (a chain walk): the
@@ -760,11 +762,9 @@ def _search(automaton: Automaton, word: str, start: tuple,
     the budget and the accept check see exactly what they would see had
     the successor been pushed and popped straight back.  Index entries
     carry an opcode, and the loop builds the nodes of pops and pushes at
-    depths 1 and 2 itself (see ``Automaton.__post_init__``): one ``Store``
-    constructor call per node, which computes the node's size, hash and
-    top chain, and no call into ``store.pop`` or ``store.push``: one more
-    function call per configuration costs tree walks a measurable share
-    of their time.
+    depths 1 and 2 itself (see ``Automaton.__post_init__``), one ``Store``
+    call per node: a call into ``store.pop`` or ``store.push`` per
+    configuration costs tree walks a measurable share of their time.
 
     In accept mode a chain walk also summarises segments, after the
     summary edges of interprocedural reachability.  A segment runs from a
@@ -784,13 +784,14 @@ def _search(automaton: Automaton, word: str, start: tuple,
     yield exceeds what is left, and it has no branch point for the most
     yield to cut.
 
-    Jumps also leave the memo as it was.  With ``memoize`` a copy jumps
-    only if none of its inner configurations has a count that is a power
-    of 2, so none would be remembered, and only from a position past
-    every configuration remembered before this chain walk began, so none
-    would be found: those remembered since are its ancestors, and a
-    completed copy cannot return to one.  A jump adds no link: the copy
-    has no branch point, and the replay walks it.
+    With ``memoize`` a jump is one step: its endpoint is looked up,
+    counted and remembered like a walked successor.  A copy jumps only
+    from a position past every configuration remembered before this
+    chain walk began (those remembered since are its ancestors, which a
+    completed copy cannot return to), so no jump passes a remembered
+    configuration to explore its suffix again.  A path meeting a jumped
+    copy is pruned at its end or later, counting at most the copy more.
+    A jump adds no link: the copy has no branch point; the replay walks it.
     """
     index = automaton._index
     n = len(word)
@@ -875,8 +876,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
             segs.clear()
             seg_rest = None
         hi = seen_hi if memoize else -1
-        # t: the configuration of this turn is the t-th of the chain walk,
-        # which begins at the start or at a successor of a branch point.
+        # t: the t-th configuration this chain walk generated, a jump one;
+        # the walk begins at the start or at a successor of a branch point.
         t = 0
         while True:  # one turn per configuration of a chain walk
             while cur is seg_rest:
@@ -904,7 +905,6 @@ def _search(automaton: Automaton, word: str, start: tuple,
                     if (rest.size + peak <= max_store
                             and count + k <= max_configs
                             and pos > hi
-                            and (not memoize or 1 << t.bit_length() >= t + k)
                             and word[pos:pos + letters]
                             == word[first:first + letters]):
                         # Jump over the copy to its last configuration.
@@ -912,11 +912,10 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         nnode = index.get((target, rest._topsym), dead)
                         ncfg = (target, npos, rest)
                         if memoize:
-                            t += k - 1
                             if ncfg in seen:
                                 count += k - 1
                                 break
-                            if nnode[0] or not (t + 1) & t:
+                            if keep_all or nnode[0]:
                                 seen.add(ncfg)
                                 if npos > seen_hi:
                                     seen_hi = npos
@@ -1030,7 +1029,7 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     keeps the store within its bound the search spins until the
     configuration budget runs out and reports Inconclusive.  It also
     explores paths that meet once per path, which can take exponentially
-    longer.  It saves one set lookup per configuration.
+    longer.  It saves one set lookup per configuration, not store work.
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points

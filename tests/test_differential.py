@@ -463,6 +463,8 @@ class _Word(tuple):
 def test_segment_jumps_change_nothing(case, memoize):
     # A jump over a copy of a segment must leave the verdict, its flags,
     # the configuration count and the witness as walking the copy would.
+    # Under the memo this holds on tree walks, where no two paths meet: a
+    # path that met a jumped copy would be pruned at its end, not inside.
     automaton, word, bounds = case
     start = (automaton.initial_state, 0, automaton.initial_store())
     jumping = _Word(word)
@@ -501,6 +503,37 @@ def test_epsilon_cycle_without_branch_point_is_closed():
                            mc.Configuration("p", 0, st.empty(1)), "")
     assert verdict.status == REJECTED
     assert verdict.configurations <= 2 * 4
+
+
+def _jumping_cycle(prefix):
+    # ``prefix`` states, s0 reading a and the others epsilon, push 1 Z
+    # their way to p, on the epsilon-cycle p Z -> q A.Z -> r B.Z -> p Z.
+    # Each round removes A in a segment of 2 configurations, and later
+    # rounds jump it.  At 3 levels there are no yield tables, so no yield
+    # cut ends the cycle: only the memo can.
+    states = ["s0", *(f"c{i}" for i in range(1, prefix)), "p"]
+    return mc.parse_automaton(
+        f"levels: 3\nstates: {' '.join(states)} q r\ninitial: s0\n"
+        "input: a\nstore: Z A B\nstart_symbol: Z\n"
+        + "".join(f"t: {q} {'eps' if i else 'a'} Z -> {nxt} push 1 Z\n"
+                  for i, (q, nxt) in enumerate(zip(states, states[1:])))
+        + "t: p eps Z -> q push 1 A Z\nt: q eps A -> r push 1 B\n"
+          "t: r eps B -> p pop 1\n")
+
+
+def test_the_memo_closes_a_cycle_whose_rounds_jump_a_segment():
+    # A jumped copy is one generated configuration.  The configurations a
+    # chain walk generates repeat with the cycle, and the memo remembers
+    # their 1st, 2nd, 4th, ..., so a later round meets one.  With 10
+    # prefix states the copy jumped from the 15th configuration walks
+    # through the 16th; with 17, the one jumped from the 31st the 32nd.
+    bounds = SearchBounds(100, 10 ** 5)
+    for prefix, count in ((4, 10), (10, 19), (13, 41), (17, 39)):
+        cycle = _jumping_cycle(prefix)
+        verdict = mc.accepts(cycle, "a", bounds)
+        assert (verdict.status, verdict.configurations) == (REJECTED, count)
+        spun = mc.accepts(cycle, "a", bounds, memoize=False)
+        assert spun.status == INCONCLUSIVE
 
 
 def test_path_meeting_another_is_pruned_at_its_next_remembered_step():

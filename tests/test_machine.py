@@ -79,6 +79,19 @@ def test_step_rejects_undeclared_letters(fib):
 
 # --- accepts -----------------------------------------------------------------------
 
+def test_unhashable_tokens_are_undeclared_letters(fib):
+    # The search of the first token that is no letter hashes only strs.
+    cfg = fib.initial_configuration()
+    for call in (lambda w: mc.accepts(fib, w),
+                 lambda w: mc.step(fib, cfg, w),
+                 lambda w: mc.reachable(fib, cfg, cfg, w)):
+        for word, tok in (([["a"]], ["a"]), (iter([["a"]]), ["a"]),
+                          (("a", {"a"}), {"a"})):
+            with pytest.raises(mc.UndeclaredLetterError) as err:
+                call(word)
+            assert f"input letter {tok!r} not" in str(err.value)
+
+
 def test_accepts_fibonacci_lengths(fib):
     assert mc.accepts(fib, "a" * 8)
     assert mc.accepts(fib, "a" * 8).status == ACCEPTED
@@ -423,6 +436,15 @@ def test_trace_absent_unless_requested(fib):
 
 # --- tree-walk exploration ------------------------------------------------------------
 
+class _CountingStore(st.Store):
+    built = 0
+    __slots__ = ()
+
+    def __init__(self, *args):
+        _CountingStore.built += 1
+        super().__init__(*args)
+
+
 # (system, root, kind, sigma, level, letters, configurations, witness
 # length, configurations of the 5 mutants of mutate(word, 7, 5)).
 TREE_WALKS = [
@@ -448,9 +470,16 @@ def test_tree_walk_exploration_is_pinned(case):
     assert len(word) == letters
     bounds = SearchBounds(suggested_store_bound(system, sigma, level),
                           10 ** 7)
+    built = []
     for memoize in (True, False):
-        v = mc.accepts(automaton, word, bounds, memoize=memoize)
+        _CountingStore.built = 0
+        with mock.patch.object(mc, "Store", _CountingStore):
+            v = mc.accepts(automaton, word, bounds, memoize=memoize)
         assert (v.status, v.configurations) == (ACCEPTED, configs)
+        built.append(_CountingStore.built)
+    # A jumped copy is one step under the memo too, so both searches
+    # build the same store nodes.
+    assert built[0] == built[1]
     trace = mc.accepts(automaton, word, bounds, trace=True).trace
     assert len(trace) == witness
     assert_witness(automaton, word, trace, automaton.initial_configuration())
@@ -502,23 +531,17 @@ def test_bounds_are_exact_at_their_edges(case, memoize):
     assert (v.status, v.configurations) == (INCONCLUSIVE, configs - 1)
 
 
-class _CountingStore(st.Store):
-    built = 0
-    __slots__ = ()
-
-    def __init__(self, *args):
-        _CountingStore.built += 1
-        super().__init__(*args)
-
-
 def test_repeated_subtrees_are_walked_once():
     # Every copy of a (label, height) subtree after the first is matched
     # against the input in one comparison, so the search builds store
     # nodes for a few copies only, though it counts every configuration.
+    # The memo stops no jump, so it builds the same nodes as a memo-free
+    # search.
     system = gr.polygonal(7)
     automaton = ball_automaton(system, "W", 7)
     word = contour_word(ContourSpec(system, "W", sigma=7, kind="ball"), 6)
     bounds = SearchBounds(suggested_store_bound(system, 7, 6), 10 ** 7)
+    built = []
     for memoize in (True, False):
         _CountingStore.built = 0
         with mock.patch.object(mc, "Store", _CountingStore):
@@ -526,6 +549,8 @@ def test_repeated_subtrees_are_walked_once():
         assert v.status == ACCEPTED
         assert v.configurations > 10 ** 5
         assert _CountingStore.built < v.configurations // 100
+        built.append(_CountingStore.built)
+    assert built[0] == built[1]
 
 
 def _two_paths(*transitions, states):
@@ -541,19 +566,22 @@ def _two_paths(*transitions, states):
           "t: w c Y -> w pop 1\nt: r a Z -> w push 1 B Y\n")
 
 
-def test_jumps_keep_what_the_memo_would_remember_and_prune():
-    # The path through the copy goes first.  (w, 1, B.Y) is the 8th
-    # configuration after the branch point, so the memo remembers it, and
-    # the other path is pruned there: the copy must be walked.
+def test_a_path_meeting_a_jumped_copy_is_pruned_at_its_end():
+    # The path through the copy goes first.  Under the memo a jumped copy
+    # is one step: its last configuration, (w, 2, Y), is the 8th the path
+    # generates after the branch point, so the memo remembers it.  The
+    # other path passes (w, 1, B.Y), inside the copy, and is pruned one
+    # step later, at (w, 2, Y).
     first = _two_paths("s eps Z -> p push 1 Z", "s eps Z -> r push 1 Z",
                        "p eps Z -> p2 push 1 Z", "p2 eps Z -> p3 push 1 Z",
                        "p3 eps Z -> p4 push 1 Z", "p4 eps Z -> w push 1 A A Y",
                        states="p p2 p3 p4")
-    # The other path goes first and leaves (w, 1, B.Y) remembered, so the
-    # copy is pruned there: it must be walked again.
+    # The other path goes first and leaves (w, 1, B.Y) remembered.  The
+    # copy starts at a position no further, so it does not jump, which
+    # could pass that configuration: it is walked and pruned there.
     second = _two_paths("s eps Z -> r push 1 Z", "s eps Z -> p push 1 Z",
                         "p eps Z -> w push 1 A A Y", states="p")
-    for automaton, memo_count, count in ((first, 11, 13), (second, 8, 10)):
+    for automaton, memo_count, count in ((first, 12, 13), (second, 8, 10)):
         for memoize, expected in ((True, memo_count), (False, count)):
             v = mc.accepts(automaton, "aab", memoize=memoize)
             assert (v.status, v.configurations) == (REJECTED, expected)

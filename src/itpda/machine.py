@@ -369,14 +369,15 @@ class _YieldTables:
     states would feed the node's own entry back into it, and every tree
     element would come out unbounded.
 
-    The push 1 inequalities are solved one strongly connected group of
-    symbols at a time, dependencies first.  A rule's value is its letter plus
-    the entries it reads, so an entry's best derivation repeats no entry,
-    and a group settles within one round per entry, as in Knuth's grammar
-    problem ("A generalization of Dijkstra's algorithm", IPL 1977).  L always
-    settles so.  An H still rising after those rounds has a cycle that reads
-    a letter, and its entries are set to the cap at once instead of climbing
-    there.
+    The push 1 inequalities are solved in plain rounds over all of them, as
+    in Knuth's grammar problem ("A generalization of Dijkstra's algorithm",
+    IPL 1977).  A rule's value is its letter plus the entries it reads.  A
+    repeated entry on a path of a derivation either reads no letter between
+    its two places, and is cut out at no loss, or reads one, and its entry
+    is unbounded.  So every L and every finite H is reached by a derivation
+    that repeats no entry, and is final after one round per entry.  An H
+    that still rises after those rounds is unbounded, and is set to the cap
+    at once instead of climbing there.
 
     Every entry is capped at ``cap``, which exceeds the input lengths the
     tables are asked about, so an L at the cap still prunes, an H at the cap
@@ -396,21 +397,20 @@ class _YieldTables:
         self.cap = cap
         states, symbols = automaton.states, automaton.store_alphabet
         nq = self._nq = len(states)
-        nsym = len(symbols)
+        nsym = self._nsym = len(symbols)
         state_id = {q: i for i, q in enumerate(states)}
-        sym_id = self._sym_id = {s: i for i, s in enumerate(symbols)}
+        sym_id = {s: i for i, s in enumerate(symbols)}
         self.row = {(q, s): state_id[q] * nsym + sym_id[s]
                     for q in states for s in symbols}
-        self._rows_of = [range(sym_id[s], nq * nsym, nsym) for s in symbols]
         self._size = nq * nsym * nq
         self._ntrans = len(automaton.transitions)
         # Per flag top (None: the flag is empty): ends (row, exit, letter),
-        # pops (row, letter, row in the rest's table), grows (row, letter),
-        # and push groups (push 1 rules (row, letter, target, word), rows,
-        # rounds) in dependency order.  _pushes: the depth-1 pushes of a
-        # nonempty word (transition id, target, word), whatever their
-        # pattern, since a table is shared by every flag with its entries.
-        rules: dict = {}
+        # pops (row, letter, row in the rest's table), grows (row, letter)
+        # and push 1 rules (row, letter, target, word).  _pushes: the
+        # depth-1 pushes of a nonempty word (transition id, target, word),
+        # whatever their pattern, since a table is shared by every flag
+        # with its entries.
+        rules = self._rules = {}
         self._pushes = []
         for i, t in enumerate(automaton.transitions):
             top = t.pattern[1] if len(t.pattern) == 2 else None
@@ -432,8 +432,6 @@ class _YieldTables:
                 pushes.append((at, cost, target, word))
             else:
                 ends.append((at, target, cost))
-        self._rules = {top: (ends, pops, grows, self._groups(pushes))
-                       for top, (ends, pops, grows, pushes) in rules.items()}
         # Tables are kept for the life of the automaton, so each is a pair
         # of compact arrays, found again by its hash.
         self.tables: list[tuple] = []      # table id -> (L, H)
@@ -468,40 +466,12 @@ class _YieldTables:
             memo[flag._hash] = (flag, tid)
         return tid
 
-    def _groups(self, pushes):
-        """Push 1 rules grouped by the strongly connected component of the
-        symbol they rewrite, in the symbol graph s -> letters of w, with
-        every group after the groups it reads; each with its rows and the
-        rounds after which a group still rising is unbounded."""
-        edges: dict = {}
-        for at, _cost, _target, word in pushes:
-            edges.setdefault(at % len(self._sym_id), set()).update(word)
-        reach = {}
-        for s in edges:
-            seen, todo = {s}, [s]
-            while todo:
-                for u in edges.get(todo.pop(), ()):
-                    if u not in seen:
-                        seen.add(u)
-                        todo.append(u)
-            reach[s] = seen
-        groups: dict = {}
-        for rule in pushes:
-            s = rule[0] % len(self._sym_id)
-            scc = frozenset(u for u in reach[s] if s in reach.get(u, ()))
-            groups.setdefault(scc, []).append(rule)
-        out = []
-        for scc in sorted(groups, key=lambda c: len(reach[next(iter(c))])):
-            rows = [r for s in scc for r in self._rows_of[s]]
-            out.append((groups[scc], rows, len(rows) * self._nq + 1))
-        return out
-
     def _chain(self, L, H, state, word):
         """The fewest and the most letters the elements of ``word`` read,
         the first on top in ``state``: two lists by the state the last one
         leaves in.  H is ``_NEVER`` only where L is the cap, so a state
         that no run leaves in is skipped for both."""
-        nq, nsym, cap = self._nq, len(self._sym_id), self.cap
+        nq, nsym, cap = self._nq, self._nsym, self.cap
         at = (state * nsym + word[0]) * nq
         low, high = L[at:at + nq], H[at:at + nq]
         for s in word[1:]:
@@ -523,10 +493,10 @@ class _YieldTables:
     def _add(self, top, rest_id) -> int:
         """Id of the table of a flag with top ``top`` over a flag with
         table ``rest_id`` (both None: the empty flag)."""
-        nq, cap = self._nq, self.cap
-        L = [cap] * self._size
-        H = [_NEVER] * self._size
-        ends, pops, grows, groups = self._rules.get(top, ((), (), (), ()))
+        nq, cap, size = self._nq, self.cap, self._size
+        L = [cap] * size
+        H = [_NEVER] * size
+        ends, pops, grows, pushes = self._rules.get(top, ((), (), (), ()))
         for at, exit_, cost in ends:
             j = at * nq + exit_
             L[j] = min(L[j], cost)
@@ -543,37 +513,30 @@ class _YieldTables:
             for j in range(at * nq, (at + 1) * nq):
                 L[j] = min(L[j], cost)
                 H[j] = cap
-        # The chains of the last round of each settled group, by (target,
-        # word): that round changed nothing, and later groups change no
-        # entry they read, so they serve the lows and highs below.
-        settled: dict = {}
-        for rules, rows, rounds in groups:
-            for _ in range(rounds):
-                changed = False
-                chains: dict = {}
-                for at, cost, target, word in rules:
-                    chain = chains.get((target, word))
-                    if chain is None:
-                        chain = chains[target, word] = self._chain(
-                            L, H, target, word)
-                    j = at * nq
-                    for x, y in zip(*chain):
-                        if cost + x < L[j]:
-                            L[j] = cost + x
-                            changed = True
-                        if y >= 0 and min(cost + y, cap) > H[j]:
-                            H[j] = min(cost + y, cap)
-                            changed = True
-                        j += 1
-                if not changed:
-                    settled.update(chains)
-                    break
-            else:
-                # H still rising: a cycle through the group reads a letter.
-                for at in rows:
-                    for j in range(at * nq, (at + 1) * nq):
-                        if H[j] >= 0:
-                            H[j] = cap
+        # Rounds over the push 1 rules until one changes nothing.  Every
+        # finite H is final after a round per entry, so an H that still
+        # rises from round _size on is unbounded and goes to the cap at
+        # once.  The chains of the last round, by (target, word), serve the
+        # lows and highs below.
+        for rounds in itertools.count(1):
+            changed = False
+            chains: dict = {}
+            for at, cost, target, word in pushes:
+                chain = chains.get((target, word))
+                if chain is None:
+                    chain = chains[target, word] = self._chain(
+                        L, H, target, word)
+                j = at * nq
+                for x, y in zip(*chain):
+                    if cost + x < L[j]:
+                        L[j] = cost + x
+                        changed = True
+                    if y >= 0 and min(cost + y, cap) > H[j]:
+                        H[j] = min(cost + y, cap) if rounds < size else cap
+                        changed = True
+                    j += 1
+            if not changed:
+                break
         L, H = array("q", L), array("q", H)
         key = hash(L.tobytes() + H.tobytes())
         tid = self._ids.get(key)
@@ -582,7 +545,7 @@ class _YieldTables:
         lows = [0] * self._ntrans
         highs = [0] * self._ntrans
         for i, target, word in self._pushes:
-            chain = settled.get((target, word)) or self._chain(
+            chain = chains.get((target, word)) or self._chain(
                 L, H, target, word)
             lows[i], highs[i] = min(chain[0]), max(chain[1])
         self.tables.append((L, H))
@@ -949,9 +912,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 elif op == 2:
                     flag = cur.flag
                     if yields is not None:
-                        hit = flag_tables.get(flag._hash)
-                        ftable = (hit[1] if hit is not None and hit[0] is flag
-                                  else yields.table_id(flag, flag_tables))
+                        ftable = yields.table_id(flag, flag_tables)
                         if lows_of[ftable][tid] > n - npos or (
                                 branches and cur.rest.size == 0
                                 and highs_of[ftable][tid] < n - npos):

@@ -325,10 +325,21 @@ TWO_PATHS = Automaton(
                  Transition("q1", "a", ("B",), "q2", Pop(1)),
                  Transition("q2", None, ("B",), "q2", Pop(1))))
 
+# A and B push each other, and only B reads unboundedly many letters: A's
+# push never completes (C has no transition), so A's most yield is 1.
+A_BESIDE_B = mc.parse_automaton(
+    "levels: 1\nstates: p q\ninitial: p\ninput: a b\nstore: Z A B C\n"
+    "start_symbol: Z\n"
+    + "".join(f"t: {t}\n" for t in (
+        "p eps Z -> p push 1 A", "p eps Z -> p push 1 B",
+        "p a A -> p pop 1", "p b A -> p push 1 A B C",
+        "p b B -> p push 1 B A A", "p eps B -> p pop 1")))
+
 
 @settings(deadline=None, max_examples=200)
 @given(hst.one_of(automata(max_levels=2), automata(guess=True)))
 @example(TWO_PATHS)
+@example(A_BESIDE_B)
 def test_runs_read_within_the_yield_bounds(automaton):
     # The tables count letters, not which letters they are.  Every
     # configuration of a run that empties the store has between the least

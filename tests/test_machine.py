@@ -234,7 +234,8 @@ def yields(automaton, state, store):
 
 
 TREE_BALLS = [(gr.fibonacci(), "W", 5), (gr.polygonal(6), "W", 6),
-              (gr.dodecahedral(), "O", 8)]
+              (gr.dodecahedral(), "O", 8), (gr.polygonal(7), "W", 7),
+              (gr.cell120(), "9", 16)]
 
 
 @pytest.mark.parametrize("system,root,sigma", TREE_BALLS)
@@ -286,6 +287,23 @@ def test_most_yield_of_a_node_that_pushes_itself_stays_finite():
     assert yields(node, "p", www)[1] == 1 + 5 + 5
     assert mc.accepts(node, "baaaa").status == ACCEPTED
     assert mc.accepts(node, "baaaaa").status == REJECTED
+
+
+def test_most_yield_is_exact_beside_a_cycle_that_reads():
+    # A and B push each other, and B reads any number of b's.  C has no
+    # transition, so A's push never completes and A reads one letter: its
+    # most yield stays finite although A and B reach each other.
+    cycle = ("p a A -> p pop 1", "p b A -> p push 1 A B C",
+             "p b B -> p push 1 B A A", "p eps B -> p pop 1")
+    pair = _one_level(*cycle, store="Z A B C")
+    assert yields(pair, "p", st.single("A", 1)) == (1, 1)
+    assert yields(pair, "p", st.single("B", 1))[1] == 1 << 62
+    # Z becomes A or B; the most yield of A cuts its branch for "aa".
+    pick = _one_level("p eps Z -> p push 1 A", "p eps Z -> p push 1 B",
+                      *cycle, store="Z A B C")
+    v = mc.accepts(pick, "aa")
+    assert (v.status, v.configurations, v.yield_cut) == (REJECTED, 3, True)
+    assert mc.accepts(pick, "a").status == ACCEPTED
 
 
 def test_least_yield_of_x2_is_fibonacci(fib):

@@ -369,15 +369,17 @@ class _YieldTables:
     states would feed the node's own entry back into it, and every tree
     element would come out unbounded.
 
-    The push 1 inequalities are solved in plain rounds over all of them, as
-    in Knuth's grammar problem ("A generalization of Dijkstra's algorithm",
-    IPL 1977).  A rule's value is its letter plus the entries it reads.  A
-    repeated entry on a path of a derivation either reads no letter between
-    its two places, and is cut out at no loss, or reads one, and its entry
-    is unbounded.  So every L and every finite H is reached by a derivation
-    that repeats no entry, and is final after one round per entry.  An H
-    that still rises after those rounds is unbounded, and is set to the cap
-    at once instead of climbing there.
+    The push 1 inequalities are solved in plain rounds, as in Knuth's
+    grammar problem ("A generalization of Dijkstra's algorithm", IPL 1977);
+    a round skips a rule when no symbol of its word had an entry changed in
+    the round before.  A rule's value is its letter plus the entries it
+    reads.  A repeated entry on a path of a derivation either reads no
+    letter between its two places, and is cut out at no loss, or reads one,
+    and its entry is unbounded.  So every L and every finite H is reached
+    by a derivation that repeats no entry, and is final after one round per
+    live entry (H >= 0).  Entries turn live in the order of their shallowest
+    derivations, so once no more are live than rounds have passed, all are,
+    and an H that still rises is unbounded and set to the cap at once.
 
     Every entry is capped at ``cap``, which exceeds the input lengths the
     tables are asked about, so an L at the cap still prunes, an H at the cap
@@ -493,7 +495,7 @@ class _YieldTables:
     def _add(self, top, rest_id) -> int:
         """Id of the table of a flag with top ``top`` over a flag with
         table ``rest_id`` (both None: the empty flag)."""
-        nq, cap, size = self._nq, self.cap, self._size
+        nq, nsym, cap, size = self._nq, self._nsym, self.cap, self._size
         L = [cap] * size
         H = [_NEVER] * size
         ends, pops, grows, pushes = self._rules.get(top, ((), (), (), ()))
@@ -513,27 +515,29 @@ class _YieldTables:
             for j in range(at * nq, (at + 1) * nq):
                 L[j] = min(L[j], cost)
                 H[j] = cap
-        # Rounds over the push 1 rules until one changes nothing.  Every
-        # finite H is final after a round per entry, so an H that still
-        # rises from round _size on is unbounded and goes to the cap at
-        # once.  The chains of the last round, by (target, word), serve the
-        # lows and highs below.
+        # Rounds until one changes nothing (see above); an H rising once
+        # no more entries are live than rounds have passed goes to the cap.
+        # chains: (target, word) -> (round made, chain), final at the end.
+        chains: dict = {}
+        changed = set(range(nsym))
         for rounds in itertools.count(1):
-            changed = False
-            chains: dict = {}
+            dirty, changed = changed, set()
+            live = size - H.count(_NEVER)
             for at, cost, target, word in pushes:
-                chain = chains.get((target, word))
-                if chain is None:
-                    chain = chains[target, word] = self._chain(
-                        L, H, target, word)
+                if dirty.isdisjoint(word):
+                    continue
+                made, chain = chains.get((target, word), (0, None))
+                if made < rounds:
+                    chain = self._chain(L, H, target, word)
+                    chains[target, word] = rounds, chain
                 j = at * nq
                 for x, y in zip(*chain):
                     if cost + x < L[j]:
                         L[j] = cost + x
-                        changed = True
+                        changed.add(at % nsym)
                     if y >= 0 and min(cost + y, cap) > H[j]:
-                        H[j] = min(cost + y, cap) if rounds < size else cap
-                        changed = True
+                        H[j] = min(cost + y, cap) if rounds <= live else cap
+                        changed.add(at % nsym)
                     j += 1
             if not changed:
                 break
@@ -545,7 +549,7 @@ class _YieldTables:
         lows = [0] * self._ntrans
         highs = [0] * self._ntrans
         for i, target, word in self._pushes:
-            chain = chains.get((target, word)) or self._chain(
+            chain = chains.get((target, word), (0, None))[1] or self._chain(
                 L, H, target, word)
             lows[i], highs[i] = min(chain[0]), max(chain[1])
         self.tables.append((L, H))

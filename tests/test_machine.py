@@ -306,6 +306,18 @@ def test_most_yield_is_exact_beside_a_cycle_that_reads():
     assert mc.accepts(pick, "a").status == ACCEPTED
 
 
+def test_most_yield_found_one_entry_per_round_is_not_capped():
+    # S0 pushes S1, ..., S7 pushes S8, each reading an a, and S8 pops
+    # reading one.  With S0's rule first, each round finds one more entry,
+    # so the rounds never outnumber the live entries: no H is taken for
+    # unbounded, and S0 reads exactly nine letters.
+    syms = [f"S{i}" for i in range(9)]
+    rules = [f"p a {s} -> p push 1 {t}" for s, t in zip(syms, syms[1:])]
+    chain = _one_level(*rules, "p a S8 -> p pop 1",
+                       store="Z " + " ".join(syms))
+    assert yields(chain, "p", st.single("S0", 1)) == (9, 9)
+
+
 def test_least_yield_of_x2_is_fibonacci(fib):
     f = [1, 1]
     while len(f) < 40:

@@ -8,12 +8,15 @@ search side holds less: it reads the word as one str of one-character
 letter codes, one byte per letter, and ``itpda run`` encodes its word
 file straight into that str.  Exits 1 when a level is not accepted.
 
-Each level prints the time to build the word, then two runs of the
-recognizer on it.  The first run on the automaton also builds its yield
-tables; the second, warm run times the search alone.  The rate is in
-letters of input per second of the warm run.  The search jumps over the
-repeated subtrees of a tree walk, so the configurations a verdict counts
-are mostly never built, and a count per second would not measure a step.
+Each level prints the time to build the word, the time a fresh copy of
+the automaton takes to build its yield tables for the flags of the guessed
+heights 0 .. level (through ``table_id``, at the cap of the word's
+length), then two runs of the recognizer on the word.  The first run on
+the automaton also builds its yield tables; the second, warm run times
+the search alone.  The rate is in letters of input per second of the
+warm run.  The search jumps over the repeated subtrees of a tree walk, so
+the configurations a verdict counts are mostly never built, and a count
+per second would not measure a step.
 The last column times ``itpda run`` (in this process) on the level's
 word file, written to a temporary directory: reading the automaton file
 and the word file, encoding the word and the search, yield tables
@@ -22,6 +25,7 @@ included.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import sys
 import tempfile
@@ -29,10 +33,11 @@ import time
 from pathlib import Path
 
 from itpda import cli
+from itpda import store as st
 from itpda.builders import sector_automaton, suggested_store_bound
 from itpda.contour import ContourSpec, sector_contour
 from itpda.grammar import cell120, format_word
-from itpda.machine import SearchBounds, accepts, render_automaton
+from itpda.machine import Push, SearchBounds, accepts, render_automaton
 
 
 def time_run(automaton_file: Path, word_file: Path, max_store: int):
@@ -43,6 +48,21 @@ def time_run(automaton_file: Path, word_file: Path, max_store: int):
         t0 = time.perf_counter()
         code = cli.main(argv)
         return time.perf_counter() - t0, code
+
+
+def time_tables(automaton, letters: int, level: int) -> float:
+    """Seconds a fresh copy of ``automaton`` takes to build its yield
+    tables for the flags of heights 0 .. ``level``, at the cap of a word
+    of ``letters`` letters."""
+    fresh = dataclasses.replace(automaton)
+    marker = next(t.action.word[0] for t in fresh.transitions
+                  if isinstance(t.action, Push) and t.action.level == 2)
+    t0 = time.perf_counter()
+    tables, memo = fresh._yield_tables(letters), {}
+    for height in range(level + 1):
+        tables.table_id(st.from_pairs(1, [(marker, st.empty(0))] * height),
+                        memo)
+    return time.perf_counter() - t0
 
 
 def main():
@@ -65,6 +85,7 @@ def main():
             build = time.perf_counter() - t0
             max_store = suggested_store_bound(system, 1, level)
             bounds = SearchBounds(max_store, None)
+            tables = time_tables(automaton, len(word), level)
             runs = []
             for _ in range(2):
                 t0 = time.perf_counter()
@@ -79,6 +100,7 @@ def main():
             run, code = time_run(automaton_file, word_file, max_store)
             failed = failed or code != 0
             print(f"level {level}: {letters:>12} letters  build {build:6.3f}s  "
+                  f"tables {tables * 1e3:5.1f}ms  "
                   f"{verdict.status}  {verdict.configurations} configs  "
                   f"first {first:6.3f}s  warm {warm:6.3f}s  "
                   f"({rate:.2f}M letters/s)  itpda run {run:6.3f}s"

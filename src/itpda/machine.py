@@ -370,16 +370,18 @@ class _YieldTables:
     element would come out unbounded.
 
     The push 1 inequalities are solved in plain rounds, as in Knuth's
-    grammar problem ("A generalization of Dijkstra's algorithm", IPL 1977);
-    a round skips a rule when no symbol of its word had an entry changed in
-    the round before.  A rule's value is its letter plus the entries it
-    reads.  A repeated entry on a path of a derivation either reads no
-    letter between its two places, and is cut out at no loss, or reads one,
-    and its entry is unbounded.  So every L and every finite H is reached
-    by a derivation that repeats no entry, and is final after one round per
-    live entry (H >= 0).  Entries turn live in the order of their shallowest
-    derivations, so once no more are live than rounds have passed, all are,
-    and an H that still rises is unbounded and set to the cap at once.
+    grammar problem ("A generalization of Dijkstra's algorithm", IPL 1977).
+    A rule's value is its letter plus the chain over its word, and the
+    chain depends only on the rows (q, s) it read (see ``_chain``), so a
+    round skips a rule when none of those rows had an entry changed in the
+    round before: the rule would give what it gave.  A repeated entry on a
+    path of a derivation either reads no letter between its two places, and
+    is cut out at no loss, or reads one, and its entry is unbounded.  So
+    every L and every finite H is reached by a derivation that repeats no
+    entry, and is final after one round per live entry (H >= 0).  Entries
+    turn live in the order of their shallowest derivations, so once no
+    more are live than rounds have passed, all are, and an H that still
+    rises is unbounded and set to the cap at once.
 
     Every entry is capped at ``cap``, which exceeds the input lengths the
     tables are asked about, so an L at the cap still prunes, an H at the cap
@@ -444,37 +446,50 @@ class _YieldTables:
         self._add(None, None)
 
     def table_id(self, flag: Store, memo: dict) -> int:
-        """Table id of ``flag``.  ``memo`` maps a flag's hash to (flag,
-        table id) for flags seen before; the walk down the flag is a loop,
-        so flags deeper than the recursion limit are fine."""
+        """Table id of ``flag``.  ``memo`` maps the id of a flag seen
+        before to (flag, table id), and gains every suffix of ``flag``;
+        holding the flag keeps its id from being reused.  The walk down
+        the flag is a loop, so flags deeper than the recursion limit are
+        fine."""
         chain = []
         while True:
-            hit = memo.get(flag._hash)
-            if hit is not None and hit[0] is flag:
+            hit = memo.get(id(flag))
+            if hit is not None:
                 tid = hit[1]
                 break
             if flag.symbol is None:
                 tid = 0
-                memo[flag._hash] = (flag, tid)
+                memo[id(flag)] = (flag, tid)
                 break
             chain.append(flag)
             flag = flag.rest
         for flag in reversed(chain):
-            key = (flag.symbol, tid)
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._add(flag.symbol, tid)
-            tid = child
-            memo[flag._hash] = (flag, tid)
+            tid = self.child(flag.symbol, tid)
+            memo[id(flag)] = (flag, tid)
+        return tid
+
+    def child(self, top: str, rest_id: int) -> int:
+        """Table id of a flag with top ``top`` over a flag with table
+        ``rest_id``, built on first use."""
+        key = (top, rest_id)
+        tid = self._children.get(key)
+        if tid is None:
+            tid = self._children[key] = self._add(top, rest_id)
         return tid
 
     def _chain(self, L, H, state, word):
         """The fewest and the most letters the elements of ``word`` read,
         the first on top in ``state``: two lists by the state the last one
-        leaves in.  H is ``_NEVER`` only where L is the cap, so a state
-        that no run leaves in is skipped for both."""
+        leaves in, and the rows it read.  H is ``_NEVER`` only where L is
+        the cap, so a state that no run leaves in is skipped for both, and
+        the rows read are (``state``, first symbol) and, for each later
+        symbol s, (p, s) for every state p the elements before it can
+        leave in.  The chain depends on those rows alone: the states it
+        skips follow from the rows before."""
         nq, nsym, cap = self._nq, self._nsym, self.cap
-        at = (state * nsym + word[0]) * nq
+        row = state * nsym + word[0]
+        rows = [row]
+        at = row * nq
         low, high = L[at:at + nq], H[at:at + nq]
         for s in word[1:]:
             lo, hi = [cap] * nq, [_NEVER] * nq
@@ -482,7 +497,9 @@ class _YieldTables:
                 if y < 0:
                     continue
                 x = low[p]
-                at = (p * nsym + s) * nq
+                row = p * nsym + s
+                rows.append(row)
+                at = row * nq
                 for q2 in range(nq):
                     if x + L[at + q2] < lo[q2]:
                         lo[q2] = x + L[at + q2]
@@ -490,12 +507,12 @@ class _YieldTables:
                     if v >= 0 and y + v > hi[q2]:
                         hi[q2] = y + v
             low, high = lo, [v if v < cap else cap for v in hi]
-        return low, high
+        return low, high, rows
 
     def _add(self, top, rest_id) -> int:
         """Id of the table of a flag with top ``top`` over a flag with
         table ``rest_id`` (both None: the empty flag)."""
-        nq, nsym, cap, size = self._nq, self._nsym, self.cap, self._size
+        nq, cap, size = self._nq, self.cap, self._size
         L = [cap] * size
         H = [_NEVER] * size
         ends, pops, grows, pushes = self._rules.get(top, ((), (), (), ()))
@@ -517,27 +534,28 @@ class _YieldTables:
                 H[j] = cap
         # Rounds until one changes nothing (see above); an H rising once
         # no more entries are live than rounds have passed goes to the cap.
-        # chains: (target, word) -> (round made, chain), final at the end.
+        # chains: (target, word) -> (round made, chain), final at the end;
+        # changed: the rows with an entry changed in this round.
         chains: dict = {}
-        changed = set(range(nsym))
+        changed: set = set()
         for rounds in itertools.count(1):
             dirty, changed = changed, set()
             live = size - H.count(_NEVER)
             for at, cost, target, word in pushes:
-                if dirty.isdisjoint(word):
-                    continue
                 made, chain = chains.get((target, word), (0, None))
                 if made < rounds:
+                    if chain is not None and dirty.isdisjoint(chain[2]):
+                        continue
                     chain = self._chain(L, H, target, word)
                     chains[target, word] = rounds, chain
                 j = at * nq
-                for x, y in zip(*chain):
+                for x, y in zip(chain[0], chain[1]):
                     if cost + x < L[j]:
                         L[j] = cost + x
-                        changed.add(at % nsym)
+                        changed.add(at)
                     if y >= 0 and min(cost + y, cap) > H[j]:
                         H[j] = min(cost + y, cap) if rounds <= live else cap
-                        changed.add(at % nsym)
+                        changed.add(at)
                     j += 1
             if not changed:
                 break
@@ -733,6 +751,14 @@ def _search(automaton: Automaton, word: str, start: tuple,
     call per node: a call into ``store.pop`` or ``store.push`` per
     configuration costs tree walks a measurable share of their time.
 
+    In accept mode on 1- and 2-level automata a flag gets its yield table
+    id (see ``_YieldTables``) when the search builds it: ``table_id``
+    walks the start store's flags once, and a depth-2 push within the
+    store bound looks up each element it adds to a flag in
+    ``_YieldTables._children``, and on a miss asks ``_YieldTables.child``
+    to build its table.  A depth-1 push then reads its flag's id in one
+    lookup.
+
     In accept mode a chain walk also summarises segments, after the
     summary edges of interprocedural reachability.  A segment runs from a
     configuration whose top element is s[f] over ``rest``, in state q, to
@@ -810,9 +836,17 @@ def _search(automaton: Automaton, word: str, start: tuple,
     # letters as are left.  Both bounds are read from the table of the
     # element's flag.
     yields = automaton._yield_tables(n) if accept_mode else None
+    # tids: id of a flag -> (flag, table id), for every flag the search
+    # can expose: the start store's and their suffixes, and each one a
+    # depth-2 push builds.  Pops, depth-1 pushes and jumps expose only
+    # these, and holding the flags keeps their ids from being reused.
+    tids: Optional[dict] = None
     if yields is not None:
         lows_of, highs_of = yields.lows, yields.highs
-    flag_tables: dict = {}  # flag hash -> (flag, table id)
+        children, child = yields._children, yields.child
+        tids = {}
+        for _, flag in start[2].entries():
+            yields.table_id(flag, tids)
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
@@ -915,8 +949,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
                     nstore = cur.rest
                 elif op == 2:
                     flag = cur.flag
-                    if yields is not None:
-                        ftable = yields.table_id(flag, flag_tables)
+                    if tids is not None:
+                        ftable = tids[id(flag)][1]
                         if lows_of[ftable][tid] > n - npos or (
                                 branches and cur.rest.size == 0
                                 and highs_of[ftable][tid] < n - npos):
@@ -937,9 +971,19 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         inner = inner.rest
                         if inner is None:
                             continue  # the flag was empty
-                    else:
+                    elif tids is None or cur.size + len(payload) > max_store:
+                        # A push the store bound cuts gets no table.
                         for sym in payload:
                             inner = Store_(flag_level, sym, eflag, inner)
+                    else:
+                        ftable = tids[id(inner)][1]
+                        for sym in payload:
+                            inner = Store_(flag_level, sym, eflag, inner)
+                            key = (sym, ftable)
+                            ftable = children.get(key)
+                            if ftable is None:
+                                ftable = child(*key)
+                            tids[id(inner)] = (inner, ftable)
                     nstore = Store_(cur.level, cur.symbol, inner, cur.rest)
                 if nstore.size > max_store:
                     store_cut = True
@@ -999,11 +1043,11 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points
     on a store of one element, those whose most yield falls short of it.
-    Both are read from the yield table of the rewritten element's flag,
-    which searches build when they first meet the flag and the automaton
-    keeps.  It sets ``Verdict.yield_cut`` when it did;
-    ``Verdict.store_cut`` still tells whether the store bound cut a
-    configuration.
+    Both are read from the yield table of the rewritten element's flag.
+    The automaton keeps its tables; a search builds the table of each flag
+    it builds, unless the automaton has it already.  It sets
+    ``Verdict.yield_cut`` when it did; ``Verdict.store_cut`` still tells
+    whether the store bound cut a configuration.
     """
     if type(word) is not _Coded:
         word = _encode(automaton, word)

@@ -9,7 +9,9 @@ its work; ``memoize=False`` must agree or give up; ``enumerate_language``
 must list the words it accepts.  The upper yield bound is checked against
 the reference on its own, and every configuration of a run that empties
 its store within a few letters, whichever they are, must have between
-the least and the most yield of its store left to read.  Drawn automata
+the least and the most yield of its store left to read, and the yield
+tables must equal those of a reference that folds every push 1 rule in
+every round, on drawn automata and on the builders'.  Drawn automata
 must survive a render/parse round trip and keep every acceptance under a
 larger store bound.  With their letters renamed to nested and odd names,
 they must read a word alike as a tuple, as ``format_word``'s text and as
@@ -29,9 +31,11 @@ from unittest import mock
 import pytest
 from hypothesis import event, example, given, settings, strategies as hst
 
+from itpda import grammar as gr
 from itpda import machine as mc
 from itpda import store as st
-from itpda.builders import ball_automaton, suggested_store_bound
+from itpda.builders import (ball_automaton, sector_automaton,
+                            suggested_store_bound)
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
@@ -359,6 +363,174 @@ def test_runs_read_within_the_yield_bounds(automaton):
         checked += 1
     event("no run empties a store" if not checked else
           f"{'under' if checked < 100 else 'at least'} 100 configurations checked")
+
+
+class PlainRoundTables:
+    """Reference yield tables: the inequalities of ``_YieldTables``, solved
+    in rounds that fold every push 1 rule, each chain computed afresh, with
+    the same cap on an H that still rises once the rounds outnumber the
+    live entries (H >= 0).  Entries are keyed (q, s, q'), ``keys`` in the
+    order of ``_YieldTables``'s arrays; a table equal to an earlier one
+    gets its id."""
+
+    def __init__(self, automaton, cap):
+        self.automaton, self.cap = automaton, cap
+        states = automaton.states
+        self.keys = [(q, s, p) for q in states
+                     for s in automaton.store_alphabet for p in states]
+        self.tables, self.lows, self.highs, self.children = [], [], [], {}
+        self.add(None, None)
+
+    def table_id(self, flag):
+        if flag.symbol is None:
+            return 0
+        key = (flag.symbol, self.table_id(flag.rest))
+        if key not in self.children:
+            self.children[key] = self.add(*key)
+        return self.children[key]
+
+    def chain(self, L, H, state, word):
+        """The fewest and the most letters the elements of ``word`` read,
+        the first on top in ``state``, by the state the last leaves in."""
+        states, cap = self.automaton.states, self.cap
+        low = {q: 0 if q == state else cap for q in states}
+        high = {q: 0 if q == state else -1 for q in states}
+        for s in word:
+            low, high = (
+                {q: min([cap] + [low[p] + L[p, s, q] for p in states])
+                 for q in states},
+                {q: min(cap, max([-1] + [high[p] + H[p, s, q] for p in states
+                                         if high[p] >= 0 and H[p, s, q] >= 0]))
+                 for q in states})
+        return low, high
+
+    def add(self, top, rest_id):
+        states, cap = self.automaton.states, self.cap
+        L = dict.fromkeys(self.keys, cap)
+        H = dict.fromkeys(self.keys, -1)
+        pushes = []
+        for t in self.automaton.transitions:
+            if (t.pattern[1] if len(t.pattern) == 2 else None) != top:
+                continue
+            q, s, target, act = t.state, t.pattern[0], t.target, t.action
+            cost = int(t.letter is not None)
+            if act in (Pop(1), Push(1, ())):
+                L[q, s, target] = min(L[q, s, target], cost)
+                H[q, s, target] = max(H[q, s, target], cost)
+            elif act == Pop(2):
+                if top is None:
+                    continue  # pop 2 of an empty flag is undefined
+                rest_low, rest_high = self.tables[rest_id]
+                for p in states:
+                    L[q, s, p] = min(L[q, s, p], cost + rest_low[target, s, p],
+                                     cap)
+                    if rest_high[target, s, p] >= 0:
+                        H[q, s, p] = max(H[q, s, p],
+                                         min(cost + rest_high[target, s, p], cap))
+            elif act.level == 2:
+                for p in states:
+                    L[q, s, p] = min(L[q, s, p], cost)
+                    H[q, s, p] = cap
+            else:
+                pushes.append((q, s, cost, target, act.word))
+        for rounds in itertools.count(1):
+            live = sum(h >= 0 for h in H.values())
+            changed = False
+            for q, s, cost, target, word in pushes:
+                low, high = self.chain(L, H, target, word)
+                for p in states:
+                    if cost + low[p] < L[q, s, p]:
+                        L[q, s, p] = cost + low[p]
+                        changed = True
+                    y = min(cost + high[p], cap)
+                    if high[p] >= 0 and y > H[q, s, p]:
+                        H[q, s, p] = y if rounds <= live else cap
+                        changed = True
+            if not changed:
+                break
+        if (L, H) in self.tables:
+            return self.tables.index((L, H))
+        lows, highs = [], []
+        for t in self.automaton.transitions:
+            low = high = 0
+            act = t.action
+            if isinstance(act, Push) and act.level == 1 and act.word:
+                chain = self.chain(L, H, t.target, act.word)
+                low, high = min(chain[0].values()), max(chain[1].values())
+            lows.append(low)
+            highs.append(high)
+        self.tables.append((L, H))
+        self.lows.append(tuple(lows))
+        self.highs.append(tuple(highs))
+        return len(self.tables) - 1
+
+
+def assert_tables_match_plain_rounds(automaton, cap, flags):
+    """``_YieldTables`` and ``PlainRoundTables``, asked for the tables of
+    ``flags`` in turn, give the same ids, tables, lows, highs and
+    children."""
+    tables = mc._YieldTables(automaton, cap)
+    plain = PlainRoundTables(automaton, cap)
+    for flag in flags:
+        assert tables.table_id(flag, {}) == plain.table_id(flag)
+    keys = plain.keys
+    assert ([(list(L), list(H)) for L, H in tables.tables]
+            == [([L[k] for k in keys], [H[k] for k in keys])
+                for L, H in plain.tables])
+    assert tables.lows == plain.lows
+    assert tables.highs == plain.highs
+    assert tables._children == plain.children
+
+
+# Z's chain reads the row of A, which no round changes after the first,
+# and then that of B, which changes in the first round after Z's rule was
+# folded: Z's rule must be folded again in the second round.
+LATE_SECOND_ROW = mc.parse_automaton(
+    "levels: 1\nstates: p\ninitial: p\ninput: a\nstore: Z A B C\n"
+    "start_symbol: Z\n"
+    + "".join(f"t: {t}\n" for t in (
+        "p eps Z -> p push 1 A B", "p eps A -> p pop 1",
+        "p eps B -> p push 1 C", "p a C -> p pop 1")))
+
+
+@settings(deadline=None, max_examples=200)
+@given(hst.one_of(automata(max_levels=2), automata(guess=True)),
+       hst.sampled_from((64, 1 << 21)))
+@example(TWO_PATHS, 64)
+@example(A_BESIDE_B, 64)
+@example(LATE_SECOND_ROW, 64)
+def test_yield_tables_equal_plain_rounds(automaton, cap):
+    # Every flag of up to three symbols, shortest first.
+    flags = [st.empty(0)]
+    if automaton.levels == 2:
+        flags = [st.from_pairs(1, [(s, st.empty(0)) for s in seq])
+                 for n in range(4)
+                 for seq in itertools.product(SYMBOLS, repeat=n)]
+    assert_tables_match_plain_rounds(automaton, cap, flags)
+
+
+# The builder automata that scripts/check_recognizers.py checks.
+CHECKED_AUTOMATA = [
+    ("ball", gr.fibonacci, "W", 5), ("ball", gr.fibonacci, "W", 7),
+    ("ball", lambda: gr.polygonal(6), "W", 6),
+    ("ball", lambda: gr.polygonal(7), "W", 7),
+    ("ball", gr.dodecahedral, "O", 8), ("ball", gr.cell120, "9", 16),
+    ("sector", gr.fibonacci, "W", 1), ("sector", gr.fibonacci, "B", 1),
+    ("sector", gr.dodecahedral, "O", 1), ("sector", gr.cell120, "9", 1),
+]
+
+
+@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
+def test_builder_yield_tables_equal_plain_rounds(kind, system, root, sigma):
+    system = system()
+    automaton = (ball_automaton(system, root, sigma) if kind == "ball"
+                 else sector_automaton(system, root))
+    # The flags of the guess loop's heights, lowest first.
+    marker, = {s for t in automaton.transitions if t.action.level == 2
+               and isinstance(t.action, Push) for s in t.action.word}
+    flags = [st.from_pairs(1, [(marker, st.empty(0))] * h) for h in range(13)]
+    for cap in (64, 2048, 1 << 21):
+        assert_tables_match_plain_rounds(automaton, cap, flags)
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,6 +1,7 @@
 """Automaton engine: one-step semantics, bounded search, and the file
 format."""
 
+import itertools
 import sys
 from unittest import mock
 
@@ -413,6 +414,52 @@ def test_most_yield_tables_shared_across_flag_tops():
     for word, status in (("a", ACCEPTED), ("aa", ACCEPTED), ("aaa", REJECTED)):
         assert mc.accepts(shared, word).status == status
     assert len(shared._yields.tables) == 1
+
+
+def _counted(method):
+    """A patch that counts the calls of a ``_YieldTables`` method."""
+    return mock.patch.object(mc._YieldTables, method, autospec=True,
+                             side_effect=getattr(mc._YieldTables, method))
+
+
+def test_yield_table_rounds_refold_only_chains_whose_rows_changed():
+    # The cell120 sector automaton's tables for the flags F^0 .. F^3.  A
+    # round folds a push 1 rule again only when a row its chain read
+    # changed in the round before: 48 chains, against 95 for rounds that
+    # fold it again when any symbol of its word changed.
+    sector = sector_automaton(gr.cell120(), "9")
+    with _counted("_chain") as chain:
+        tables = mc._YieldTables(sector, 1 << 21)
+        for h in range(4):
+            tables.table_id(st.single("Z", 2, ["F"] * h).flag, {})
+    assert len(tables.tables) == 4
+    assert chain.call_count == 48
+
+
+def test_a_search_walks_only_its_start_flag_for_a_table_id():
+    # Each flag a guess loop builds gets its table id as it is built, so
+    # table_id walks only the start store's empty flag: one call per
+    # search.  The words: every {b,w} word up to 8 letters on the fib
+    # ball automaton (sigma 5), and a check of the fib sector automaton,
+    # each level's positive and its mutants.
+    fib = gr.fibonacci()
+    ball = ball_automaton(fib, "W", 5)
+    words = [w for n in range(9) for w in itertools.product("bw", repeat=n)]
+    sector = sector_automaton(fib, "W")
+    spec = ContourSpec(fib, "W", kind="sector")
+    checks = []
+    for level in range(1, 6):
+        word = contour_word(spec, level)
+        bounds = SearchBounds(suggested_store_bound(fib, 1, level), 10 ** 7)
+        for w in [word, *mutate(word, 100003 + level, 20,
+                                alphabet=sector.input_alphabet)]:
+            checks.append((w, bounds))
+    with _counted("table_id") as table_id:
+        for w in words:
+            mc.accepts(ball, w)
+        for w, bounds in checks:
+            mc.accepts(sector, w, bounds, memoize=False)
+    assert table_id.call_count == len(words) + len(checks)
 
 
 def test_verdict_bool(fib):

@@ -754,10 +754,10 @@ def _search(automaton: Automaton, word: str, start: tuple,
     In accept mode on 1- and 2-level automata a flag gets its yield table
     id (see ``_YieldTables``) when the search builds it: ``table_id``
     walks the start store's flags once, and a depth-2 push within the
-    store bound looks up each element it adds to a flag in
-    ``_YieldTables._children``, and on a miss asks ``_YieldTables.child``
-    to build its table.  A depth-1 push then reads its flag's id in one
-    lookup.
+    store bound asks ``_YieldTables.child`` for the id of each flag it
+    builds, which builds the table on first use.  A depth-1 push then
+    reads its flag's id in one lookup.  The registry of ids holds no flag,
+    so a flag the search drops is freed.
 
     In accept mode a chain walk also summarises segments, after the
     summary edges of interprocedural reachability.  A segment runs from a
@@ -836,17 +836,21 @@ def _search(automaton: Automaton, word: str, start: tuple,
     # letters as are left.  Both bounds are read from the table of the
     # element's flag.
     yields = automaton._yield_tables(n) if accept_mode else None
-    # tids: id of a flag -> (flag, table id), for every flag the search
-    # can expose: the start store's and their suffixes, and each one a
-    # depth-2 push builds.  Pops, depth-1 pushes and jumps expose only
-    # these, and holding the flags keeps their ids from being reused.
+    # tids: id of a flag -> table id, written for the start store's flags
+    # and their suffixes and for each flag a depth-2 push builds, as it is
+    # built.  Pops, depth-1 pushes and jumps expose only these.  The
+    # registry holds no flag: a dead flag's id may pass to a new object,
+    # but a live flag's entry was written when it was made, and no other
+    # object had its id since, so a live flag reads its own id.  Flags a
+    # search drops leave at most one entry per address.
     tids: Optional[dict] = None
     if yields is not None:
         lows_of, highs_of = yields.lows, yields.highs
-        children, child = yields._children, yields.child
-        tids = {}
+        child = yields.child
+        memo: dict = {}
         for _, flag in start[2].entries():
-            yields.table_id(flag, tids)
+            yields.table_id(flag, memo)
+        tids = {key: tid for key, (_, tid) in memo.items()}
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
@@ -950,7 +954,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 elif op == 2:
                     flag = cur.flag
                     if tids is not None:
-                        ftable = tids[id(flag)][1]
+                        ftable = tids[id(flag)]
                         if lows_of[ftable][tid] > n - npos or (
                                 branches and cur.rest.size == 0
                                 and highs_of[ftable][tid] < n - npos):
@@ -971,19 +975,19 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         inner = inner.rest
                         if inner is None:
                             continue  # the flag was empty
-                    elif tids is None or cur.size + len(payload) > max_store:
-                        # A push the store bound cuts gets no table.
+                    elif cur.size + len(payload) > max_store:
+                        # Cut before it builds a node or registers a flag.
+                        store_cut = True
+                        continue
+                    elif tids is None:
                         for sym in payload:
                             inner = Store_(flag_level, sym, eflag, inner)
                     else:
-                        ftable = tids[id(inner)][1]
+                        ftable = tids[id(inner)]
                         for sym in payload:
                             inner = Store_(flag_level, sym, eflag, inner)
-                            key = (sym, ftable)
-                            ftable = children.get(key)
-                            if ftable is None:
-                                ftable = child(*key)
-                            tids[id(inner)] = (inner, ftable)
+                            ftable = child(sym, ftable)
+                            tids[id(inner)] = ftable
                     nstore = Store_(cur.level, cur.symbol, inner, cur.rest)
                 if nstore.size > max_store:
                     store_cut = True

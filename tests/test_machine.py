@@ -462,6 +462,35 @@ def test_a_search_walks_only_its_start_flag_for_a_table_id():
     assert table_id.call_count == len(words) + len(checks)
 
 
+def test_a_push_2_cycle_keeps_no_flag_it_dropped():
+    # Without the memo this cycle spins until the budget runs out, and
+    # each round's push 2 builds a flag that the pop 2 drops.  The
+    # registry of flag table ids must not keep them: once the open
+    # segments reach their cap (one per configuration, two per round),
+    # the allocated blocks stay flat.  A registry that held each flag
+    # would grow by a few blocks per round.
+    spin = mc.parse_automaton(HEADER + "t: q0 eps Z -> q1 push 2 F\n"
+                              "t: q1 eps [Z F] -> q0 pop 2\n")
+    child = mc._YieldTables.child
+    cap = mc._MAX_OPEN_SEGMENTS
+    calls = [0]
+    samples = []
+
+    def sampled(self, top, rest_id):
+        calls[0] += 1
+        if calls[0] in (cap, 3 * cap):
+            samples.append(sys.getallocatedblocks())
+        return child(self, top, rest_id)
+
+    with mock.patch.object(mc._YieldTables, "child", sampled):
+        verdict = mc.accepts(spin, "", SearchBounds(10, 6 * cap + 10),
+                             memoize=False)
+    assert verdict.status == INCONCLUSIVE
+    assert calls[0] > 3 * cap
+    first, last = samples
+    assert last - first < 1000
+
+
 def test_verdict_bool(fib):
     assert bool(mc.accepts(fib, "a"))
     assert not mc.accepts(fib, "aaaa")

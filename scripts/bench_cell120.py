@@ -10,13 +10,13 @@ file straight into that str.  Exits 1 when a level is not accepted.
 
 Each level prints the time to build the word, the time a fresh copy of
 the automaton takes to build its yield tables for the flags of the guessed
-heights 0 .. level (through ``table_id``, at the cap of the word's
-length), then two runs of the recognizer on the word.  The first run on
-the automaton also builds its yield tables; the second, warm run times
-the search alone.  The rate is in letters of input per second of the
-warm run.  The search jumps over the repeated subtrees of a tree walk, so
-the configurations a verdict counts are mostly never built, and a count
-per second would not measure a step.
+heights 0 .. level (climbing ``child`` from the empty flag's table, at
+the cap of the word's length), then two runs of the recognizer on the
+word.  The first run on the automaton also builds its yield tables; the
+second, warm run times the search alone.  The rate is in letters of
+input per second of the warm run.  The search jumps over the repeated
+subtrees of a tree walk, so the configurations a verdict counts are
+mostly never built, and a count per second would not measure a step.
 The last column times ``itpda run`` (in this process) on the level's
 word file, written to a temporary directory: reading the automaton file
 and the word file, encoding the word and the search, yield tables
@@ -33,7 +33,6 @@ import time
 from pathlib import Path
 
 from itpda import cli
-from itpda import store as st
 from itpda.builders import sector_automaton, suggested_store_bound
 from itpda.contour import ContourSpec, sector_contour
 from itpda.grammar import cell120, format_word
@@ -53,15 +52,15 @@ def time_run(automaton_file: Path, word_file: Path, max_store: int):
 def time_tables(automaton, letters: int, level: int) -> float:
     """Seconds a fresh copy of ``automaton`` takes to build its yield
     tables for the flags of heights 0 .. ``level``, at the cap of a word
-    of ``letters`` letters."""
+    of ``letters`` letters: the empty flag's table 0 comes with the
+    tables, and each climb through ``child`` adds the next height's."""
     fresh = dataclasses.replace(automaton)
     marker = next(t.action.word[0] for t in fresh.transitions
                   if isinstance(t.action, Push) and t.action.level == 2)
     t0 = time.perf_counter()
-    tables, memo = fresh._yield_tables(letters), {}
-    for height in range(level + 1):
-        tables.table_id(st.from_pairs(1, [(marker, st.empty(0))] * height),
-                        memo)
+    tables, tid = fresh._yield_tables(letters), 0
+    for _ in range(level):
+        tid = tables.child(marker, tid)
     return time.perf_counter() - t0
 
 

@@ -13,6 +13,7 @@ import json
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import builders, contour, grammar, machine, store
@@ -63,8 +64,15 @@ def get_system(name: str) -> SubstitutionSystem:
         f"unknown system {name!r} (try fib, poly6, poly7, dodeca, cell120)")
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+@contextmanager
+def _output(path):
+    """The file at ``path``, opened for writing and closed on exit, or
+    stdout, left open, when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        yield out
 
 
 def _write_word(out, tokens) -> None:
@@ -97,17 +105,13 @@ def _kind_options(args) -> None:
 def cmd_word(args) -> int:
     _kind_options(args)
     system = get_system(args.system)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.kind == "level":
             tokens = grammar.read_level_word(system, args.root, args.level)
         else:
             spec = ContourSpec(system, args.root, sigma=args.sigma, kind=args.kind)
             tokens = contour.contour_word(spec, args.level)
         _write_word(out, tokens)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -138,12 +142,8 @@ def cmd_build(args) -> int:
     system = None if args.kind == "fib" else get_system(args.system)
     automaton = build_automaton(args.kind, system, args.root, args.sigma,
                                 args.variant)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(machine.render_automaton(automaton))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -337,8 +337,6 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
 
 
 def cmd_check(args) -> int:
-    if args.kind == "fib":
-        raise CliError("check needs a contour kind: ball or sector")
     _kind_options(args)
     if args.mutations < 0:
         raise CliError(f"--mutations must be >= 0, got {args.mutations}")

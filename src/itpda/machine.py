@@ -445,32 +445,11 @@ class _YieldTables:
         self._ids: dict = {}               # hash of a table -> table id
         self._add(None, None)
 
-    def table_id(self, flag: Store, memo: dict) -> int:
-        """Table id of ``flag``.  ``memo`` maps the id of a flag seen
-        before to (flag, table id), and gains every suffix of ``flag``;
-        holding the flag keeps its id from being reused.  The walk down
-        the flag is a loop, so flags deeper than the recursion limit are
-        fine."""
-        chain = []
-        while True:
-            hit = memo.get(id(flag))
-            if hit is not None:
-                tid = hit[1]
-                break
-            if flag.symbol is None:
-                tid = 0
-                memo[id(flag)] = (flag, tid)
-                break
-            chain.append(flag)
-            flag = flag.rest
-        for flag in reversed(chain):
-            tid = self.child(flag.symbol, tid)
-            memo[id(flag)] = (flag, tid)
-        return tid
-
     def child(self, top: str, rest_id: int) -> int:
         """Table id of a flag with top ``top`` over a flag with table
-        ``rest_id``, built on first use."""
+        ``rest_id``, built on first use.  It is the one way to a table
+        id: a flag's id is this fold of its symbols, bottom first, from
+        the empty flag's table 0."""
         key = (top, rest_id)
         tid = self._children.get(key)
         if tid is None:
@@ -751,13 +730,13 @@ def _search(automaton: Automaton, word: str, start: tuple,
     call per node: a call into ``store.pop`` or ``store.push`` per
     configuration costs tree walks a measurable share of their time.
 
-    In accept mode on 1- and 2-level automata a flag gets its yield table
-    id (see ``_YieldTables``) when the search builds it: ``table_id``
-    walks the start store's flags once, and a depth-2 push within the
-    store bound asks ``_YieldTables.child`` for the id of each flag it
-    builds, which builds the table on first use.  A depth-1 push then
-    reads its flag's id in one lookup.  The registry of ids holds no flag,
-    so a flag the search drops is freed.
+    In accept mode on 1- and 2-level automata a table id (see
+    ``_YieldTables``) is written by ``_YieldTables.child`` when its flag
+    node is made: a depth-2 push within the store bound asks it for the
+    id of each flag node it builds, bottom first, and the start store's
+    one flag is the empty flag, table 0.  A depth-1 push then reads its
+    flag's id in one lookup.  The registry of ids holds no flag, so a
+    flag the search drops is freed.
 
     In accept mode a chain walk also summarises segments, after the
     summary edges of interprocedural reachability.  A segment runs from a
@@ -836,21 +815,19 @@ def _search(automaton: Automaton, word: str, start: tuple,
     # letters as are left.  Both bounds are read from the table of the
     # element's flag.
     yields = automaton._yield_tables(n) if accept_mode else None
-    # tids: id of a flag -> table id, written for the start store's flags
-    # and their suffixes and for each flag a depth-2 push builds, as it is
-    # built.  Pops, depth-1 pushes and jumps expose only these.  The
-    # registry holds no flag: a dead flag's id may pass to a new object,
-    # but a live flag's entry was written when it was made, and no other
-    # object had its id since, so a live flag reads its own id.  Flags a
-    # search drops leave at most one entry per address.
+    # tids: id of a flag -> table id, written by ``child`` when a depth-2
+    # push makes the flag node; accept mode starts from the initial store,
+    # whose one flag is the cached empty flag.  Pops, depth-1 pushes and
+    # jumps expose only these.  The registry holds no flag: a dead flag's
+    # id may pass to a new object, but a live flag's entry was written when
+    # it was made, and no other object had its id since, so a live flag
+    # reads its own id.  Flags a search drops leave at most one entry per
+    # address.
     tids: Optional[dict] = None
     if yields is not None:
         lows_of, highs_of = yields.lows, yields.highs
         child = yields.child
-        memo: dict = {}
-        for _, flag in start[2].entries():
-            yields.table_id(flag, memo)
-        tids = {key: tid for key, (_, tid) in memo.items()}
+        tids = {id(st.empty(automaton.levels - 1)): 0}
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
@@ -1094,7 +1071,9 @@ def enumerate_language(automaton: Automaton, max_len: int,
     emitted prefix as part of the search key, so only prefixes the
     automaton can actually read are ever visited, and, like
     :func:`accepts`, skips the depth-1 pushes that need more letters than
-    ``max_len`` leaves.  Raises :class:`SearchLimitError` if the
+    ``max_len`` leaves.  As in the search, a flag's yield table id is
+    written by ``_YieldTables.child`` when its node is made, here when a
+    push 2 that makes it is kept.  Raises :class:`SearchLimitError` if the
     configuration budget is exceeded (the result would be incomplete), and
     :class:`MachineError` if ``max_len`` is negative.
     """
@@ -1104,7 +1083,12 @@ def enumerate_language(automaton: Automaton, max_len: int,
         bounds = default_bounds(max_len)
     max_store, max_configs = _limits(bounds)
     yields = automaton._yield_tables(max_len)
-    flag_tables: dict = {}
+    if yields is not None:
+        # tids as in ``_search``, but ``seen`` keeps every flag alive, so
+        # no id is reused.  grown: the length of each push 2's word.
+        tids = {id(st.empty(automaton.levels - 1)): 0}
+        grown = [len(t.action.word) if isinstance(t.action, Push)
+                 and t.action.level == 2 else 0 for t in automaton.transitions]
     accepted: set[str] = set()  # coded words
     start = (automaton.initial_state, "", automaton.initial_store())
     seen = {start}
@@ -1116,7 +1100,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
             accepted.add(emitted)
             continue
         if yields is not None:
-            lows = yields.lows[yields.table_id(cur.flag, flag_tables)]
+            lows = yields.lows[tids[id(cur.flag)]]
         for tid, letter, target, nstore in _moves(automaton, state, cur):
             if letter is None:
                 nemit = emitted
@@ -1136,6 +1120,14 @@ def enumerate_language(automaton: Automaton, max_len: int,
             if count > max_configs:
                 raise SearchLimitError(
                     "language enumeration exceeded the configuration budget")
+            if yields is not None and grown[tid]:
+                # Register the new flag nodes, bottom first, as op 3 does.
+                nodes = [nstore.flag]
+                for _ in range(grown[tid] - 1):
+                    nodes.append(nodes[-1].rest)
+                ftable = tids[id(nodes[-1].rest)]
+                for node in reversed(nodes):
+                    ftable = tids[id(node)] = yields.child(node.symbol, ftable)
             stack.append(ncfg)
     letters = automaton._codes.letter
     return {tuple(map(letters.__getitem__, word)) for word in accepted}

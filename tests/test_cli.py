@@ -347,6 +347,14 @@ def test_check_option_its_kind_does_not_read_exits_3(capsys):
     assert "--kind sector does not read --sigma" in err
 
 
+def test_check_kind_fib_is_a_usage_error(capsys):
+    # fib names an automaton, not a contour kind that check can verify.
+    code, out, err = run(capsys, "check", "--kind", "fib", "--system", "fib",
+                         "--root", "W", "--levels", "0..1")
+    assert (code, out) == (3, "")
+    assert "invalid choice: 'fib'" in err
+
+
 def test_check_bad_level_range(capsys):
     code, _, err = run(capsys, "check", "--kind", "ball", "--system", "fib",
                        "--root", "W", "--levels", "3..1")

@@ -40,7 +40,7 @@ from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Pop, Push, SearchBounds, Transition)
-from witness import assert_witness
+from witness import assert_witness, flag_table, yields
 
 STATES = ("q0", "q1", "q2")
 LETTERS = ("a", "b")
@@ -299,25 +299,6 @@ def test_upper_yield_cut_agrees_with_reference_bfs(automaton, word):
     event(f"{shape}: upper cut {'fired' if cut else 'saved nothing'}")
 
 
-def yield_bounds(automaton, state, store):
-    """The fewest and the most letters that the yield tables allow a run
-    from ``state`` to read while it empties ``store``: the top element
-    from ``state``, the others from any state, each into any state.  Both
-    are read from the table of each element's flag."""
-    tables = automaton._yield_tables(mc._YIELD_CAP - 1)
-    nq = len(automaton.states)
-    memo = {}
-    low = high = 0
-    for i, (sym, flag) in enumerate(store.entries()):
-        L, H = tables.tables[tables.table_id(flag, memo)]
-        cells = [tables.row[q, sym] * nq + j for j in range(nq)
-                 for q in ([state] if i == 0 else automaton.states)]
-        low += min(L[c] for c in cells)
-        most = max(H[c] for c in cells)
-        high = -1 if most < 0 or high < 0 else high + most
-    return low, high
-
-
 # A leaves in q1 or q2, and B, read next, leaves in q2 after one letter
 # from q1 or none from q2: the least yield of Z takes the cheaper path.
 TWO_PATHS = Automaton(
@@ -358,7 +339,7 @@ def test_runs_read_within_the_yield_bounds(automaton):
     checked = 0
     for (state, read, store), total in reference_runs(automaton, starts, 4,
                                                        MAX_STORE):
-        low, high = yield_bounds(automaton, state, store)
+        low, high = yields(automaton, state, store)
         assert low <= total - read <= high, (state, read, store, total)
         checked += 1
     event("no run empties a store" if not checked else
@@ -472,7 +453,7 @@ def assert_tables_match_plain_rounds(automaton, cap, flags):
     tables = mc._YieldTables(automaton, cap)
     plain = PlainRoundTables(automaton, cap)
     for flag in flags:
-        assert tables.table_id(flag, {}) == plain.table_id(flag)
+        assert flag_table(tables, flag) == plain.table_id(flag)
     keys = plain.keys
     assert ([(list(L), list(H)) for L, H in tables.tables]
             == [([L[k] for k in keys], [H[k] for k in keys])

@@ -16,7 +16,7 @@ from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
-from witness import assert_witness
+from witness import assert_witness, flag_table, yields
 
 
 def T(state, letter, pattern, target, action):
@@ -213,26 +213,6 @@ def test_yield_cut_flagged_on_heights_too_tall(fib, n):
 
 
 # --- least yields --------------------------------------------------------------------
-
-def yields(automaton, state, store):
-    """The tables' bounds (least, most) on the letters any run from
-    ``state`` reads to empty ``store``: the top element from ``state``,
-    the others from any state, each into any state.  Both are capped at
-    ``1 << 62``, so least is ``1 << 62`` when no run can, and most is
-    ``1 << 62`` when unbounded and -1 when no run can."""
-    tables = automaton._yield_tables(mc._YIELD_CAP - 1)
-    nq = len(automaton.states)
-    memo = {}
-    least = most = 0
-    for i, (sym, flag) in enumerate(store.entries()):
-        L, H = tables.tables[tables.table_id(flag, memo)]
-        starts = [state] if i == 0 else automaton.states
-        at = [tables.row[q, sym] * nq + j for q in starts for j in range(nq)]
-        least += min(L[j] for j in at)
-        high = max(H[j] for j in at)
-        most = -1 if most < 0 or high < 0 else most + high
-    return min(least, tables.cap), min(most, tables.cap)
-
 
 TREE_BALLS = [(gr.fibonacci(), "W", 5), (gr.polygonal(6), "W", 6),
               (gr.dodecahedral(), "O", 8), (gr.polygonal(7), "W", 7),
@@ -431,17 +411,18 @@ def test_yield_table_rounds_refold_only_chains_whose_rows_changed():
     with _counted("_chain") as chain:
         tables = mc._YieldTables(sector, 1 << 21)
         for h in range(4):
-            tables.table_id(st.single("Z", 2, ["F"] * h).flag, {})
+            flag_table(tables, st.single("Z", 2, ["F"] * h).flag)
     assert len(tables.tables) == 4
     assert chain.call_count == 48
 
 
-def test_a_search_walks_only_its_start_flag_for_a_table_id():
-    # Each flag a guess loop builds gets its table id as it is built, so
-    # table_id walks only the start store's empty flag: one call per
-    # search.  The words: every {b,w} word up to 8 letters on the fib
-    # ball automaton (sigma 5), and a check of the fib sector automaton,
-    # each level's positive and its mutants.
+def test_a_search_reaches_the_tables_only_for_flags_it_builds():
+    # Each flag node a guess loop builds gets its table id from child as
+    # it is built, and no other code asks the tables for an id, so the
+    # calls of child are the flag nodes these 616 searches build.  The
+    # words: every {b,w} word up to 8 letters on the fib ball automaton
+    # (sigma 5), and a check of the fib sector automaton, each level's
+    # positive and its mutants.
     fib = gr.fibonacci()
     ball = ball_automaton(fib, "W", 5)
     words = [w for n in range(9) for w in itertools.product("bw", repeat=n)]
@@ -454,12 +435,13 @@ def test_a_search_walks_only_its_start_flag_for_a_table_id():
         for w in [word, *mutate(word, 100003 + level, 20,
                                 alphabet=sector.input_alphabet)]:
             checks.append((w, bounds))
-    with _counted("table_id") as table_id:
+    assert len(words) + len(checks) == 616
+    with _counted("child") as child:
         for w in words:
             mc.accepts(ball, w)
         for w, bounds in checks:
             mc.accepts(sector, w, bounds, memoize=False)
-    assert table_id.call_count == len(words) + len(checks)
+    assert child.call_count == 28300
 
 
 def test_a_push_2_cycle_keeps_no_flag_it_dropped():
@@ -855,6 +837,18 @@ def test_reachable_rejects_stores_of_another_level(fib):
 def test_enumerate_language_fibonacci(fib):
     lang = mc.enumerate_language(fib, 9)
     assert {len(w) for w in lang} == {1, 2, 3, 5, 8}
+
+
+def test_enumerate_language_through_a_push_2_of_two_symbols():
+    # The as-printed fib ball automaton's guess loop pushes F F, and the
+    # enumeration gives both new flag nodes their table ids, bottom first.
+    # Up to 40 letters it accepts the contours of levels 0 and 1 alone.
+    ball = ball_automaton(gr.fibonacci(), "W", 5, Variant.AS_PRINTED)
+    assert any(t.action == Push(2, ("F", "F")) for t in ball.transitions)
+    spec = ContourSpec(gr.fibonacci(), "W", sigma=5, kind="ball")
+    words = mc.enumerate_language(ball, 40)
+    assert words == {contour_word(spec, 0), contour_word(spec, 1)}
+    assert sorted(map(len, words)) == [5, 15]
 
 
 def test_enumerate_language_budget_error(fib):

@@ -36,8 +36,10 @@ breaks either bound, so the prunes change no verdict.  The builders'
 one branch point is the guess loop on its start symbol, alone on the
 store, so together they cut the tree walk of a guessed height at its
 commit, whether the height is too tall or too short for the word, and so
-every height of a word whose length no height yields.  Guess loops that
-grow a flag still run until the store bound stops them.
+every height of a word whose length no height yields.  Once a guess
+loop's flag table stops changing, a memo-free search under a finite
+store bound counts the loop's steps up to that bound in one step (see
+``_search``).
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -197,6 +199,7 @@ class Verdict:
     count ``itpda run`` prints mean what they mean for a search that walks
     every copy, save that under the memo a path meeting a jumped copy is
     pruned at the copy's end or later, and counts what it walks of it.
+    A fast-forwarded guess loop counts what stepping it generates.
     ``store_cut``: the store bound pruned a configuration.
     ``yield_cut``: a yield bound pruned one: a push whose new elements
     need more letters than are left, or one at a branch point on a store
@@ -234,6 +237,7 @@ class Automaton:
     transitions: tuple[Transition, ...]
     name: str = field(default="", compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
+    _loops: dict = field(init=False, repr=False, compare=False)
     _codes: "_Codes" = field(init=False, repr=False, compare=False)
     _yields: Optional["_YieldTables"] = field(default=None, init=False,
                                               repr=False, compare=False)
@@ -320,6 +324,7 @@ class Automaton:
         for key, entries in index.items():
             index[key] = (_can_branch(entries), tuple(entries))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_loops", _guess_loops(index))
 
     def initial_store(self) -> Store:
         return st.node(self.initial_symbol, st.empty(self.levels - 1),
@@ -563,6 +568,23 @@ def _can_branch(entries) -> bool:
                                  or len(set(letters)) < len(letters))
 
 
+def _guess_loops(index: dict) -> dict:
+    """Guess loops (see ``_search``): the index keys (q, (X, F)) whose
+    moves are one push 2, an epsilon move into q of a word w that starts
+    with F, and depth-1 pushes.  Each maps to (w, (transition id, letter
+    code) of each depth-1 push)."""
+    loops = {}
+    for (state, pattern), (_, entries) in index.items():
+        grows = [e for e in entries if e[3] == 3]
+        pushes = [(e[0], e[1]) for e in entries if e[3] == 2]
+        if len(grows) == 1 and pushes and len(pushes) + 1 == len(entries):
+            _, code, target, *_, push_word = grows[0]
+            if (code is None and target == state and len(pattern) == 2
+                    and push_word[:1] == pattern[1:]):
+                loops[state, pattern] = (push_word, pushes)
+    return loops
+
+
 class _Codes:
     """The one-character codes of an automaton's input letters.
 
@@ -692,6 +714,30 @@ def _moves(automaton: Automaton, state: str, store: Store) -> list[tuple]:
 _MAX_OPEN_SEGMENTS = 1 << 16
 
 
+def _repeats(loop, word, pos, cur, tids, yields):
+    """None unless the guess loop ``loop`` at the branch point (pos, cur)
+    repeats its step exactly (see ``_search``); else whether a depth-1
+    push was cut.  ``tids`` maps the id of each live flag to its table."""
+    push_word, pushes = loop
+    below = cur.flag
+    for sym in push_word:
+        if below.symbol != sym:
+            return None
+        below = below.rest
+    ftable = tids[id(cur.flag)]
+    if tids[id(below)] != ftable:
+        return None
+    cut = False
+    for tid, letter in pushes:
+        if letter is None or pos < len(word) and word[pos] == letter:
+            left = len(word) - pos - (letter is not None)
+            if not (yields.lows[ftable][tid] > left or cur.rest.size == 0
+                    and yields.highs[ftable][tid] < left):
+                return None
+            cut = True
+    return cut
+
+
 def _search(automaton: Automaton, word: str, start: tuple,
             goal: Optional[tuple], bounds: SearchBounds,
             want_trace: bool, memoize: bool = True) -> Verdict:
@@ -764,6 +810,19 @@ def _search(automaton: Automaton, word: str, start: tuple,
     configuration to explore its suffix again.  A path meeting a jumped
     copy is pruned at its end or later, counting at most the copy more.
     A jump adds no link: the copy has no branch point; the replay walks it.
+
+    A memo-free accept-mode search on a 2-level automaton under a finite
+    store bound also fast-forwards guess loops (loop acceleration:
+    Bardin, Finkel, Leroux and Schnoebelen, ATVA 2005).  A loop key
+    (``_guess_loops``) has one push 2, an epsilon move of a word w back
+    to its own state and key, and depth-1 pushes.  At X[f] with f = w.g
+    and g with f's table id, w.f has it too (a table id folds ``child``
+    over the flag), so if the yield bounds cut every depth-1 push that
+    reads here, each later step repeats this one on a store |w| larger.
+    Stepping would generate k = (bound - size) // |w| configurations and
+    then cut the push 2: the search counts k (or stops at the budget),
+    sets the cut flags and pops the stack.  The memo could prune a step,
+    so memoized searches walk the loop.
     """
     index = automaton._index
     n = len(word)
@@ -828,6 +887,11 @@ def _search(automaton: Automaton, word: str, start: tuple,
         lows_of, highs_of = yields.lows, yields.highs
         child = yields.child
         tids = {id(st.empty(automaton.levels - 1)): 0}
+    # Guess loops to fast-forward (see above).
+    loops = (automaton._loops
+             if tids is not None and not memoize and max_store < math.inf
+             else None)
+
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
     seen = {start}
@@ -876,6 +940,20 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 # of 2.
                 keep_all = branches or not t & (t + 1)
             if branches:
+                if loops:
+                    loop = loops.get((state, cur._topsym))
+                    # k: the configurations stepping through the loop makes.
+                    k = loop and (max_store - cur.size) // len(loop[0])
+                    if k and count < max_configs:
+                        cut = _repeats(loop, word, pos, cur, tids, yields)
+                        if cut is not None:
+                            yield_cut |= cut
+                            if count + k > max_configs:
+                                count = max_configs + 1
+                                return finish(INCONCLUSIVE)
+                            count += k
+                            store_cut = True
+                            break
                 successors = []
             elif summaries is not None:
                 flag = cur.flag
@@ -1019,7 +1097,8 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     keeps the store within its bound the search spins until the
     configuration budget runs out and reports Inconclusive.  It also
     explores paths that meet once per path, which can take exponentially
-    longer.  It saves one set lookup per configuration, not store work.
+    longer.  It saves one set lookup per configuration, and the steps of
+    guess loops whose flag table has settled (see ``_search``).
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points

@@ -20,7 +20,10 @@ enumerate words of their own letters.  Names drawn from the characters
 the text format gives a meaning to must be rejected by ``Automaton`` or
 survive the round trip too.  On the tree walks of random substitution systems, the search
 must give the same verdict, count and witness when it refuses every jump
-over a repeated segment.
+over a repeated segment.  A memo-free search that fast-forwards guess
+loops must give the status, count, cut flags and witness of one that
+steps through them, on drawn automata and on the builders', also when
+the budget runs out inside a loop.
 """
 
 import dataclasses
@@ -34,13 +37,13 @@ from hypothesis import event, example, given, settings, strategies as hst
 from itpda import grammar as gr
 from itpda import machine as mc
 from itpda import store as st
-from itpda.builders import (ball_automaton, sector_automaton,
+from itpda.builders import (Variant, ball_automaton, sector_automaton,
                             suggested_store_bound)
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Pop, Push, SearchBounds, Transition)
-from witness import assert_witness, flag_table, yields
+from witness import CountingStore, assert_witness, flag_table, yields
 
 STATES = ("q0", "q1", "q2")
 LETTERS = ("a", "b")
@@ -512,6 +515,123 @@ def test_builder_yield_tables_equal_plain_rounds(kind, system, root, sigma):
     flags = [st.from_pairs(1, [(marker, st.empty(0))] * h) for h in range(13)]
     for cap in (64, 2048, 1 << 21):
         assert_tables_match_plain_rounds(automaton, cap, flags)
+
+
+def stepping(automaton):
+    """A copy of ``automaton`` in which no guess loop is found, so that
+    its memo-free searches step through every loop: the reference for
+    the fast-forward."""
+    with mock.patch.object(mc, "_guess_loops", return_value={}):
+        return dataclasses.replace(automaton)
+
+
+def assert_steps_alike(automaton, reference, word, store, budget,
+                       trace=False):
+    """Memo-free searches of ``word`` on ``automaton`` and on its stepping
+    copy ``reference`` give the same status, count, cut flags and, with
+    ``trace``, witness: under ``budget`` and under budgets that run out
+    inside the search, one below its count, at half and at a third of
+    it.  Returns the store nodes each built under ``budget``."""
+    built, budgets = [], [budget]
+    while budgets:
+        bounds = SearchBounds(store, budgets.pop())
+        verdicts = []
+        for a in (automaton, reference):
+            CountingStore.built = 0
+            with mock.patch.object(mc, "Store", CountingStore):
+                v = mc.accepts(a, word, bounds, trace=trace, memoize=False)
+            verdicts.append((v.status, v.configurations, v.store_cut,
+                             v.yield_cut, v.trace))
+            built.append(CountingStore.built)
+        assert verdicts[0] == verdicts[1], bounds
+        if bounds.max_configurations == budget:
+            count = verdicts[1][1]
+            budgets = sorted({b for b in (count - 1, count // 2, count // 3)
+                              if 0 < b < budget})
+    return built[:2]
+
+
+def _entered_above(*transitions):
+    """An automaton whose guess loop on [Z A] is entered at Z[A A], which
+    its push 2 never built from Z[A]: the flag has settled at once, since
+    no table reads the flag below A.  B[A...] reads what ``transitions``
+    say it reads, and no more."""
+    return mc.parse_automaton(
+        "levels: 2\nstates: s p q r\ninitial: s\ninput: a b\n"
+        "store: Z A B Y\nstart_symbol: Z\n"
+        + "".join(f"t: {t}\n" for t in ("s eps Z -> q push 2 A A",
+                                          *transitions)))
+
+
+# The loop's push 2, an epsilon commit to B, and a move that removes B
+# after one letter (without it nothing removes B).
+GROW = "q eps [Z A] -> q push 2 A"
+COMMIT = "q eps [Z A] -> r push 1 B"
+READ_ONE = "r a [B A] -> r pop 1"
+
+
+@settings(deadline=None, max_examples=300)
+@given(hst.one_of(automata(guess=True), automata(max_levels=2)),
+       hst.lists(hst.sampled_from(LETTERS), max_size=5), hst.integers(0, 12))
+# A commit whose letter is not the next one is neither taken nor cut.
+@example(_entered_above(GROW, "q a [Z A] -> r push 1 B"), "b", 10)
+# A commit that reads a letter leaves one fewer for B, which reads one.
+@example(_entered_above(GROW, "q a [Z A] -> r push 1 B", READ_ONE), "aa", 10)
+# A second way in, above Y: the most yield cuts only on a store of one
+# element.
+@example(_entered_above("s eps Z -> p push 1 Z Y", "p eps Z -> q push 2 A A",
+                        GROW, COMMIT, READ_ONE,
+                        "r eps Y -> r pop 1"), "aa", 12)
+# No loop: the push 2 leads to another state, or the key has a pop 2.
+@example(_entered_above("q eps [Z A] -> p push 2 A", COMMIT,
+                        "p eps [Z A] -> p pop 2"), "", 10)
+@example(_entered_above(GROW, COMMIT, "q b [Z A] -> q pop 2"), "b", 10)
+def test_fast_forwarded_guess_loops_count_as_stepping(automaton, word, store):
+    fast, walked = assert_steps_alike(automaton, stepping(automaton), word,
+                                      store, 2000, trace=True)
+    assert fast <= walked
+    shape = ("guess loop" if automaton.transitions[:4] == GUESS_LOOP
+             else f"{automaton.levels}-level")
+    event(f"{shape}: {'fast-forwarded' if fast < walked else 'stepped'}")
+
+
+def test_a_budget_spent_at_a_guess_loop_counts_as_stepping():
+    # The budget runs out at the loop's first branch point, on the push 2,
+    # before the commit after it is cut: no yield cut yet.
+    entered = _entered_above(GROW, COMMIT)
+    assert_steps_alike(entered, stepping(entered), "", 10, 2)
+    v = mc.accepts(entered, "", SearchBounds(10, 2), memoize=False)
+    assert (v.status, v.configurations, v.store_cut, v.yield_cut) \
+        == (INCONCLUSIVE, 3, False, False)
+
+
+@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA + [
+    ("ball as-printed", gr.fibonacci, "W", 5)])
+def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma):
+    # The positives and mutants of the levels scripts/check_recognizers.py
+    # --quick checks.  The as-printed fib ball's guess loop pushes F F, so
+    # its steps grow the store by 2.  The fib sector's tables settle only
+    # at height 65, above these store bounds, so its loops are stepped.
+    system = system()
+    kind, _, variant = kind.partition(" ")
+    automaton = (sector_automaton(system, root) if kind == "sector"
+                 else ball_automaton(system, root, sigma,
+                                     Variant(variant or "corrected")))
+    reference = stepping(automaton)
+    spec = ContourSpec(system, root, sigma=sigma, kind=kind)
+    lo = int(kind == "sector")
+    top = 2 if (kind, system.name) == ("sector", "cell120") else lo + 2
+    saved = 0
+    for level in range(lo, top + 1):
+        word = contour_word(spec, level)
+        store = suggested_store_bound(system, sigma, level)
+        for w in [word, *mutate(word, 7 + level, 5,
+                                alphabet=automaton.input_alphabet)]:
+            fast, walked = assert_steps_alike(automaton, reference, w, store,
+                                              10 ** 7)
+            assert fast <= walked
+            saved += walked - fast
+    assert (saved > 0) == ((kind, system.name) != ("sector", "fibonacci"))
 
 
 @settings(deadline=None, max_examples=200)

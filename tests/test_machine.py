@@ -16,7 +16,7 @@ from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
-from witness import assert_witness, flag_table, yields
+from witness import CountingStore, assert_witness, flag_table, yields
 
 
 def T(state, letter, pattern, target, action):
@@ -422,7 +422,9 @@ def test_a_search_reaches_the_tables_only_for_flags_it_builds():
     # calls of child are the flag nodes these 616 searches build.  The
     # words: every {b,w} word up to 8 letters on the fib ball automaton
     # (sigma 5), and a check of the fib sector automaton, each level's
-    # positive and its mutants.
+    # positive and its mutants.  The ball words search under the memo, and
+    # the sector's tables settle only at height 65, above the store
+    # bounds, so no guess loop here is fast-forwarded.
     fib = gr.fibonacci()
     ball = ball_automaton(fib, "W", 5)
     words = [w for n in range(9) for w in itertools.product("bw", repeat=n)]
@@ -524,15 +526,6 @@ def test_trace_absent_unless_requested(fib):
 
 # --- tree-walk exploration ------------------------------------------------------------
 
-class _CountingStore(st.Store):
-    built = 0
-    __slots__ = ()
-
-    def __init__(self, *args):
-        _CountingStore.built += 1
-        super().__init__(*args)
-
-
 # (system, root, kind, sigma, level, letters, configurations, witness
 # length, configurations of the 5 mutants of mutate(word, 7, 5)).
 TREE_WALKS = [
@@ -560,11 +553,11 @@ def test_tree_walk_exploration_is_pinned(case):
                           10 ** 7)
     built = []
     for memoize in (True, False):
-        _CountingStore.built = 0
-        with mock.patch.object(mc, "Store", _CountingStore):
+        CountingStore.built = 0
+        with mock.patch.object(mc, "Store", CountingStore):
             v = mc.accepts(automaton, word, bounds, memoize=memoize)
         assert (v.status, v.configurations) == (ACCEPTED, configs)
-        built.append(_CountingStore.built)
+        built.append(CountingStore.built)
     # A jumped copy is one step under the memo too, so both searches
     # build the same store nodes.
     assert built[0] == built[1]
@@ -631,13 +624,13 @@ def test_repeated_subtrees_are_walked_once():
     bounds = SearchBounds(suggested_store_bound(system, 7, 6), 10 ** 7)
     built = []
     for memoize in (True, False):
-        _CountingStore.built = 0
-        with mock.patch.object(mc, "Store", _CountingStore):
+        CountingStore.built = 0
+        with mock.patch.object(mc, "Store", CountingStore):
             v = mc.accepts(automaton, word, bounds, memoize=memoize)
         assert v.status == ACCEPTED
         assert v.configurations > 10 ** 5
-        assert _CountingStore.built < v.configurations // 100
-        built.append(_CountingStore.built)
+        assert CountingStore.built < v.configurations // 100
+        built.append(CountingStore.built)
     assert built[0] == built[1]
 
 
@@ -705,10 +698,10 @@ def test_tracing_does_not_change_the_walk():
     # A memo-free search jumps the copy of A whether it traces or not.
     walks = []
     for trace in (False, True):
-        _CountingStore.built = 0
-        with mock.patch.object(mc, "Store", _CountingStore):
+        CountingStore.built = 0
+        with mock.patch.object(mc, "Store", CountingStore):
             v = mc.accepts(_pending(), "aac", trace=trace, memoize=False)
-        walks.append((v.status, v.configurations, _CountingStore.built))
+        walks.append((v.status, v.configurations, CountingStore.built))
     assert walks == [(ACCEPTED, 8, 6)] * 2
 
 
@@ -748,6 +741,50 @@ def test_a_cap_on_open_segments_changes_no_count():
                 v = mc.accepts(automaton, word, SearchBounds(store, 10 ** 4),
                                memoize=False)
                 assert (v.status, v.configurations) == (status, configs)
+
+
+# --- saturated guess loops -------------------------------------------------------------
+
+def _fib_ball_mutants():
+    fib = gr.fibonacci()
+    word = contour_word(ContourSpec(fib, "W", sigma=5, kind="ball"), 6)
+    return ball_automaton(fib, "W", 5), mutate(word, 100003 + 6, 20)
+
+
+def test_saturated_guess_loops_build_no_store_nodes():
+    # Once a guess step keeps its flag's table, the memo-free search
+    # counts the rest of the loop, up to the store bound of 135, in one
+    # step.  Stepping through it builds 5,761 store nodes for these 20
+    # mutants, and asks child for the table of each of 2,680 new flags.
+    ball, mutants = _fib_ball_mutants()
+    bounds = SearchBounds(suggested_store_bound(gr.fibonacci(), 5, 6), 10 ** 7)
+    assert bounds.max_store_symbols == 135
+    CountingStore.built = 0
+    with mock.patch.object(mc, "Store", CountingStore), \
+            _counted("child") as child:
+        verdicts = [mc.accepts(ball, m, bounds, memoize=False)
+                    for m in mutants]
+    assert {(v.status, v.store_cut, v.yield_cut) for v in verdicts} \
+        == {(REJECTED, True, True)}
+    assert sum(v.configurations for v in verdicts) == 15_220
+    assert CountingStore.built <= 1000
+    assert child.call_count == 200
+
+
+def test_no_guess_loop_is_fast_forwarded_without_a_store_bound():
+    # Without a store bound nothing ends the loop: the search steps
+    # through it, building each guess's store nodes, until the budget
+    # runs out, as without the fast-forward.  With no budget either it
+    # would never end.
+    ball, mutants = _fib_ball_mutants()
+    for budget in (1, 500, 5000):
+        CountingStore.built = 0
+        with mock.patch.object(mc, "Store", CountingStore):
+            v = mc.accepts(ball, mutants[0], SearchBounds(None, budget),
+                           memoize=False)
+        assert (v.status, v.configurations) == (INCONCLUSIVE, budget + 1)
+        assert not v.store_cut
+        assert CountingStore.built >= budget
 
 
 # --- determinism, memoization, monotonicity ----------------------------------------------

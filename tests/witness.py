@@ -1,8 +1,22 @@
-"""What the search tests share: the witness check ``assert_witness`` and
+"""What the search tests share: the witness check ``assert_witness``,
 the yield-table sums ``yields``, which reads each flag's table through
-``flag_table``."""
+``flag_table``, and ``CountingStore``, which counts the store nodes a
+search builds."""
 
 from itpda import machine as mc
+from itpda import store as st
+
+
+class CountingStore(st.Store):
+    """A store node that counts its constructions in ``built``; patch it
+    over ``itpda.machine.Store`` to count the nodes a search builds."""
+
+    built = 0
+    __slots__ = ()
+
+    def __init__(self, *args):
+        CountingStore.built += 1
+        super().__init__(*args)
 
 
 def assert_witness(automaton, word, trace, start, goal=None):

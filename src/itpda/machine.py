@@ -37,9 +37,9 @@ one branch point is the guess loop on its start symbol, alone on the
 store, so together they cut the tree walk of a guessed height at its
 commit, whether the height is too tall or too short for the word, and so
 every height of a word whose length no height yields.  Once a guess
-loop's flag table stops changing, a memo-free search under a finite
-store bound counts the loop's steps up to that bound in one step (see
-``_search``).
+step at a branch point is its only move and keeps its state, top chain
+and flag table, a memo-free search under a finite store bound counts the
+steps left up to that bound in one step (see ``_search``).
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -237,7 +237,6 @@ class Automaton:
     transitions: tuple[Transition, ...]
     name: str = field(default="", compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
-    _loops: dict = field(init=False, repr=False, compare=False)
     _codes: "_Codes" = field(init=False, repr=False, compare=False)
     _yields: Optional["_YieldTables"] = field(default=None, init=False,
                                               repr=False, compare=False)
@@ -324,7 +323,6 @@ class Automaton:
         for key, entries in index.items():
             index[key] = (_can_branch(entries), tuple(entries))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_loops", _guess_loops(index))
 
     def initial_store(self) -> Store:
         return st.node(self.initial_symbol, st.empty(self.levels - 1),
@@ -568,23 +566,6 @@ def _can_branch(entries) -> bool:
                                  or len(set(letters)) < len(letters))
 
 
-def _guess_loops(index: dict) -> dict:
-    """Guess loops (see ``_search``): the index keys (q, (X, F)) whose
-    moves are one push 2, an epsilon move into q of a word w that starts
-    with F, and depth-1 pushes.  Each maps to (w, (transition id, letter
-    code) of each depth-1 push)."""
-    loops = {}
-    for (state, pattern), (_, entries) in index.items():
-        grows = [e for e in entries if e[3] == 3]
-        pushes = [(e[0], e[1]) for e in entries if e[3] == 2]
-        if len(grows) == 1 and pushes and len(pushes) + 1 == len(entries):
-            _, code, target, *_, push_word = grows[0]
-            if (code is None and target == state and len(pattern) == 2
-                    and push_word[:1] == pattern[1:]):
-                loops[state, pattern] = (push_word, pushes)
-    return loops
-
-
 class _Codes:
     """The one-character codes of an automaton's input letters.
 
@@ -676,15 +657,31 @@ class _Coded(str):
     __slots__ = ()
 
 
+def _check_configurations(automaton: Automaton, word: str, *configs):
+    """Raise :class:`MachineError` unless each of ``configs`` has a store
+    of the automaton's level and a position in 0..len(``word``)."""
+    for cfg in configs:
+        if cfg.store.level != automaton.levels:
+            raise MachineError(
+                f"store level {cfg.store.level} does not fit a "
+                f"{automaton.levels}-level automaton")
+        if not 0 <= cfg.position <= len(word):
+            raise MachineError(
+                f"position {cfg.position} outside 0..{len(word)}")
+
+
 def step(automaton: Automaton, config: Configuration,
          word) -> set[tuple[Configuration, int]]:
     """All one-step successors of ``config`` on ``word``, with the id of
     the transition applied.  Raises :class:`UndeclaredLetterError` if a
-    token of ``word`` is not a letter of ``automaton``.  ``word`` is read
-    as :func:`accepts` reads it: a :class:`_Coded` word as it is, so that
-    checking a trace step by step encodes its word once."""
+    token of ``word`` is not a letter of ``automaton``, and
+    :class:`MachineError` if the store of ``config`` does not have the
+    automaton's level or its position lies outside the word.  ``word`` is
+    read as :func:`accepts` reads it: a :class:`_Coded` word as it is, so
+    that checking a trace step by step encodes its word once."""
     if type(word) is not _Coded:
         word = _encode(automaton, word)
+    _check_configurations(automaton, word, config)
     pos = config.position
     nxt = word[pos] if pos < len(word) else None
     return {(Configuration(target, pos + (code is not None), nstore), tid)
@@ -712,30 +709,6 @@ def _moves(automaton: Automaton, state: str, store: Store) -> list[tuple]:
 # that keeps opening more, on a cycle that never returns to the store it
 # began on, stops opening them here, so its memory stays bounded.
 _MAX_OPEN_SEGMENTS = 1 << 16
-
-
-def _repeats(loop, word, pos, cur, tids, yields):
-    """None unless the guess loop ``loop`` at the branch point (pos, cur)
-    repeats its step exactly (see ``_search``); else whether a depth-1
-    push was cut.  ``tids`` maps the id of each live flag to its table."""
-    push_word, pushes = loop
-    below = cur.flag
-    for sym in push_word:
-        if below.symbol != sym:
-            return None
-        below = below.rest
-    ftable = tids[id(cur.flag)]
-    if tids[id(below)] != ftable:
-        return None
-    cut = False
-    for tid, letter in pushes:
-        if letter is None or pos < len(word) and word[pos] == letter:
-            left = len(word) - pos - (letter is not None)
-            if not (yields.lows[ftable][tid] > left or cur.rest.size == 0
-                    and yields.highs[ftable][tid] < left):
-                return None
-            cut = True
-    return cut
 
 
 def _search(automaton: Automaton, word: str, start: tuple,
@@ -811,18 +784,21 @@ def _search(automaton: Automaton, word: str, start: tuple,
     copy is pruned at its end or later, counting at most the copy more.
     A jump adds no link: the copy has no branch point; the replay walks it.
 
-    A memo-free accept-mode search on a 2-level automaton under a finite
-    store bound also fast-forwards guess loops (loop acceleration:
-    Bardin, Finkel, Leroux and Schnoebelen, ATVA 2005).  A loop key
-    (``_guess_loops``) has one push 2, an epsilon move of a word w back
-    to its own state and key, and depth-1 pushes.  At X[f] with f = w.g
-    and g with f's table id, w.f has it too (a table id folds ``child``
-    over the flag), so if the yield bounds cut every depth-1 push that
-    reads here, each later step repeats this one on a store |w| larger.
-    Stepping would generate k = (bound - size) // |w| configurations and
+    A memo-free accept-mode search on a 1- or 2-level automaton under a
+    finite store bound also fast-forwards guess loops (loop acceleration:
+    Bardin, Finkel, Leroux and Schnoebelen, ATVA 2005).  Say a branch
+    point X[f] has one successor, X[w.f]: an epsilon push 2 of a nonempty
+    word w, into the same state and top chain, so under the same index
+    key, whose ``child`` fold gave w.f the table id of f.  Then w.w.f has
+    it too, and every move meets at X[w.f] what it met at X[f]: the same
+    key, position, rest and flag table, so the same letter test and yield
+    cuts, a nonempty flag for a pop 2 on both, and store cuts that only
+    grow with the store.  The step just taken made every cut decision,
+    so each later step repeats it on a store |w| larger.  Stepping would
+    generate k = (bound - size of X[w.f]) // |w| more configurations and
     then cut the push 2: the search counts k (or stops at the budget),
-    sets the cut flags and pops the stack.  The memo could prune a step,
-    so memoized searches walk the loop.
+    sets ``store_cut`` and drops the successor.  The memo could prune a
+    step, so memoized searches walk the loop.
     """
     index = automaton._index
     n = len(word)
@@ -887,10 +863,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
         lows_of, highs_of = yields.lows, yields.highs
         child = yields.child
         tids = {id(st.empty(automaton.levels - 1)): 0}
-    # Guess loops to fast-forward (see above).
-    loops = (automaton._loops
-             if tids is not None and not memoize and max_store < math.inf
-             else None)
+    # Fast-forward guess loops (see above)?
+    fast = tids is not None and not memoize and max_store < math.inf
 
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
@@ -940,20 +914,6 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 # of 2.
                 keep_all = branches or not t & (t + 1)
             if branches:
-                if loops:
-                    loop = loops.get((state, cur._topsym))
-                    # k: the configurations stepping through the loop makes.
-                    k = loop and (max_store - cur.size) // len(loop[0])
-                    if k and count < max_configs:
-                        cut = _repeats(loop, word, pos, cur, tids, yields)
-                        if cut is not None:
-                            yield_cut |= cut
-                            if count + k > max_configs:
-                                count = max_configs + 1
-                                return finish(INCONCLUSIVE)
-                            count += k
-                            store_cut = True
-                            break
                 successors = []
             elif summaries is not None:
                 flag = cur.flag
@@ -1072,6 +1032,22 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 break
             else:
                 if branches:
+                    if fast and len(successors) == 1:
+                        # Only a push 2 of a nonempty word keeps the rest
+                        # and grows the store: a guess step (see above)?
+                        target, npos, nstore, _, _ = successors[0]
+                        grow = nstore.size - cur.size
+                        if (grow > 0 and nstore.rest is cur.rest
+                                and (target, npos) == (state, pos)
+                                and nstore._topsym == cur._topsym
+                                and tids[id(nstore.flag)] == tids[id(cur.flag)]):
+                            k = (max_store - nstore.size) // grow
+                            if count + k > max_configs:
+                                count = max_configs + 1
+                                return finish(INCONCLUSIVE)
+                            count += k
+                            store_cut = True
+                            break
                     stack.extend(reversed(successors))
                 break
     return finish(REJECTED)
@@ -1097,8 +1073,10 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     keeps the store within its bound the search spins until the
     configuration budget runs out and reports Inconclusive.  It also
     explores paths that meet once per path, which can take exponentially
-    longer.  It saves one set lookup per configuration, and the steps of
-    guess loops whose flag table has settled (see ``_search``).
+    longer.  It saves one set lookup per configuration, and, under a
+    finite store bound, the steps of a guess loop after a guess step that
+    is its branch point's only move and keeps its state, top chain and
+    flag table (see ``_search``).
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points
@@ -1124,16 +1102,13 @@ def reachable(automaton: Automaton, start: Configuration, goal: Configuration,
 
     This is the executable form of the derivation relation: positions
     index the shared input word.  Both stores must have the automaton's
-    level, or :class:`MachineError` is raised.  ``word`` is read as
-    :func:`accepts` reads it.
+    level and both positions must lie in 0..len(``word``), or
+    :class:`MachineError` is raised.  ``word`` is read as :func:`accepts`
+    reads it.
     """
     if type(word) is not _Coded:
         word = _encode(automaton, word)
-    for cfg in (start, goal):
-        if cfg.store.level != automaton.levels:
-            raise MachineError(
-                f"store level {cfg.store.level} does not fit a "
-                f"{automaton.levels}-level automaton")
+    _check_configurations(automaton, word, start, goal)
     if bounds is None:
         bounds = default_bounds(len(word))
     return _search(automaton, word,

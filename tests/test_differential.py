@@ -21,9 +21,10 @@ the text format gives a meaning to must be rejected by ``Automaton`` or
 survive the round trip too.  On the tree walks of random substitution systems, the search
 must give the same verdict, count and witness when it refuses every jump
 over a repeated segment.  A memo-free search that fast-forwards guess
-loops must give the status, count, cut flags and witness of one that
-steps through them, on drawn automata and on the builders', also when
-the budget runs out inside a loop.
+loops must give the status, count, cut flags and witness of ``walk``, a
+search that steps through every move, on drawn automata and on the
+builders', also when the budget runs out inside a loop, and build no
+more store nodes than stepping.
 """
 
 import dataclasses
@@ -43,7 +44,7 @@ from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Pop, Push, SearchBounds, Transition)
-from witness import CountingStore, assert_witness, flag_table, yields
+from witness import CountingStore, assert_witness, flag_table, walk, yields
 
 STATES = ("q0", "q1", "q2")
 LETTERS = ("a", "b")
@@ -517,38 +518,51 @@ def test_builder_yield_tables_equal_plain_rounds(kind, system, root, sigma):
         assert_tables_match_plain_rounds(automaton, cap, flags)
 
 
-def stepping(automaton):
-    """A copy of ``automaton`` in which no guess loop is found, so that
-    its memo-free searches step through every loop: the reference for
-    the fast-forward."""
-    with mock.patch.object(mc, "_guess_loops", return_value={}):
-        return dataclasses.replace(automaton)
+def built(automaton, word, bounds, memoize, trace=False):
+    """The verdict of ``word`` on ``automaton`` and the store nodes its
+    search built."""
+    CountingStore.built = 0
+    with mock.patch.object(mc, "Store", CountingStore):
+        v = mc.accepts(automaton, word, bounds, trace=trace, memoize=memoize)
+    return v, CountingStore.built
 
 
-def assert_steps_alike(automaton, reference, word, store, budget,
-                       trace=False):
-    """Memo-free searches of ``word`` on ``automaton`` and on its stepping
-    copy ``reference`` give the same status, count, cut flags and, with
-    ``trace``, witness: under ``budget`` and under budgets that run out
-    inside the search, one below its count, at half and at a third of
-    it.  Returns the store nodes each built under ``budget``."""
-    built, budgets = [], [budget]
+def assert_steps_alike(automaton, word, store, budget, trace=False):
+    """The memo-free search of ``word`` on ``automaton`` gives the status,
+    count, cut flags and, with ``trace``, witness of ``walk``: under
+    ``budget`` and under budgets that run out inside the search, one
+    below its count, at half and at a third of it.  Returns the store
+    nodes it built under ``budget``, and those the memoized search, which
+    never fast-forwards, built there: at least what stepping builds,
+    unless the memo pruned a configuration (then None).  It pruned none
+    where it decides as ``walk``, short of the budget, in as many
+    configurations."""
+    budgets = [budget]
     while budgets:
         bounds = SearchBounds(store, budgets.pop())
-        verdicts = []
-        for a in (automaton, reference):
-            CountingStore.built = 0
-            with mock.patch.object(mc, "Store", CountingStore):
-                v = mc.accepts(a, word, bounds, trace=trace, memoize=False)
-            verdicts.append((v.status, v.configurations, v.store_cut,
-                             v.yield_cut, v.trace))
-            built.append(CountingStore.built)
-        assert verdicts[0] == verdicts[1], bounds
+        v, nodes = built(automaton, word, bounds, False, trace)
+        w = walk(automaton, word, bounds, trace)
+        fields = [(x.status, x.configurations, x.store_cut, x.yield_cut,
+                   x.trace) for x in (v, w)]
+        assert fields[0] == fields[1], bounds
         if bounds.max_configurations == budget:
-            count = verdicts[1][1]
+            fast, walked = nodes, w
+            count = w.configurations
             budgets = sorted({b for b in (count - 1, count // 2, count // 3)
                               if 0 < b < budget})
-    return built[:2]
+    memo, stepped = built(automaton, word, SearchBounds(store, budget), True)
+    if (memo.status, memo.configurations) != (walked.status, count) \
+            or memo.status == INCONCLUSIVE:
+        stepped = None
+    return fast, stepped
+
+
+def _guessing(levels, *transitions):
+    """An automaton of ``transitions`` that starts in q on Z."""
+    return mc.parse_automaton(
+        f"levels: {levels}\nstates: s p q r\ninitial: q\ninput: a b\n"
+        "store: Z A B Y\nstart_symbol: Z\n"
+        + "".join(f"t: {t}\n" for t in transitions))
 
 
 def _entered_above(*transitions):
@@ -556,11 +570,9 @@ def _entered_above(*transitions):
     its push 2 never built from Z[A]: the flag has settled at once, since
     no table reads the flag below A.  B[A...] reads what ``transitions``
     say it reads, and no more."""
-    return mc.parse_automaton(
-        "levels: 2\nstates: s p q r\ninitial: s\ninput: a b\n"
-        "store: Z A B Y\nstart_symbol: Z\n"
-        + "".join(f"t: {t}\n" for t in ("s eps Z -> q push 2 A A",
-                                          *transitions)))
+    return dataclasses.replace(
+        _guessing(2, "s eps Z -> q push 2 A A", *transitions),
+        initial_state="s")
 
 
 # The loop's push 2, an epsilon commit to B, and a move that removes B
@@ -573,7 +585,8 @@ READ_ONE = "r a [B A] -> r pop 1"
 @settings(deadline=None, max_examples=300)
 @given(hst.one_of(automata(guess=True), automata(max_levels=2)),
        hst.lists(hst.sampled_from(LETTERS), max_size=5), hst.integers(0, 12))
-# A commit whose letter is not the next one is neither taken nor cut.
+# A commit whose letter is not the next one is neither taken nor cut: the
+# loop is fast-forwarded after its first step, from Z[A A] to Z[A A A].
 @example(_entered_above(GROW, "q a [Z A] -> r push 1 B"), "b", 10)
 # A commit that reads a letter leaves one fewer for B, which reads one.
 @example(_entered_above(GROW, "q a [Z A] -> r push 1 B", READ_ONE), "aa", 10)
@@ -582,27 +595,58 @@ READ_ONE = "r a [B A] -> r pop 1"
 @example(_entered_above("s eps Z -> p push 1 Z Y", "p eps Z -> q push 2 A A",
                         GROW, COMMIT, READ_ONE,
                         "r eps Y -> r pop 1"), "aa", 12)
-# No loop: the push 2 leads to another state, or the key has a pop 2.
+# No loop: the push 2 leads to another state, or the key has a pop 2
+# that fires.  One that reads a letter other than the next never fires.
 @example(_entered_above("q eps [Z A] -> p push 2 A", COMMIT,
                         "p eps [Z A] -> p pop 2"), "", 10)
 @example(_entered_above(GROW, COMMIT, "q b [Z A] -> q pop 2"), "b", 10)
+@example(_entered_above(GROW, COMMIT, "q b [Z A] -> q pop 2"), "", 10)
+@example(_entered_above(GROW, COMMIT, "q b [Z A] -> q pop 2"), "a", 10)
+# Not a guess step: the push 2 reads a letter, or leads from Z to another
+# top chain, Z A, whose table equals the empty flag's; a push 1 of Z Z
+# keeps the top chain, but the commit the most yield cuts on Z fires on
+# Z Z.
+@example(_entered_above("q a [Z A] -> q push 2 A", COMMIT), "aaa", 10)
+@example(_guessing(2, "q eps Z -> q push 2 A", "q a Z -> q pop 1",
+                   "q eps [Z A] -> q push 2 A", "q eps [Z A] -> q pop 1"),
+         "", 10)
+@example(_guessing(1, "q eps Z -> q push 1 Z Z", "q a Z -> p pop 1",
+                   "p eps Z -> p pop 1", "q eps Z -> r push 1 B",
+                   "r eps B -> r pop 1"), "b", 10)
+# A push 2 of the empty word keeps the store: stepping runs to the budget.
+@example(_guessing(2, "q a Z -> q push 1", "q eps Z -> q push 2"), "", 10)
 def test_fast_forwarded_guess_loops_count_as_stepping(automaton, word, store):
-    fast, walked = assert_steps_alike(automaton, stepping(automaton), word,
-                                      store, 2000, trace=True)
-    assert fast <= walked
+    fast, stepped = assert_steps_alike(automaton, word, store, 2000,
+                                      trace=True)
     shape = ("guess loop" if automaton.transitions[:4] == GUESS_LOOP
              else f"{automaton.levels}-level")
-    event(f"{shape}: {'fast-forwarded' if fast < walked else 'stepped'}")
+    if stepped is None:
+        event(f"{shape}: the memo pruned")
+    else:
+        assert fast <= stepped
+        event(f"{shape}: {'fast-forwarded' if fast < stepped else 'stepped'}")
 
 
 def test_a_budget_spent_at_a_guess_loop_counts_as_stepping():
     # The budget runs out at the loop's first branch point, on the push 2,
     # before the commit after it is cut: no yield cut yet.
     entered = _entered_above(GROW, COMMIT)
-    assert_steps_alike(entered, stepping(entered), "", 10, 2)
+    assert_steps_alike(entered, "", 10, 2)
     v = mc.accepts(entered, "", SearchBounds(10, 2), memoize=False)
     assert (v.status, v.configurations, v.store_cut, v.yield_cut) \
         == (INCONCLUSIVE, 3, False, False)
+
+
+def test_a_pop_2_that_cannot_fire_leaves_a_guess_loop_to_fast_forward():
+    # The key's pop 2 reads b, so on "" and on "a" the loop's step from
+    # Z[A A] to Z[A A A] is its only move and keeps the flag's table.
+    # Stepping to the store bound of 40 builds 77 store nodes.
+    entered = _entered_above(GROW, COMMIT, "q b [Z A] -> q pop 2")
+    for word in ("", "a"):
+        assert assert_steps_alike(entered, word, 40, 2000) == (5, 77)
+        v = mc.accepts(entered, word, SearchBounds(40, 2000), memoize=False)
+        assert (v.status, v.configurations, v.store_cut, v.yield_cut) \
+            == (REJECTED, 39, True, True)
 
 
 @pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA + [
@@ -617,7 +661,6 @@ def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma):
     automaton = (sector_automaton(system, root) if kind == "sector"
                  else ball_automaton(system, root, sigma,
                                      Variant(variant or "corrected")))
-    reference = stepping(automaton)
     spec = ContourSpec(system, root, sigma=sigma, kind=kind)
     lo = int(kind == "sector")
     top = 2 if (kind, system.name) == ("sector", "cell120") else lo + 2
@@ -627,10 +670,9 @@ def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma):
         store = suggested_store_bound(system, sigma, level)
         for w in [word, *mutate(word, 7 + level, 5,
                                 alphabet=automaton.input_alphabet)]:
-            fast, walked = assert_steps_alike(automaton, reference, w, store,
-                                              10 ** 7)
-            assert fast <= walked
-            saved += walked - fast
+            fast, stepped = assert_steps_alike(automaton, w, store, 10 ** 7)
+            assert stepped is not None and fast <= stepped
+            saved += stepped - fast
     assert (saved > 0) == ((kind, system.name) != ("sector", "fibonacci"))
 
 

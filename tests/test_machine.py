@@ -78,6 +78,18 @@ def test_step_rejects_undeclared_letters(fib):
         mc.step(fib, cfg, ("a", "z"))
 
 
+def test_step_rejects_stores_of_another_level_and_positions_off_the_word(fib):
+    # A level-1 X1 would fire the 2-level automaton's transition 6, and
+    # position -1 would read the word's last letter.
+    x1 = st.single("X1", 2)
+    for cfg in (Configuration("q0", 0, st.single("X1", 1)),
+                Configuration("q0", 0, st.single("X1", 3, ["F"])),
+                Configuration("q0", -1, x1), Configuration("q0", 2, x1)):
+        with pytest.raises(mc.MachineError):
+            mc.step(fib, cfg, "a")
+    assert mc.step(fib, Configuration("q0", 1, x1), "a") == set()
+
+
 # --- accepts -----------------------------------------------------------------------
 
 def test_unhashable_tokens_are_undeclared_letters(fib):
@@ -867,6 +879,19 @@ def test_reachable_rejects_stores_of_another_level(fib):
             mc.reachable(fib, wrong, ok, "a")
         with pytest.raises(mc.MachineError):
             mc.reachable(fib, ok, wrong, "a")
+
+
+def test_reachable_rejects_positions_off_the_word(fib):
+    # From position -1, X1 would read the word's last letter and reach
+    # position 0 with the store empty.
+    x1 = st.single("X1", 2)
+    ok = Configuration("q0", 0, st.empty(2))
+    for pos in (-1, 2):
+        off = Configuration("q0", pos, x1)
+        with pytest.raises(mc.MachineError, match="position"):
+            mc.reachable(fib, off, ok, "a")
+        with pytest.raises(mc.MachineError, match="position"):
+            mc.reachable(fib, ok, off, "a")
 
 
 # --- enumerate_language ------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """What the search tests share: the witness check ``assert_witness``,
 the yield-table sums ``yields``, which reads each flag's table through
-``flag_table``, and ``CountingStore``, which counts the store nodes a
-search builds."""
+``flag_table``, the step-by-step acceptance search ``walk``, and
+``CountingStore``, which counts the store nodes a search builds."""
 
 from itpda import machine as mc
 from itpda import store as st
@@ -63,3 +63,65 @@ def yields(automaton, state, store):
         high = max(H[j] for j in at)
         most = -1 if most < 0 or high < 0 else most + high
     return min(least, tables.cap), min(most, tables.cap)
+
+
+def walk(automaton, word, bounds, trace=False):
+    """The memo-free acceptance search, one step at a time: a depth-first
+    walk over ``itpda.machine._moves`` with the search's rules, and no
+    jump or fast-forward.  Successors come in declaration order and are
+    stacked in reverse.  On 1- and 2-level automata a depth-1 push is cut
+    when its new elements' least yield exceeds the letters left and, at a
+    branch point on a store of one element, when their most yield falls
+    short of them.  A store past the bound is cut, a configuration that
+    has read the word and emptied its store accepts when generated, and a
+    count past the budget stops the walk as Inconclusive.  Returns a
+    ``Verdict``, with the walked path as its witness if ``trace``.  It
+    builds each move before it cuts it, so it is no reference for the
+    store nodes the search builds."""
+    coded = mc._encode(automaton, word)
+    n = len(coded)
+    max_store, max_configs = mc._limits(bounds)
+    tables = automaton._yield_tables(n)
+    verdict = mc.Verdict(mc.REJECTED, configurations=1)
+    # (configuration, path): the path as links (previous link, (step, tid)).
+    stack = [(mc.Configuration(automaton.initial_state, 0,
+                               automaton.initial_store()), None)]
+    while stack:
+        cfg, path = stack.pop()
+        state, pos, store = cfg.state, cfg.position, cfg.store
+        branches = automaton._index.get((state, store._topsym), (True,))[0]
+        successors = []
+        for tid, code, target, nstore in mc._moves(automaton, state, store):
+            if code is not None and (pos == n or coded[pos] != code):
+                continue
+            npos = pos + (code is not None)
+            action = automaton.transitions[tid].action
+            if tables is not None and action.level == 1 \
+                    and isinstance(action, mc.Push):
+                table = flag_table(tables, store.flag)
+                if tables.lows[table][tid] > n - npos or (
+                        branches and store.rest.size == 0
+                        and tables.highs[table][tid] < n - npos):
+                    verdict.yield_cut = True
+                    continue
+            if nstore.size > max_store:
+                verdict.store_cut = True
+                continue
+            verdict.configurations += 1
+            nxt = mc.Configuration(target, npos, nstore)
+            link = (path, (cfg, tid))
+            if npos == n and nstore.size == 0:
+                verdict.status = mc.ACCEPTED
+                if trace:
+                    verdict.trace = [(nxt, None)]
+                    while link is not None:
+                        link, step = link
+                        verdict.trace.append(step)
+                    verdict.trace.reverse()
+                return verdict
+            if verdict.configurations > max_configs:
+                verdict.status = mc.INCONCLUSIVE
+                return verdict
+            successors.append((nxt, link))
+        stack.extend(reversed(successors))
+    return verdict

@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from itpda import cli
-from itpda.grammar import cell120, dodecahedral, fibonacci, polygonal
 
 
 def main():
@@ -18,29 +17,18 @@ def main():
     parser.add_argument("--mutations", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
-                        help="smaller level ranges")
+                        help="the first three levels of each family")
     args = parser.parse_args()
 
-    jobs = [
-        ("ball", fibonacci(), "W", 5, (0, 6)),
-        ("ball", fibonacci(), "W", 7, (0, 6)),
-        ("ball", polygonal(6), "W", 6, (0, 5)),
-        ("ball", polygonal(7), "W", 7, (0, 5)),
-        ("ball", dodecahedral(), "O", 8, (0, 4)),
-        ("ball", cell120(), "9", 16, (0, 2)),
-        ("sector", fibonacci(), "W", 1, (1, 6)),
-        ("sector", fibonacci(), "B", 1, (1, 6)),
-        ("sector", dodecahedral(), "O", 1, (1, 4)),
-        ("sector", cell120(), "9", 1, (1, 2)),
-    ]
     all_ok = True
-    for kind, system, root, sigma, (lo, hi) in jobs:
+    for kind, make_system, root, sigma, levels in cli.CHECKED_FAMILIES:
+        system = make_system()
         if args.quick:
-            hi = min(hi, lo + 2)
+            levels = levels[:3]
         title = f"{kind} {system.name} root={root}" + (
             f" sigma={sigma}" if kind == "ball" else "")
         print(f"== {title} ==")
-        report = cli.run_check(kind, system, root, sigma, range(lo, hi + 1),
+        report = cli.run_check(kind, system, root, sigma, levels,
                                args.mutations, args.seed)
         print(report.as_text())
         print()

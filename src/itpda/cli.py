@@ -268,6 +268,23 @@ def _parse_levels(text: str, kind: str) -> range:
     return range(lo, hi + 1)
 
 
+# The recognizer families that ``scripts/check_recognizers.py`` checks, as
+# (kind, system factory, root, sigma, levels); its ``--quick`` run checks
+# the first three levels of each.
+CHECKED_FAMILIES = (
+    ("ball", grammar.fibonacci, "W", 5, range(0, 7)),
+    ("ball", grammar.fibonacci, "W", 7, range(0, 7)),
+    ("ball", lambda: grammar.polygonal(6), "W", 6, range(0, 6)),
+    ("ball", lambda: grammar.polygonal(7), "W", 7, range(0, 6)),
+    ("ball", grammar.dodecahedral, "O", 8, range(0, 5)),
+    ("ball", grammar.cell120, "9", 16, range(0, 3)),
+    ("sector", grammar.fibonacci, "W", 1, range(1, 7)),
+    ("sector", grammar.fibonacci, "B", 1, range(1, 7)),
+    ("sector", grammar.dodecahedral, "O", 1, range(1, 5)),
+    ("sector", grammar.cell120, "9", 1, range(1, 3)),
+)
+
+
 def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
               levels: range, mutations: int, seed: int,
               exhaustive_len: int | None = None,

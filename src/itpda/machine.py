@@ -613,8 +613,11 @@ def _encode(automaton: Automaton, word) -> str:
     :func:`itpda.grammar.parse_word` reads it, except that a text of one
     part that is not a run of one-character letters but is itself a
     letter is read as that letter, and a sequence as its letters joined
-    by spaces.  Raises :class:`UndeclaredLetterError` naming the first
-    token that is not a letter of ``automaton``."""
+    by spaces.  A :class:`_Coded` word is returned as it is.  Raises
+    :class:`UndeclaredLetterError` naming the first token that is not a
+    letter of ``automaton``."""
+    if type(word) is _Coded:
+        return word
     codes = automaton._codes
     if isinstance(word, str):
         text = word.strip()
@@ -651,16 +654,20 @@ def _encode(automaton: Automaton, word) -> str:
 
 
 class _Coded(str):
-    """A word :func:`_encode` has read; :func:`accepts`, :func:`reachable`
-    and :func:`step` take it as it is."""
+    """A word :func:`_encode` has read, and returns as it is, so that
+    :func:`accepts`, :func:`reachable` and :func:`step` take it as it is."""
 
     __slots__ = ()
 
 
 def _check_configurations(automaton: Automaton, word: str, *configs):
-    """Raise :class:`MachineError` unless each of ``configs`` has a store
-    of the automaton's level and a position in 0..len(``word``)."""
+    """Raise :class:`MachineError` unless each of ``configs`` has a
+    declared state, a store of the automaton's level that holds declared
+    symbols alone, at every depth, and a position in 0..len(``word``)."""
+    symbols = set(automaton.store_alphabet)
     for cfg in configs:
+        if cfg.state not in automaton.states:
+            raise MachineError(f"state {cfg.state!r} undeclared")
         if cfg.store.level != automaton.levels:
             raise MachineError(
                 f"store level {cfg.store.level} does not fit a "
@@ -668,6 +675,16 @@ def _check_configurations(automaton: Automaton, word: str, *configs):
         if not 0 <= cfg.position <= len(word):
             raise MachineError(
                 f"position {cfg.position} outside 0..{len(word)}")
+        chains = [cfg.store]
+        for node in chains:  # a flag shared with the element above once
+            flag = None
+            while node.symbol is not None:
+                if node.symbol not in symbols:
+                    raise MachineError(f"store symbol {node.symbol!r} undeclared")
+                if node.flag is not flag:
+                    flag = node.flag
+                    chains.append(flag)
+                node = node.rest
 
 
 def step(automaton: Automaton, config: Configuration,
@@ -675,12 +692,11 @@ def step(automaton: Automaton, config: Configuration,
     """All one-step successors of ``config`` on ``word``, with the id of
     the transition applied.  Raises :class:`UndeclaredLetterError` if a
     token of ``word`` is not a letter of ``automaton``, and
-    :class:`MachineError` if the store of ``config`` does not have the
-    automaton's level or its position lies outside the word.  ``word`` is
-    read as :func:`accepts` reads it: a :class:`_Coded` word as it is, so
-    that checking a trace step by step encodes its word once."""
-    if type(word) is not _Coded:
-        word = _encode(automaton, word)
+    :class:`MachineError` if ``config`` has an undeclared state or store
+    symbol, a store of another level or a position outside the word.
+    ``word`` is read as :func:`accepts` reads it: a :class:`_Coded` word
+    as it is, so that checking a trace step by step encodes it once."""
+    word = _encode(automaton, word)
     _check_configurations(automaton, word, config)
     pos = config.position
     nxt = word[pos] if pos < len(word) else None
@@ -749,13 +765,13 @@ def _search(automaton: Automaton, word: str, start: tuple,
     call per node: a call into ``store.pop`` or ``store.push`` per
     configuration costs tree walks a measurable share of their time.
 
-    In accept mode on 1- and 2-level automata a table id (see
-    ``_YieldTables``) is written by ``_YieldTables.child`` when its flag
-    node is made: a depth-2 push within the store bound asks it for the
-    id of each flag node it builds, bottom first, and the start store's
-    one flag is the empty flag, table 0.  A depth-1 push then reads its
-    flag's id in one lookup.  The registry of ids holds no flag, so a
-    flag the search drops is freed.
+    In accept mode on 1- and 2-level automata each flag carries its
+    table id (see ``_YieldTables``) in its ``_tid`` slot, written when
+    its node is made: a depth-2 push within the store bound asks
+    ``_YieldTables.child`` for the id of each flag node it builds, bottom
+    first, and the start store's one flag is the empty flag, table 0.
+    Pops, depth-1 pushes and jumps expose only these flags, so a depth-1
+    push reads its flag's id in one attribute lookup.
 
     In accept mode a chain walk also summarises segments, after the
     summary edges of interprocedural reachability.  A segment runs from a
@@ -803,8 +819,6 @@ def _search(automaton: Automaton, word: str, start: tuple,
     index = automaton._index
     n = len(word)
     max_store, max_configs = _limits(bounds)
-    push = st.push
-    pop = st.pop
 
     def is_goal(cfg):
         if goal is None:
@@ -850,21 +864,11 @@ def _search(automaton: Automaton, word: str, start: tuple,
     # letters as are left.  Both bounds are read from the table of the
     # element's flag.
     yields = automaton._yield_tables(n) if accept_mode else None
-    # tids: id of a flag -> table id, written by ``child`` when a depth-2
-    # push makes the flag node; accept mode starts from the initial store,
-    # whose one flag is the cached empty flag.  Pops, depth-1 pushes and
-    # jumps expose only these.  The registry holds no flag: a dead flag's
-    # id may pass to a new object, but a live flag's entry was written when
-    # it was made, and no other object had its id since, so a live flag
-    # reads its own id.  Flags a search drops leave at most one entry per
-    # address.
-    tids: Optional[dict] = None
     if yields is not None:
         lows_of, highs_of = yields.lows, yields.highs
         child = yields.child
-        tids = {id(st.empty(automaton.levels - 1)): 0}
     # Fast-forward guess loops (see above)?
-    fast = tids is not None and not memoize and max_store < math.inf
+    fast = yields is not None and not memoize and max_store < math.inf
 
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
@@ -968,8 +972,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
                     nstore = cur.rest
                 elif op == 2:
                     flag = cur.flag
-                    if tids is not None:
-                        ftable = tids[id(flag)]
+                    if yields is not None:
+                        ftable = flag._tid
                         if lows_of[ftable][tid] > n - npos or (
                                 branches and cur.rest.size == 0
                                 and highs_of[ftable][tid] < n - npos):
@@ -979,8 +983,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
                     for sym in payload:
                         nstore = Store_(cur.level, sym, flag, nstore)
                 elif op == 4:
-                    nstore = (pop(level, cur) if push_word is None
-                              else push(level, push_word, cur))
+                    nstore = (st.pop(level, cur) if push_word is None
+                              else st.push(level, push_word, cur))
                     if nstore is None:
                         continue
                 else:
@@ -991,18 +995,15 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         if inner is None:
                             continue  # the flag was empty
                     elif cur.size + len(payload) > max_store:
-                        # Cut before it builds a node or registers a flag.
+                        # Cut before it builds a node or asks for a table.
                         store_cut = True
                         continue
-                    elif tids is None:
-                        for sym in payload:
-                            inner = Store_(flag_level, sym, eflag, inner)
                     else:
-                        ftable = tids[id(inner)]
                         for sym in payload:
-                            inner = Store_(flag_level, sym, eflag, inner)
-                            ftable = child(sym, ftable)
-                            tids[id(inner)] = ftable
+                            node = Store_(flag_level, sym, eflag, inner)
+                            if yields is not None:
+                                node._tid = child(sym, inner._tid)
+                            inner = node
                     nstore = Store_(cur.level, cur.symbol, inner, cur.rest)
                 if nstore.size > max_store:
                     store_cut = True
@@ -1040,7 +1041,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
                         if (grow > 0 and nstore.rest is cur.rest
                                 and (target, npos) == (state, pos)
                                 and nstore._topsym == cur._topsym
-                                and tids[id(nstore.flag)] == tids[id(cur.flag)]):
+                                and nstore.flag._tid == cur.flag._tid):
                             k = (max_store - nstore.size) // grow
                             if count + k > max_configs:
                                 count = max_configs + 1
@@ -1087,8 +1088,7 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     ``Verdict.yield_cut`` when it did; ``Verdict.store_cut`` still tells
     whether the store bound cut a configuration.
     """
-    if type(word) is not _Coded:
-        word = _encode(automaton, word)
+    word = _encode(automaton, word)
     if bounds is None:
         bounds = default_bounds(len(word))
     start = (automaton.initial_state, 0, automaton.initial_store())
@@ -1101,13 +1101,12 @@ def reachable(automaton: Automaton, start: Configuration, goal: Configuration,
     """Is ``goal`` reachable from ``start`` while reading ``word``?
 
     This is the executable form of the derivation relation: positions
-    index the shared input word.  Both stores must have the automaton's
-    level and both positions must lie in 0..len(``word``), or
-    :class:`MachineError` is raised.  ``word`` is read as :func:`accepts`
-    reads it.
+    index the shared input word.  Both states and every store symbol must
+    be declared, both stores must have the automaton's level and both
+    positions must lie in 0..len(``word``), or :class:`MachineError` is
+    raised.  ``word`` is read as :func:`accepts` reads it.
     """
-    if type(word) is not _Coded:
-        word = _encode(automaton, word)
+    word = _encode(automaton, word)
     _check_configurations(automaton, word, start, goal)
     if bounds is None:
         bounds = default_bounds(len(word))
@@ -1125,9 +1124,11 @@ def enumerate_language(automaton: Automaton, max_len: int,
     emitted prefix as part of the search key, so only prefixes the
     automaton can actually read are ever visited, and, like
     :func:`accepts`, skips the depth-1 pushes that need more letters than
-    ``max_len`` leaves.  As in the search, a flag's yield table id is
-    written by ``_YieldTables.child`` when its node is made, here when a
-    push 2 that makes it is kept.  Raises :class:`SearchLimitError` if the
+    ``max_len`` leaves.  As in the search, a flag carries its yield table
+    id in its ``_tid`` slot, written by ``_YieldTables.child``, here on
+    the new flag nodes of each push 2 the enumeration keeps: it starts
+    from the initial store, so every flag it reads is the empty flag or
+    one of those.  Raises :class:`SearchLimitError` if the
     configuration budget is exceeded (the result would be incomplete), and
     :class:`MachineError` if ``max_len`` is negative.
     """
@@ -1138,9 +1139,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
     max_store, max_configs = _limits(bounds)
     yields = automaton._yield_tables(max_len)
     if yields is not None:
-        # tids as in ``_search``, but ``seen`` keeps every flag alive, so
-        # no id is reused.  grown: the length of each push 2's word.
-        tids = {id(st.empty(automaton.levels - 1)): 0}
+        # grown: the length of each push 2's word.
         grown = [len(t.action.word) if isinstance(t.action, Push)
                  and t.action.level == 2 else 0 for t in automaton.transitions]
     accepted: set[str] = set()  # coded words
@@ -1154,7 +1153,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
             accepted.add(emitted)
             continue
         if yields is not None:
-            lows = yields.lows[tids[id(cur.flag)]]
+            lows = yields.lows[cur.flag._tid]
         for tid, letter, target, nstore in _moves(automaton, state, cur):
             if letter is None:
                 nemit = emitted
@@ -1175,13 +1174,13 @@ def enumerate_language(automaton: Automaton, max_len: int,
                 raise SearchLimitError(
                     "language enumeration exceeded the configuration budget")
             if yields is not None and grown[tid]:
-                # Register the new flag nodes, bottom first, as op 3 does.
+                # Table ids of the new flag nodes, bottom first, as op 3.
                 nodes = [nstore.flag]
                 for _ in range(grown[tid] - 1):
                     nodes.append(nodes[-1].rest)
-                ftable = tids[id(nodes[-1].rest)]
+                ftable = nodes[-1].rest._tid
                 for node in reversed(nodes):
-                    ftable = tids[id(node)] = yields.child(node.symbol, ftable)
+                    node._tid = ftable = yields.child(node.symbol, ftable)
             stack.append(ncfg)
     letters = automaton._codes.letter
     return {tuple(map(letters.__getitem__, word)) for word in accepted}

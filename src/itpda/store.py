@@ -47,9 +47,17 @@ class Store:
     and is the only code that computes its cached fields from those of
     ``flag`` and ``rest``: the symbol count ``size``, the hash and the top
     chain.  Construct via :func:`empty`, :func:`node` or :func:`from_pairs`.
+
+    ``_tid`` is the one slot a node does not compute: the id of its yield
+    table as a flag (see ``itpda.machine._YieldTables``).  :func:`empty`
+    sets it to 0, the empty flag's table, and the acceptance search and
+    the language enumeration of :mod:`itpda.machine` write it once on
+    each flag node they make; it is unset on any other node.  Equality,
+    hashing and rendering ignore it.
     """
 
-    __slots__ = ("level", "symbol", "flag", "rest", "size", "_hash", "_topsym")
+    __slots__ = ("level", "symbol", "flag", "rest", "size", "_hash", "_topsym",
+                 "_tid")
 
     def __init__(self, level: int, symbol: str, flag: "Store", rest: "Store"):
         # Plain slot writes: store nodes are allocated millions of times in
@@ -107,7 +115,7 @@ def empty(level: int) -> Store:
     store = _EMPTY_CACHE.get(level)
     if store is None:
         store = Store.__new__(Store)
-        store.level, store.size, store._topsym = level, 0, ()
+        store.level, store.size, store._topsym, store._tid = level, 0, (), 0
         store.symbol = store.flag = store.rest = None
         store._hash = hash(("itpda.empty", level))
         _EMPTY_CACHE[level] = store

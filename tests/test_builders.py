@@ -10,6 +10,7 @@ from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
                             sector_automaton, suggested_store_bound)
+from itpda.cli import CHECKED_FAMILIES
 from itpda.contour import ContourSpec, ball_contour, sector_contour
 from itpda.machine import ACCEPTED, Configuration, Pop, Push, SearchBounds
 
@@ -215,17 +216,9 @@ def test_suggested_bound_admits_accepting_runs(system, root, sigma, kind, levels
 # The families and levels of ``scripts/check_recognizers.py --quick``, and
 # the cell120 sector word at level 3, the largest the acceptance suite reads.
 QUICK_CHECK = [
-    ("ball", gr.fibonacci, "W", 5, range(0, 3)),
-    ("ball", gr.fibonacci, "W", 7, range(0, 3)),
-    ("ball", lambda: gr.polygonal(6), "W", 6, range(0, 3)),
-    ("ball", lambda: gr.polygonal(7), "W", 7, range(0, 3)),
-    ("ball", gr.dodecahedral, "O", 8, range(0, 3)),
-    ("ball", gr.cell120, "9", 16, range(0, 3)),
-    ("sector", gr.fibonacci, "W", 1, range(1, 4)),
-    ("sector", gr.fibonacci, "B", 1, range(1, 4)),
-    ("sector", gr.dodecahedral, "O", 1, range(1, 4)),
-    ("sector", gr.cell120, "9", 1, range(1, 4)),
-]
+    (kind, make, root, sigma,
+     range(1, 4) if (kind, make) == ("sector", gr.cell120) else levels[:3])
+    for kind, make, root, sigma, levels in CHECKED_FAMILIES]
 
 
 def test_suggested_bound_covers_the_smallest_accepting_bound():

@@ -361,6 +361,17 @@ def test_check_bad_level_range(capsys):
     assert code >= 3
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("count", "--system", "poly4", "--root", "W", "--level", "1"),
+     "bad polygonal system 'poly4': polygonal systems need p >= 5"),
+    (("check", "--kind", "ball", "--system", "fib", "--root", "W",
+      "--levels", "1-3"), "bad level range '1-3'; expected A..B"),
+])
+def test_domain_errors_exit_3_with_their_message(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"itpda: error: {message}\n")
+
+
 @pytest.mark.parametrize("bad", [("--mutations", "-2"),
                                  ("--exhaustive-len", "-1"),
                                  ("--max-store", "-1"),

@@ -40,6 +40,7 @@ from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, sector_automaton,
                             suggested_store_bound)
+from itpda.cli import CHECKED_FAMILIES
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
@@ -495,14 +496,7 @@ def test_yield_tables_equal_plain_rounds(automaton, cap):
 
 
 # The builder automata that scripts/check_recognizers.py checks.
-CHECKED_AUTOMATA = [
-    ("ball", gr.fibonacci, "W", 5), ("ball", gr.fibonacci, "W", 7),
-    ("ball", lambda: gr.polygonal(6), "W", 6),
-    ("ball", lambda: gr.polygonal(7), "W", 7),
-    ("ball", gr.dodecahedral, "O", 8), ("ball", gr.cell120, "9", 16),
-    ("sector", gr.fibonacci, "W", 1), ("sector", gr.fibonacci, "B", 1),
-    ("sector", gr.dodecahedral, "O", 1), ("sector", gr.cell120, "9", 1),
-]
+CHECKED_AUTOMATA = [family[:4] for family in CHECKED_FAMILIES]
 
 
 @pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
@@ -649,9 +643,13 @@ def test_a_pop_2_that_cannot_fire_leaves_a_guess_loop_to_fast_forward():
             == (REJECTED, 39, True, True)
 
 
-@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA + [
-    ("ball as-printed", gr.fibonacci, "W", 5)])
-def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma):
+@pytest.mark.parametrize("kind,system,root,sigma,levels", [
+    pytest.param(kind, make, root, sigma, levels[:3],
+                 id=f"{kind}-{make.__name__}-{root}-{sigma}")
+    for kind, make, root, sigma, levels in CHECKED_FAMILIES
+    + (("ball as-printed", gr.fibonacci, "W", 5, range(0, 3)),)])
+def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma,
+                                               levels):
     # The positives and mutants of the levels scripts/check_recognizers.py
     # --quick checks.  The as-printed fib ball's guess loop pushes F F, so
     # its steps grow the store by 2.  The fib sector's tables settle only
@@ -662,10 +660,8 @@ def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma):
                  else ball_automaton(system, root, sigma,
                                      Variant(variant or "corrected")))
     spec = ContourSpec(system, root, sigma=sigma, kind=kind)
-    lo = int(kind == "sector")
-    top = 2 if (kind, system.name) == ("sector", "cell120") else lo + 2
     saved = 0
-    for level in range(lo, top + 1):
+    for level in levels:
         word = contour_word(spec, level)
         store = suggested_store_bound(system, sigma, level)
         for w in [word, *mutate(word, 7 + level, 5,

@@ -3,6 +3,7 @@ format."""
 
 import itertools
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -88,6 +89,23 @@ def test_step_rejects_stores_of_another_level_and_positions_off_the_word(fib):
         with pytest.raises(mc.MachineError):
             mc.step(fib, cfg, "a")
     assert mc.step(fib, Configuration("q0", 1, x1), "a") == set()
+
+
+# Undeclared symbols on top, in the top element's flag under a declared F,
+# and in the element under the top: stores the automaton cannot build.
+UNDECLARED_STORES = [st.single("QQ", 2), st.single("X1", 2, ["F", "QQ"]),
+                     st.from_pairs(2, [("X1", st.empty(1)),
+                                       ("QQ", st.empty(1))])]
+
+
+def test_step_rejects_undeclared_states_and_store_symbols(fib):
+    # Each would read as a configuration that cannot move, or, with QQ
+    # under F, step to X1[QQ].
+    configs = [Configuration("nowhere", 0, st.single("X1", 2))]
+    configs += [Configuration("q0", 0, store) for store in UNDECLARED_STORES]
+    for cfg in configs:
+        with pytest.raises(mc.MachineError, match="undeclared"):
+            mc.step(fib, cfg, "a")
 
 
 # --- accepts -----------------------------------------------------------------------
@@ -894,6 +912,20 @@ def test_reachable_rejects_positions_off_the_word(fib):
             mc.reachable(fib, ok, off, "a")
 
 
+def test_reachable_rejects_undeclared_states_and_store_symbols(fib):
+    # A typo in a state name read as a rejection in one configuration.
+    start = Configuration("q0", 0, st.single("X1", 2))
+    goal = Configuration("q0", 1, st.empty(2))
+    bad = [Configuration("nowhere", 0, start.store),
+           *(Configuration("q0", 0, store) for store in UNDECLARED_STORES)]
+    for cfg in bad:
+        with pytest.raises(mc.MachineError, match="undeclared"):
+            mc.reachable(fib, cfg, goal, "a")
+        with pytest.raises(mc.MachineError, match="undeclared"):
+            mc.reachable(fib, start, replace(cfg, position=1), "a")
+    assert mc.reachable(fib, start, goal, "a")
+
+
 # --- enumerate_language ------------------------------------------------------------------------
 
 def test_enumerate_language_fibonacci(fib):
@@ -1013,6 +1045,11 @@ def test_parse_comments_and_blank_lines():
     ("t: q0 eps Z q0 pop 1", "->"),
     ("t: q0 eps Z -> q0 shove 1", "pop"),
     ("bogus line without colon", "key: value"),
+    ("t: q0 eps [Z F -> q0 pop 2", "unterminated pattern '[Z F'"),
+    ("levels: 2", "duplicate 'levels' line"),
+    ("bogus: 1", "unknown key 'bogus'"),
+    ("t: q0 Z -> q0 pop 1", "expected 'STATE LETTER PATTERN' before '->'"),
+    ("t: q0 eps Z -> q0 pop 1 F", "pop takes no symbols"),
 ])
 def test_parse_errors_carry_line_numbers(line, fragment):
     with pytest.raises(mc.AutomatonFormatError) as exc:

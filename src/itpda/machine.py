@@ -72,7 +72,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -333,17 +332,21 @@ class Automaton:
 
     def _yield_tables(self, need: int) -> Optional["_YieldTables"]:
         """Yield tables exact up to ``need`` letters, built on first use
-        and rebuilt with a larger cap for a longer input; None above 2
-        levels."""
+        and grown to a larger cap for a longer input, each table still
+        solved once (see ``_YieldTables``); None above 2 levels."""
         if self.levels > 2:
             return None
         if self._yields is None or self._yields.cap <= need:
             cap = min(1 << max(need, 63).bit_length(), _YIELD_CAP)
-            object.__setattr__(self, "_yields", _YieldTables(self, cap))
+            if self._yields is None:
+                object.__setattr__(self, "_yields", _YieldTables(self, cap))
+            else:
+                self._yields.grow(cap)
         return self._yields
 
 
-# The largest cap: more letters than any input has.
+# The largest cap, at which every table is solved: more letters than any
+# input has.
 _YIELD_CAP = 1 << 62
 
 # A most-yield entry for a way no run can remove an element.
@@ -353,7 +356,7 @@ _NEVER = -1
 class _YieldTables:
     """Least- and most-yield tables of a 1- or 2-level automaton.
 
-    For a flag f, the table of f holds two arrays about the element s[f],
+    For a flag f, the table of f holds two tuples about the element s[f],
     from the moment it is on top in state q until it is removed in state
     q': L_f[q, s, q'] is the fewest letters any run reads meanwhile, or
     ``cap`` when no run removes it that way, and H_f[q, s, q'] is the
@@ -390,18 +393,29 @@ class _YieldTables:
     tables are asked about, so an L at the cap still prunes, an H at the cap
     never does, and the others are exact.  An element left in place is never
     read past, so emptying a store reads at least the sum of the Ls and at
-    most the sum of the Hs of its elements.  Tables are keyed by (top of f,
-    table id of f.rest); the empty flag has table 0, and a table equal to an
-    earlier one gets its id.  A guess loop therefore adds tables only until
-    its yields reach the cap or repeat, not at every flag depth the store
-    bound allows.  ``tables[tid]`` is the pair (L, H).  ``lows[tid][i]`` and
+    most the sum of the Hs of its elements.
+
+    Each table is solved once, at ``_YIELD_CAP``, and kept; the table at
+    ``cap`` is the solved one with every entry clamped to ``cap``, so
+    ``grow`` moves to a larger cap without solving a table again.  The
+    clamp gives the table solved at ``cap``: it commutes with the sums,
+    minima and maxima of every rule, chain and round, which entries are
+    live does not depend on their values, and the widening puts an H at the
+    cap either way.  Tables at ``cap`` are keyed by (top of f, table id of
+    f.rest), and a new key is read from the table solved over any solved
+    table that clamps to f.rest's, since a flag's table at ``cap`` depends
+    on the rest's table at ``cap`` alone; that solved table is kept under
+    (top of f, its rest's solved id) for every later cap.  The empty flag
+    has table 0, and a table equal to an earlier one gets its id.  A guess
+    loop therefore adds tables only until its yields reach the cap or
+    repeat, not at every flag depth the store bound allows.
+    ``tables[tid]`` is the pair (L, H).  ``lows[tid][i]`` and
     ``highs[tid][i]`` are the fewest and the most letters the new elements
     of transition i, a depth-1 push, read when they carry a flag with table
     ``tid``, whatever state they leave in (0 for other transitions).
     """
 
     def __init__(self, automaton: Automaton, cap: int):
-        self.cap = cap
         states, symbols = automaton.states, automaton.store_alphabet
         nq = self._nq = len(states)
         nsym = self._nsym = len(symbols)
@@ -439,24 +453,51 @@ class _YieldTables:
                 pushes.append((at, cost, target, word))
             else:
                 ends.append((at, target, cost))
-        # Tables are kept for the life of the automaton, so each is a pair
-        # of compact arrays, found again by its hash.
-        self.tables: list[tuple] = []      # table id -> (L, H)
-        self.lows: list[tuple] = []        # table id -> low per transition
-        self.highs: list[tuple] = []       # table id -> high per transition
-        self._children: dict = {}          # (top, rest table id) -> table id
-        self._ids: dict = {}               # hash of a table -> table id
-        self._add(None, None)
+        # _solved: solved id -> (L, H, lows, highs), kept for the life of
+        # the automaton; _links: (top, rest solved id) -> solved id.
+        self._solved = [self._add(None, None)]
+        self._links: dict = {}
+        self.grow(cap)
+
+    def grow(self, cap: int):
+        """Read the solved tables at ``cap`` from now on (see above)."""
+        # tables: table id -> (L, H); lows, highs: table id -> low, high
+        # per transition; _reps: table id -> a solved id; _children: (top,
+        # rest table id) -> table id; _ids: (L, H) -> table id.
+        self.cap = cap
+        self.tables, self.lows, self.highs, self._reps = [], [], [], []
+        self._children, self._ids = {}, {}
+        self._clamp(0)
 
     def child(self, top: str, rest_id: int) -> int:
         """Table id of a flag with top ``top`` over a flag with table
-        ``rest_id``, built on first use.  It is the one way to a table
+        ``rest_id``, solved on first use.  It is the one way to a table
         id: a flag's id is this fold of its symbols, bottom first, from
         the empty flag's table 0."""
         key = (top, rest_id)
         tid = self._children.get(key)
         if tid is None:
-            tid = self._children[key] = self._add(top, rest_id)
+            link = (top, self._reps[rest_id])
+            sid = self._links.get(link)
+            if sid is None:
+                sid = self._links[link] = len(self._solved)
+                self._solved.append(self._add(*link))
+            tid = self._children[key] = self._clamp(sid)
+        return tid
+
+    def _clamp(self, sid: int) -> int:
+        """Id of solved table ``sid`` at the cap."""
+        cap = self.cap
+        L, H, lows, highs = self._solved[sid]
+        table = tuple(tuple([v if v < cap else cap for v in part])
+                      for part in (L, H))
+        tid = self._ids.get(table)
+        if tid is None:
+            tid = self._ids[table] = len(self.tables)
+            self.tables.append(table)
+            self.lows.append(tuple([v if v < cap else cap for v in lows]))
+            self.highs.append(tuple([v if v < cap else cap for v in highs]))
+            self._reps.append(sid)
         return tid
 
     def _chain(self, L, H, state, word):
@@ -468,7 +509,7 @@ class _YieldTables:
         symbol s, (p, s) for every state p the elements before it can
         leave in.  The chain depends on those rows alone: the states it
         skips follow from the rows before."""
-        nq, nsym, cap = self._nq, self._nsym, self.cap
+        nq, nsym, cap = self._nq, self._nsym, _YIELD_CAP
         row = state * nsym + word[0]
         rows = [row]
         at = row * nq
@@ -491,10 +532,11 @@ class _YieldTables:
             low, high = lo, [v if v < cap else cap for v in hi]
         return low, high, rows
 
-    def _add(self, top, rest_id) -> int:
-        """Id of the table of a flag with top ``top`` over a flag with
-        table ``rest_id`` (both None: the empty flag)."""
-        nq, cap, size = self._nq, self.cap, self._size
+    def _add(self, top, rest_id) -> tuple:
+        """(L, H, lows, highs) of a flag with top ``top`` over a flag
+        with solved table ``rest_id`` (both None: the empty flag), solved
+        at ``_YIELD_CAP``."""
+        nq, cap, size = self._nq, _YIELD_CAP, self._size
         L = [cap] * size
         H = [_NEVER] * size
         ends, pops, grows, pushes = self._rules.get(top, ((), (), (), ()))
@@ -503,7 +545,7 @@ class _YieldTables:
             L[j] = min(L[j], cost)
             H[j] = max(H[j], cost)
         if pops:
-            rest_low, rest_high = self.tables[rest_id]
+            rest_low, rest_high = self._solved[rest_id][:2]
         for at, cost, src in pops:
             for q2 in range(nq):
                 j, y = at * nq + q2, rest_high[src * nq + q2]
@@ -541,22 +583,14 @@ class _YieldTables:
                     j += 1
             if not changed:
                 break
-        L, H = array("q", L), array("q", H)
-        key = hash(L.tobytes() + H.tobytes())
-        tid = self._ids.get(key)
-        if tid is not None and self.tables[tid] == (L, H):
-            return tid
+        L, H = tuple(L), tuple(H)
         lows = [0] * self._ntrans
         highs = [0] * self._ntrans
         for i, target, word in self._pushes:
             chain = chains.get((target, word), (0, None))[1] or self._chain(
                 L, H, target, word)
             lows[i], highs[i] = min(chain[0]), max(chain[1])
-        self.tables.append((L, H))
-        self.lows.append(tuple(lows))
-        self.highs.append(tuple(highs))
-        self._ids.setdefault(key, len(self.tables) - 1)
-        return len(self.tables) - 1
+        return L, H, tuple(lows), tuple(highs)
 
 
 def _can_branch(entries) -> bool:
@@ -1083,8 +1117,8 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     whose least yield exceeds the unread input, and, at the branch points
     on a store of one element, those whose most yield falls short of it.
     Both are read from the yield table of the rewritten element's flag.
-    The automaton keeps its tables; a search builds the table of each flag
-    it builds, unless the automaton has it already.  It sets
+    The automaton keeps its tables; a search solves the table of each flag
+    it builds, unless the automaton has it already at any cap.  It sets
     ``Verdict.yield_cut`` when it did; ``Verdict.store_cut`` still tells
     whether the store bound cut a configuration.
     """

@@ -11,7 +11,10 @@ the reference on its own, and every configuration of a run that empties
 its store within a few letters, whichever they are, must have between
 the least and the most yield of its store left to read, and the yield
 tables must equal those of a reference that folds every push 1 rule in
-every round, on drawn automata and on the builders'.  Drawn automata
+every round, on drawn automata and on the builders'; tables grown through
+a sequence of caps must equal a fresh build at the last one, and a
+builder's tree label must read the letters of its count law at every
+guessed height.  Drawn automata
 must survive a render/parse round trip and keep every acceptance under a
 larger store bound.  With their letters renamed to nested and odd names,
 they must read a word alike as a tuple, as ``format_word``'s text and as
@@ -282,15 +285,14 @@ def test_upper_yield_cut_agrees_with_reference_bfs(automaton, word):
     # The same search with the most-yield test switched off tells whether
     # the upper bound cut anything; it may only save work.  The test is
     # switched off on a fresh copy of the automaton, whose tables are
-    # built with every high at the cap.
+    # solved with every high at the cap.
     bounds = SearchBounds(MAX_STORE, 10 ** 5)
     verdict = mc.accepts(automaton, word, bounds)
     add = mc._YieldTables._add
 
     def add_at_cap(tables, top, rest_id):
-        tid = add(tables, top, rest_id)
-        tables.highs[tid] = (tables.cap,) * len(tables.highs[tid])
-        return tid
+        L, H, lows, highs = add(tables, top, rest_id)
+        return L, H, lows, (mc._YIELD_CAP,) * len(highs)
 
     with mock.patch.object(mc._YieldTables, "_add", add_at_cap):
         lower_only = mc.accepts(dataclasses.replace(automaton), word, bounds)
@@ -356,7 +358,7 @@ class PlainRoundTables:
     in rounds that fold every push 1 rule, each chain computed afresh, with
     the same cap on an H that still rises once the rounds outnumber the
     live entries (H >= 0).  Entries are keyed (q, s, q'), ``keys`` in the
-    order of ``_YieldTables``'s arrays; a table equal to an earlier one
+    order of ``_YieldTables``'s tuples; a table equal to an earlier one
     gets its id."""
 
     def __init__(self, automaton, cap):
@@ -479,6 +481,15 @@ LATE_SECOND_ROW = mc.parse_automaton(
         "p eps B -> p push 1 C", "p a C -> p pop 1")))
 
 
+def short_flags(automaton):
+    """Every flag of up to three symbols, shortest first (the empty flag
+    alone on a 1-level automaton)."""
+    if automaton.levels == 1:
+        return [st.empty(0)]
+    return [st.from_pairs(1, [(s, st.empty(0)) for s in seq])
+            for n in range(4) for seq in itertools.product(SYMBOLS, repeat=n)]
+
+
 @settings(deadline=None, max_examples=200)
 @given(hst.one_of(automata(max_levels=2), automata(guess=True)),
        hst.sampled_from((64, 1 << 21)))
@@ -486,30 +497,111 @@ LATE_SECOND_ROW = mc.parse_automaton(
 @example(A_BESIDE_B, 64)
 @example(LATE_SECOND_ROW, 64)
 def test_yield_tables_equal_plain_rounds(automaton, cap):
-    # Every flag of up to three symbols, shortest first.
-    flags = [st.empty(0)]
-    if automaton.levels == 2:
-        flags = [st.from_pairs(1, [(s, st.empty(0)) for s in seq])
-                 for n in range(4)
-                 for seq in itertools.product(SYMBOLS, repeat=n)]
-    assert_tables_match_plain_rounds(automaton, cap, flags)
+    assert_tables_match_plain_rounds(automaton, cap, short_flags(automaton))
+
+
+def assert_grown_tables_equal_a_fresh_build(automaton, caps, flags, asked):
+    """Tables grown through the increasing ``caps`` on a copy of
+    ``automaton``, as ``Automaton._yield_tables`` grows them, asked at the
+    i-th cap for the first ``asked[i]`` of ``flags`` and at the last cap
+    for all of them, hold for every flag the table, lows and highs of a
+    fresh build at the last cap, and two of the flags share a table id
+    exactly when their tables are equal."""
+    automaton = dataclasses.replace(automaton)
+    for cap, n in zip(caps, asked):
+        tables = automaton._yield_tables(cap - 1)
+        assert tables.cap == cap
+        for flag in flags[:n]:
+            flag_table(tables, flag)
+    ids = [flag_table(tables, flag) for flag in flags]
+    fresh = mc._YieldTables(automaton, caps[-1])
+    for flag, tid in zip(flags, ids):
+        fid = flag_table(fresh, flag)
+        assert tables.tables[tid] == fresh.tables[fid]
+        assert tables.lows[tid] == fresh.lows[fid]
+        assert tables.highs[tid] == fresh.highs[fid]
+    contents = {tid: tables.tables[tid] for tid in ids}
+    assert len(set(contents.values())) == len(contents)
+
+
+@settings(deadline=None, max_examples=200)
+@given(hst.one_of(automata(max_levels=2), automata(guess=True)),
+       hst.lists(hst.sampled_from((64, 128, 2048, 1 << 21, mc._YIELD_CAP)),
+                 min_size=1, max_size=4, unique=True).map(sorted),
+       hst.data())
+def test_yield_tables_grown_through_caps_equal_a_fresh_build(automaton, caps,
+                                                             data):
+    flags = short_flags(automaton)
+    asked = [data.draw(hst.integers(0, len(flags))) for _ in caps]
+    assert_grown_tables_equal_a_fresh_build(automaton, caps, flags, asked)
+    event(f"{len(caps)} caps")
 
 
 # The builder automata that scripts/check_recognizers.py checks.
 CHECKED_AUTOMATA = [family[:4] for family in CHECKED_FAMILIES]
 
 
-@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
-def test_builder_yield_tables_equal_plain_rounds(kind, system, root, sigma):
+def checked_automaton(kind, system, root, sigma):
+    """The system, the automaton and the guess loop's flag symbol of a
+    ``CHECKED_AUTOMATA`` entry."""
     system = system()
     automaton = (ball_automaton(system, root, sigma) if kind == "ball"
                  else sector_automaton(system, root))
-    # The flags of the guess loop's heights, lowest first.
     marker, = {s for t in automaton.transitions if t.action.level == 2
                and isinstance(t.action, Push) for s in t.action.word}
+    return system, automaton, marker
+
+
+@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
+def test_builder_yield_tables_equal_plain_rounds(kind, system, root, sigma):
+    _, automaton, marker = checked_automaton(kind, system, root, sigma)
+    # The flags of the guess loop's heights, lowest first.
     flags = [st.from_pairs(1, [(marker, st.empty(0))] * h) for h in range(13)]
     for cap in (64, 2048, 1 << 21):
         assert_tables_match_plain_rounds(automaton, cap, flags)
+
+
+@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
+def test_builder_yield_tables_grown_through_caps_equal_a_fresh_build(
+        kind, system, root, sigma):
+    _, automaton, marker = checked_automaton(kind, system, root, sigma)
+    # The guess loop's heights 0-20, the lower ones asked at smaller caps.
+    flags = [st.from_pairs(1, [(marker, st.empty(0))] * h) for h in range(21)]
+    assert_grown_tables_equal_a_fresh_build(
+        automaton, (64, 2048, 1 << 21), flags, (8, 14, 21))
+
+
+# The cap of the count-law test.  The fib sectors' side counters read one
+# letter per height, so their tables differ at every height below the
+# cap's; there the law is checked up to height 65.
+LAW_CAP = 1 << 21
+
+
+@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
+def test_tree_labels_yield_their_count_law(kind, system, root, sigma):
+    # Criterion 6's count law, read off the tables and checked against
+    # grammar.total_count alone: a tree label X on top of the flag F^h,
+    # entered and left in q0, reads exactly the letters of its level word
+    # at height h, so its L and its H both equal total_count(X, h), capped.
+    # Heights run until the tables settle: once F^h has the table of
+    # F^(h-1), so does every taller flag.
+    system, automaton, marker = checked_automaton(kind, system, root, sigma)
+    tables = automaton._yield_tables(LAW_CAP - 1)
+    nq, q0 = len(automaton.states), automaton.states.index("q0")
+    tid, below = 0, None
+    for h in range(66):
+        L, H = tables.tables[tid]
+        for label in system.labels:
+            j = tables.row["q0", label] * nq + q0
+            count = min(gr.total_count(system, label, h), LAW_CAP)
+            assert L[j] == H[j] == count, (label, h)
+        if tid == below:
+            break
+        below, tid = tid, tables.child(marker, tid)
+    if kind == "sector" and system.name == "fibonacci":
+        assert h == 65
+    else:
+        assert tid == below and h < 20
 
 
 def built(automaton, word, bounds, memoize, trace=False):

@@ -446,6 +446,34 @@ def test_yield_table_rounds_refold_only_chains_whose_rows_changed():
     assert chain.call_count == 48
 
 
+def test_a_larger_cap_solves_no_table_again():
+    # The fib sector's positives at levels 1-6, in order, on one automaton,
+    # as itpda check runs them: the cap grows from 64 to 128, 256 and 512,
+    # and each table is solved once, in 9 _add calls, as many as on a copy
+    # whose tables were built at 512 first.  Re-solving every table at
+    # each larger cap took 30.
+    fib = gr.fibonacci()
+    spec = ContourSpec(fib, "W", kind="sector")
+    jobs = [(contour_word(spec, level),
+             SearchBounds(suggested_store_bound(fib, 1, level), 10 ** 7))
+            for level in range(1, 7)]
+
+    def solves(automaton, first_cap=None):
+        caps = []
+        with _counted("_add") as add:
+            if first_cap:
+                automaton._yield_tables(first_cap - 1)
+            for word, bounds in jobs:
+                verdict = mc.accepts(automaton, word, bounds, memoize=False)
+                assert verdict.status == ACCEPTED
+                caps.append(automaton._yields.cap)
+        return add.call_count, caps
+
+    sector = sector_automaton(fib, "W")
+    assert solves(sector) == (9, [64, 64, 64, 128, 256, 512])
+    assert solves(replace(sector), 512) == (9, [512] * 6)
+
+
 def test_a_search_reaches_the_tables_only_for_flags_it_builds():
     # Each flag node a guess loop builds gets its table id from child as
     # it is built, and no other code asks the tables for an id, so the
@@ -478,11 +506,11 @@ def test_a_search_reaches_the_tables_only_for_flags_it_builds():
 
 def test_a_push_2_cycle_keeps_no_flag_it_dropped():
     # Without the memo this cycle spins until the budget runs out, and
-    # each round's push 2 builds a flag that the pop 2 drops.  The
-    # registry of flag table ids must not keep them: once the open
-    # segments reach their cap (one per configuration, two per round),
-    # the allocated blocks stay flat.  A registry that held each flag
-    # would grow by a few blocks per round.
+    # each round's push 2 builds a flag that the pop 2 drops.  Each flag
+    # node carries its own table id in its _tid slot, and the tables keep
+    # no flag: once the open segments reach their cap (one per
+    # configuration, two per round), the allocated blocks stay flat.
+    # Anything that held each flag would grow by a few blocks per round.
     spin = mc.parse_automaton(HEADER + "t: q0 eps Z -> q1 push 2 F\n"
                               "t: q1 eps [Z F] -> q0 pop 2\n")
     child = mc._YieldTables.child

@@ -11,10 +11,12 @@ file straight into that str.  Exits 1 when a level is not accepted.
 Each level prints the time to build the word, the time a fresh copy of
 the automaton takes to build its yield tables for the flags of the guessed
 heights 0 .. level (climbing ``child`` from the empty flag's table, at
-the cap of the word's length), then two runs of the recognizer on the
-word.  The first run on the automaton also builds its yield tables; the
-second, warm run times the search alone.  The rate is in letters of
-input per second of the warm run.  The search jumps over the repeated
+the cap of the word's length), then the recognizer on the word: its
+first ``accepts`` on the token tuple, which also builds the automaton's
+yield tables and encodes the tuple; then, on the warm automaton, the
+encoding of the tuple into one str of letter codes alone (``encode``)
+and ``accepts`` on that str alone (``search``).  The rate is in letters
+of input per second of the search.  The search jumps over the repeated
 subtrees of a tree walk, so the configurations a verdict counts are
 mostly never built, and a count per second would not measure a step.
 The last column times ``itpda run`` (in this process) on the level's
@@ -36,7 +38,8 @@ from itpda import cli
 from itpda.builders import sector_automaton, suggested_store_bound
 from itpda.contour import ContourSpec, sector_contour
 from itpda.grammar import cell120, format_word
-from itpda.machine import Push, SearchBounds, accepts, render_automaton
+from itpda.machine import (Push, SearchBounds, _Coded, _encode, accepts,
+                           render_automaton)
 
 
 def time_run(automaton_file: Path, word_file: Path, max_store: int):
@@ -85,14 +88,16 @@ def main():
             max_store = suggested_store_bound(system, 1, level)
             bounds = SearchBounds(max_store, None)
             tables = time_tables(automaton, len(word), level)
-            runs = []
-            for _ in range(2):
-                t0 = time.perf_counter()
-                verdict = accepts(automaton, word, bounds, memoize=False)
-                runs.append(time.perf_counter() - t0)
-                failed = failed or not verdict
-            first, warm = runs
-            rate = len(word) / warm / 1e6 if warm else float("inf")
+            t0 = time.perf_counter()
+            cold = accepts(automaton, word, bounds, memoize=False)
+            t1 = time.perf_counter()
+            coded = _Coded(_encode(automaton, word))
+            t2 = time.perf_counter()
+            verdict = accepts(automaton, coded, bounds, memoize=False)
+            t3 = time.perf_counter()
+            first, encode, search = t1 - t0, t2 - t1, t3 - t2
+            failed = failed or not (cold and verdict)
+            rate = len(word) / search / 1e6 if search else float("inf")
             word_file.write_text(format_word(word) + "\n", encoding="utf-8")
             letters = len(word)
             del word
@@ -101,8 +106,9 @@ def main():
             print(f"level {level}: {letters:>12} letters  build {build:6.3f}s  "
                   f"tables {tables * 1e3:5.1f}ms  "
                   f"{verdict.status}  {verdict.configurations} configs  "
-                  f"first {first:6.3f}s  warm {warm:6.3f}s  "
-                  f"({rate:.2f}M letters/s)  itpda run {run:6.3f}s"
+                  f"first {first:6.3f}s  encode {encode:6.3f}s  "
+                  f"search {search:6.3f}s  ({rate:.2f}M letters/s)  "
+                  f"itpda run {run:6.3f}s"
                   f"{'' if code == 0 else f' (exit {code})'}")
     return 1 if failed else 0
 

@@ -380,11 +380,14 @@ class _YieldTables:
     A rule's value is its letter plus the chain over its word, and the
     chain depends only on the rows (q, s) it read (see ``_chain``), so a
     round skips a rule when none of those rows had an entry changed in the
-    round before: the rule would give what it gave.  A repeated entry on a
-    path of a derivation either reads no letter between its two places, and
-    is cut out at no loss, or reads one, and its entry is unbounded.  So
-    every L and every finite H is reached by a derivation that repeats no
-    entry, and is final after one round per live entry (H >= 0).  Entries
+    round before: the rule would give what it gave.  The chain takes a run
+    of one symbol in one step where every element of it is left in the
+    state it is entered in, as in a tree walk, and reads the same rows as
+    symbol by symbol.  A repeated entry on a path of a derivation either
+    reads no letter between its two places, and is cut out at no loss, or
+    reads one, and its entry is unbounded.  So every L and every finite H
+    is reached by a derivation that repeats no entry, and is final after
+    one round per live entry (H >= 0).  Entries
     turn live in the order of their shallowest derivations, so once no
     more are live than rounds have passed, all are, and an H that still
     rises is unbounded and set to the cap at once.
@@ -430,7 +433,8 @@ class _YieldTables:
         # and push 1 rules (row, letter, target, word).  _pushes: the
         # depth-1 pushes of a nonempty word (transition id, target, word),
         # whatever their pattern, since a table is shared by every flag
-        # with its entries.
+        # with its entries.  A word is kept as its first symbol and the
+        # runs (symbol, count) of the rest, as ``_chain`` reads it.
         rules = self._rules = {}
         self._pushes = []
         for i, t in enumerate(automaton.transitions):
@@ -448,7 +452,9 @@ class _YieldTables:
             elif act.level == 2:
                 grows.append((at, cost))
             elif act.word:
-                word = tuple(sym_id[s] for s in act.word)
+                word = (sym_id[act.word[0]], tuple(
+                    (sym_id[s], len(list(group)))
+                    for s, group in itertools.groupby(act.word[1:])))
                 self._pushes.append((i, target, word))
                 pushes.append((at, cost, target, word))
             else:
@@ -503,33 +509,59 @@ class _YieldTables:
     def _chain(self, L, H, state, word):
         """The fewest and the most letters the elements of ``word`` read,
         the first on top in ``state``: two lists by the state the last one
-        leaves in, and the rows it read.  H is ``_NEVER`` only where L is
-        the cap, so a state that no run leaves in is skipped for both, and
-        the rows read are (``state``, first symbol) and, for each later
-        symbol s, (p, s) for every state p the elements before it can
-        leave in.  The chain depends on those rows alone: the states it
-        skips follow from the rows before."""
+        leaves in, and the rows it read.  ``word`` is its first symbol and
+        the runs of the rest, pairs (s, k) of k copies of symbol s.  H is
+        ``_NEVER`` only where L is the cap, so a state that no run leaves
+        in is skipped for both, and the rows read are (``state``, first
+        symbol) and, for each later symbol s, (p, s) for every state p the
+        elements before it can leave in.  The chain depends on those rows
+        alone: the states it skips follow from the rows before.
+
+        A run of k copies of s is one step when every such row (p, s)
+        leaves only into p, as in a tree walk, which enters and leaves
+        every element in one state: then each copy adds L[p, s, p] to the
+        low of p and H[p, s, p] to its high, the same states stay live and
+        the same rows are read as in k steps, and the cap on the high
+        commutes with the sum.  Any other run steps symbol by symbol."""
         nq, nsym, cap = self._nq, self._nsym, _YIELD_CAP
-        row = state * nsym + word[0]
+        first, runs = word
+        row = state * nsym + first
         rows = [row]
         at = row * nq
         low, high = L[at:at + nq], H[at:at + nq]
-        for s in word[1:]:
-            lo, hi = [cap] * nq, [_NEVER] * nq
-            for p, y in enumerate(high):
-                if y < 0:
+        for s, k in runs:
+            if k > 1:
+                lo, hi = list(low), list(high)
+                for p, y in enumerate(high):
+                    if y < 0:
+                        continue
+                    row = p * nsym + s
+                    rows.append(row)
+                    at = row * nq
+                    if H[at + p] < 0 or H[at:at + nq].count(_NEVER) < nq - 1:
+                        break
+                    lo[p] = min(low[p] + k * L[at + p], cap)
+                    hi[p] = min(y + k * H[at + p], cap)
+                else:
+                    low, high = lo, hi
                     continue
-                x = low[p]
-                row = p * nsym + s
-                rows.append(row)
-                at = row * nq
-                for q2 in range(nq):
-                    if x + L[at + q2] < lo[q2]:
-                        lo[q2] = x + L[at + q2]
-                    v = H[at + q2]
-                    if v >= 0 and y + v > hi[q2]:
-                        hi[q2] = y + v
-            low, high = lo, [v if v < cap else cap for v in hi]
+            while k:
+                k -= 1
+                lo, hi = [cap] * nq, [_NEVER] * nq
+                for p, y in enumerate(high):
+                    if y < 0:
+                        continue
+                    x = low[p]
+                    row = p * nsym + s
+                    rows.append(row)
+                    at = row * nq
+                    for q2 in range(nq):
+                        if x + L[at + q2] < lo[q2]:
+                            lo[q2] = x + L[at + q2]
+                        v = H[at + q2]
+                        if v >= 0 and y + v > hi[q2]:
+                            hi[q2] = y + v
+                low, high = lo, [v if v < cap else cap for v in hi]
         return low, high, rows
 
     def _add(self, top, rest_id) -> tuple:
@@ -625,10 +657,10 @@ class _Codes:
 
     def spaced(self, text: str, n: int) -> Optional[str]:
         """The coded word of ``text``, ``n`` tokens joined by single
-        spaces (it holds ``n - 1`` spaces), or None if a token is not a
-        letter.  Each longer letter becomes its code, longest first; then
-        every token is one character, at the even places, exactly when
-        the text is ``2n - 1`` characters long and those are codes."""
+        spaces, or None if a token is not a letter.  Each longer letter
+        becomes its code, longest first; then every token is one
+        character, at the even places, exactly when the text is ``2n - 1``
+        characters long and those are codes."""
         for letter, code in self.long:
             if code in text:
                 return None  # a literal code is no letter
@@ -672,15 +704,16 @@ def _encode(automaton: Automaton, word) -> str:
         word = tuple(word)
     if not word:
         return ""
-    # Join the tokens as format_word does, and check what was joined.
+    # Join the tokens as format_word does, and check what was joined.  A
+    # token that holds a space fails the check too: with it the text holds
+    # more than the n - 1 spaces that join the tokens, but ``spaced`` asks
+    # for 2n - 1 characters whose n even places are codes, none a space.
     try:
-        text = " ".join(word)
+        coded = codes.spaced(" ".join(word), len(word))
     except TypeError:  # a token that is not a str
-        text = None
-    if text is not None and text.count(" ") == len(word) - 1:
-        coded = codes.spaced(text, len(word))
-        if coded is not None:
-            return coded
+        coded = None
+    if coded is not None:
+        return coded
     # The tuple, not the dict: a token that is no str may be unhashable.
     tok = next(tok for tok in word if tok not in automaton.input_alphabet)
     raise UndeclaredLetterError(

@@ -11,10 +11,11 @@ the reference on its own, and every configuration of a run that empties
 its store within a few letters, whichever they are, must have between
 the least and the most yield of its store left to read, and the yield
 tables must equal those of a reference that folds every push 1 rule in
-every round, on drawn automata and on the builders'; tables grown through
-a sequence of caps must equal a fresh build at the last one, and a
-builder's tree label must read the letters of its count law at every
-guessed height.  Drawn automata
+every round, on drawn automata and on the builders', and on push words
+made of runs each chain must equal one taken symbol by symbol; tables
+grown through a sequence of caps must equal a fresh build at the last
+one, and a builder's tree label must read the letters of its count law
+at every guessed height.  Drawn automata
 must survive a render/parse round trip and keep every acceptance under a
 larger store bound.  With their letters renamed to nested and odd names,
 they must read a word alike as a tuple, as ``format_word``'s text and as
@@ -48,7 +49,8 @@ from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Pop, Push, SearchBounds, Transition)
-from witness import CountingStore, assert_witness, flag_table, walk, yields
+from witness import (CountingStore, assert_witness, flag_table, symbol_chain,
+                     walk, yields)
 
 STATES = ("q0", "q1", "q2")
 LETTERS = ("a", "b")
@@ -139,9 +141,10 @@ GUESS_LOOP = (
 
 
 @hst.composite
-def automata(draw, max_levels=3, guess=False):
+def automata(draw, max_levels=3, guess=False, runs=False):
     """Random automata; with ``guess``, 2-level ones that start with
-    ``GUESS_LOOP`` and whose other transitions walk A and B from q1 and q2."""
+    ``GUESS_LOOP`` and whose other transitions walk A and B from q1 and q2;
+    with ``runs``, push words of up to three runs of one symbol each."""
     levels = 2 if guess else draw(hst.integers(1, max_levels))
     states = STATES if guess else STATES[:draw(hst.integers(1, len(STATES)))]
     walk = STATES[1:] if guess else states
@@ -151,6 +154,11 @@ def automata(draw, max_levels=3, guess=False):
         level = draw(hst.integers(1, levels))
         if draw(hst.booleans()):
             return Pop(level)
+        if runs:
+            return Push(level, tuple(
+                s for s, k in draw(hst.lists(
+                    hst.tuples(symbol, hst.integers(1, 4)), max_size=3))
+                for _ in range(k)))
         return Push(level, tuple(draw(hst.lists(symbol, max_size=2))))
 
     transitions = (GUESS_LOOP if guess else ()) + tuple(
@@ -498,6 +506,69 @@ def short_flags(automaton):
 @example(LATE_SECOND_ROW, 64)
 def test_yield_tables_equal_plain_rounds(automaton, cap):
     assert_tables_match_plain_rounds(automaton, cap, short_flags(automaton))
+
+
+def checked_chains(folded):
+    """A patch of ``_YieldTables._chain`` that checks each chain against
+    ``symbol_chain``: the same lows, highs and set of rows read.  It adds
+    to ``folded``, per chain, whether a run was folded into one step (the
+    chain read fewer rows than one per symbol and live state)."""
+    chain = mc._YieldTables._chain
+
+    def checked(tables, L, H, state, word):
+        low, high, rows = chain(tables, L, H, state, word)
+        first, runs = word
+        symbols = [first] + [s for s, k in runs for _ in range(k)]
+        want_low, want_high, want_rows = symbol_chain(tables, L, H, state,
+                                                      symbols)
+        assert ((list(low), list(high), set(rows))
+                == (want_low, want_high, set(want_rows)))
+        folded.append(len(rows) < len(want_rows))
+        return low, high, rows
+
+    return mock.patch.object(mc._YieldTables, "_chain", checked)
+
+
+@settings(deadline=None, max_examples=200)
+@given(hst.one_of(automata(max_levels=2, runs=True),
+                  automata(guess=True, runs=True)),
+       hst.sampled_from((64, 1 << 21)))
+def test_yield_tables_of_run_words_equal_plain_rounds(automaton, cap):
+    # The check of test_yield_tables_equal_plain_rounds on push words made
+    # of runs, which _chain folds into one step where their rows allow.
+    folded = []
+    with checked_chains(folded):
+        assert_tables_match_plain_rounds(automaton, cap, short_flags(automaton))
+    event("a run folded" if any(folded) else "no run folded")
+
+
+# Push words with a run of A, each with whether _chain folds a run: the
+# rows of A leave only into the state they are entered in, and A's high
+# from p is unbounded; a row of A has two exits (and no other word has a
+# run); the run is entered with two states live.
+RUN_CASES = {
+    "diagonal": (True, ("p eps Z -> p push 1 A A A B", "p a A -> p pop 1",
+                        "p eps A -> p push 1 A A", "p eps B -> q pop 1")),
+    "two exits": (False, ("p eps Z -> p push 1 A A A", "p a A -> p pop 1",
+                          "p eps A -> q pop 1", "q a A -> q pop 1",
+                          "q eps A -> q push 1 A B", "q a B -> q pop 1")),
+    "two live": (True, ("p eps Z -> p push 1 B A A A", "p eps B -> p pop 1",
+                        "p a B -> q pop 1", "p a A -> p pop 1",
+                        "q eps A -> q pop 1", "q a A -> q push 1 A A")),
+}
+
+
+@pytest.mark.parametrize("case", RUN_CASES)
+@pytest.mark.parametrize("cap", (64, 1 << 21))
+def test_runs_fold_into_one_step_as_symbol_steps(case, cap):
+    folds, transitions = RUN_CASES[case]
+    automaton = mc.parse_automaton(
+        "levels: 1\nstates: p q\ninitial: p\ninput: a\nstore: Z A B\n"
+        "start_symbol: Z\n" + "".join(f"t: {t}\n" for t in transitions))
+    folded = []
+    with checked_chains(folded):
+        assert_tables_match_plain_rounds(automaton, cap, short_flags(automaton))
+    assert any(folded) == folds
 
 
 def assert_grown_tables_equal_a_fresh_build(automaton, caps, flags, asked):

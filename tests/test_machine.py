@@ -191,13 +191,17 @@ def test_coded_word_reads_as_its_letters():
                      (code["yy"], code["yy"]),
                      ("x " + code["yy"], code["yy"]),
                      (("x", ""), ""), (("yy", ""), ""), ("yyy x", "yyy"),
-                     (("x", 1), 1), ("x yyxyy", "yyxyy"), ("xyy x", "xyy")):
+                     (("x", 1), 1), ("x yyxyy", "yyxyy"), ("xyy x", "xyy"),
+                     # Tokens that hold a space, in a joined text of the
+                     # right length or not.
+                     (("b w",), "b w"), (("x ", ""), "x "), ((" x", "yy"), " x"),
+                     (("x", "yy x"), "yy x"), (("x", " "), " ")):
         with pytest.raises(mc.UndeclaredLetterError) as err:
             mc.accepts(a, bad)
         assert f"input letter {tok!r} not" in str(err.value), bad
     single = _letters("a", "b")
     for bad, tok in ((("ab", ""), "ab"), (("", "ab"), ""), ("a b\tc", "c"),
-                     (("a", "b "), "b ")):
+                     (("a", "b "), "b "), (("a b",), "a b"), (("a ", "b"), "a ")):
         with pytest.raises(mc.UndeclaredLetterError) as err:
             mc.accepts(single, bad)
         assert f"input letter {tok!r} not" in str(err.value), bad

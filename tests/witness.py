@@ -1,7 +1,8 @@
 """What the search tests share: the witness check ``assert_witness``,
 the yield-table sums ``yields``, which reads each flag's table through
-``flag_table``, the step-by-step acceptance search ``walk``, and
-``CountingStore``, which counts the store nodes a search builds."""
+``flag_table``, the symbol-by-symbol chain ``symbol_chain``, the
+step-by-step acceptance search ``walk``, and ``CountingStore``, which
+counts the store nodes a search builds."""
 
 from itpda import machine as mc
 from itpda import store as st
@@ -63,6 +64,30 @@ def yields(automaton, state, store):
         high = max(H[j] for j in at)
         most = -1 if most < 0 or high < 0 else most + high
     return min(least, tables.cap), min(most, tables.cap)
+
+
+def symbol_chain(tables, L, H, state, word):
+    """What ``tables._chain`` gives for the push word ``word`` (symbol
+    ids), from ``state``, folded one symbol at a time: the fewest and the
+    most letters by exit state, and the rows read, as a list with a row
+    for each symbol and each state its elements can be left in before."""
+    nq, nsym, cap = tables._nq, tables._nsym, mc._YIELD_CAP
+    low = [0 if q == state else cap for q in range(nq)]
+    high = [0 if q == state else mc._NEVER for q in range(nq)]
+    rows = []
+    for s in word:
+        lo, hi = [cap] * nq, [mc._NEVER] * nq
+        for p in range(nq):
+            if high[p] < 0:
+                continue
+            row = p * nsym + s
+            rows.append(row)
+            for q in range(nq):
+                lo[q] = min(lo[q], low[p] + L[row * nq + q])
+                if H[row * nq + q] >= 0:
+                    hi[q] = max(hi[q], min(high[p] + H[row * nq + q], cap))
+        low, high = lo, hi
+    return low, high, rows
 
 
 def walk(automaton, word, bounds, trace=False):

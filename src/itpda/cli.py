@@ -198,6 +198,7 @@ class CheckRow:
     mutations: int
     rejected: int
     inconclusive: int  # verdicts of the positive and the mutants
+    exact: int  # of those, the ones no store bound decided (Verdict.exact)
     millis: int
 
     def ok(self) -> bool:
@@ -239,10 +240,11 @@ class CheckReport:
 
     def as_text(self) -> str:
         header = ("level", "len", "positive", "mutations", "rejected",
-                  "inconclusive", "millis")
+                  "inconclusive", "exact", "millis")
         table = [header] + [
             tuple(str(v) for v in (r.level, r.len, r.positive, r.mutations,
-                                   r.rejected, r.inconclusive, r.millis))
+                                   r.rejected, r.inconclusive, r.exact,
+                                   r.millis))
             for r in self.rows]
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -313,19 +315,20 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
         positive = machine.accepts(automaton, word, bounds, memoize=False)
         rejected = 0
         inconclusive = int(positive.status == INCONCLUSIVE)
+        exact = int(positive.exact)
         # Decorrelate the per-level streams while keeping the whole check
         # a pure function of the seed.
         variants = contour.mutate(word, seed * 100003 + level, mutations,
                                   alphabet=automaton.input_alphabet)
         for mutant in variants:
-            status = machine.accepts(automaton, mutant, bounds,
-                                     memoize=False).status
-            rejected += status == REJECTED
-            inconclusive += status == INCONCLUSIVE
+            verdict = machine.accepts(automaton, mutant, bounds, memoize=False)
+            rejected += verdict.status == REJECTED
+            inconclusive += verdict.status == INCONCLUSIVE
+            exact += verdict.exact
         millis = int((time.perf_counter() - start) * 1000)
         report.rows.append(CheckRow(level, len(word), positive.status,
                                     len(variants), rejected, inconclusive,
-                                    millis))
+                                    exact, millis))
     if exhaustive_len is not None:
         report.exhaustive_len = exhaustive_len
         bounds = _bounds(default_bounds(exhaustive_len), max_store, max_configs)

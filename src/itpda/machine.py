@@ -36,10 +36,14 @@ breaks either bound, so the prunes change no verdict.  The builders'
 one branch point is the guess loop on its start symbol, alone on the
 store, so together they cut the tree walk of a guessed height at its
 commit, whether the height is too tall or too short for the word, and so
-every height of a word whose length no height yields.  Once a guess
-step at a branch point is its only move and keeps its state, top chain
-and flag table, a memo-free search under a finite store bound counts the
-steps left up to that bound in one step (see ``_search``).
+every height of a word whose length no height yields.  A memo-free
+search also ends a guess loop at the first height from which no exit of
+the loop can read as few letters as are left, at that height or any
+taller one, so its rejections need no store bound (``Verdict.exact``).
+Once a guess step at a branch point is its only move and keeps its
+state, top chain and flag table, a memo-free search under a finite store
+bound counts the steps left up to that bound in one step (see
+``_search``).
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -203,7 +207,11 @@ class Verdict:
     ``yield_cut``: a yield bound pruned one: a push whose new elements
     need more letters than are left, or one at a branch point on a store
     of one element whose new elements cannot read that many (see
-    ``_YieldTables``)."""
+    ``_YieldTables``), or a guess step of a loop no exit of which reads
+    as few letters as are left (see ``_search``).  ``exact``: the status
+    holds under any bounds: the search accepted, or it rejected and the
+    store bound pruned nothing, so no run of any store size accepts;
+    yield cuts drop no accepting run."""
 
     status: str
     trace: Optional[list[tuple[Configuration, Optional[int]]]] = None
@@ -213,6 +221,12 @@ class Verdict:
 
     def __bool__(self):
         return self.status == ACCEPTED
+
+    @property
+    def exact(self) -> bool:
+        """Accepted, or rejected with no store cut (see above)."""
+        return self.status == ACCEPTED or (self.status == REJECTED
+                                           and not self.store_cut)
 
 
 @dataclass(frozen=True)
@@ -459,6 +473,22 @@ class _YieldTables:
                 pushes.append((at, cost, target, word))
             else:
                 ends.append((at, target, cost))
+        # _loops: push 2 id -> exits, for each epsilon push 2 of a
+        # nonempty word w from state q into q whose loop key (q, (X,
+        # w[0])) has only pops 1, depth-1 pushes and this push 2 itself;
+        # exits: (transition id, letter cost) of its depth-1 moves.
+        self._loops = {}
+        for i, t in enumerate(automaton.transitions):
+            act = t.action
+            if (isinstance(act, Push) and act.level == 2 and act.word
+                    and t.letter is None and t.target == t.state):
+                key = (t.pattern[0], act.word[0])
+                moves = [(j, u) for j, u in enumerate(automaton.transitions)
+                         if (u.state, u.pattern) == (t.state, key)]
+                if all(u.action.level == 1 or (u.letter, u.target, u.action)
+                       == (None, t.state, act) for _, u in moves):
+                    self._loops[i] = [(j, int(u.letter is not None))
+                                      for j, u in moves if u.action.level == 1]
         # _solved: solved id -> (L, H, lows, highs), kept for the life of
         # the automaton; _links: (top, rest solved id) -> solved id.
         self._solved = [self._add(None, None)]
@@ -469,10 +499,11 @@ class _YieldTables:
         """Read the solved tables at ``cap`` from now on (see above)."""
         # tables: table id -> (L, H); lows, highs: table id -> low, high
         # per transition; _reps: table id -> a solved id; _children: (top,
-        # rest table id) -> table id; _ids: (L, H) -> table id.
+        # rest table id) -> table id; _ids: (L, H) -> table id; _floors:
+        # (push 2 id, table id) -> floor.
         self.cap = cap
         self.tables, self.lows, self.highs, self._reps = [], [], [], []
-        self._children, self._ids = {}, {}
+        self._children, self._ids, self._floors = {}, {}, {}
         self._clamp(0)
 
     def child(self, top: str, rest_id: int) -> int:
@@ -490,6 +521,29 @@ class _YieldTables:
                 self._solved.append(self._add(*link))
             tid = self._children[key] = self._clamp(sid)
         return tid
+
+    def floor(self, tid: int, rest_id: int, grown_id: int) -> int:
+        """The fewest letters a run reads after guess step ``tid``, a
+        push 2, grew a flag with table ``rest_id`` into one with table
+        ``grown_id``: the least, over the exits of its loop key, of the
+        exit's letter and the least yield of its new elements on the grown
+        flag; -1 unless ``tid`` has a loop key (see ``_loops``) and the
+        grown L table is entrywise at least the old one.  Then no later
+        step of the loop lowers the L table, so no exit at any height
+        reads fewer letters."""
+        key = (tid, rest_id)
+        low = self._floors.get(key)
+        if low is None:
+            exits = self._loops.get(tid)
+            low = -1
+            if exits is not None and all(
+                    a >= b for a, b in zip(self.tables[grown_id][0],
+                                           self.tables[rest_id][0])):
+                lows = self.lows[grown_id]
+                low = min([cost + lows[i] for i, cost in exits],
+                          default=self.cap)
+            self._floors[key] = low
+        return low
 
     def _clamp(self, sid: int) -> int:
         """Id of solved table ``sid`` at the cap."""
@@ -882,6 +936,26 @@ def _search(automaton: Automaton, word: str, start: tuple,
     then cut the push 2: the search counts k (or stops at the budget),
     sets ``store_cut`` and drops the successor.  The memo could prune a
     step, so memoized searches walk the loop.
+
+    A memo-free accept-mode search on a 2-level automaton also cuts a
+    guess loop by its exits, in the spirit of saturation for higher-order
+    pushdown systems (Hague and Ong, LMCS 2008).  Say an epsilon push 2
+    of a nonempty word w takes X[f] in state q to X[w.f] in q, and every
+    other move at the loop key K1 = (q, (X, w[0])) is a pop 1 or a
+    depth-1 push, its exits: no pop 2 and no push 2 but this one.  From
+    X[w.f] a run repeats the push 2, which keeps its position and key, or
+    leaves by an exit, which reads at least its letter and the least yield
+    of its new elements on the flag they carry.  A flag's L table is a
+    monotone min-plus function of its rest's, and the clamp to the cap
+    commutes with it, so if w.f's L table is entrywise at least f's, each
+    further step keeps it from falling, and each exit's least yield with
+    it.  When every exit at X[w.f] already needs more letters than are
+    left, none fits at any height, and a run that never exits never
+    empties the store: the search drops X[w.f] after it builds the flag
+    nodes whose table it reads, and sets ``yield_cut`` (see
+    ``_YieldTables.floor``).  No store bound is needed, so a search that
+    such cuts end rejects exactly.  Memoized searches do not cut guess
+    loops yet: they walk them up to the store bound.
     """
     index = automaton._index
     n = len(word)
@@ -934,8 +1008,10 @@ def _search(automaton: Automaton, word: str, start: tuple,
     if yields is not None:
         lows_of, highs_of = yields.lows, yields.highs
         child = yields.child
-    # Fast-forward guess loops (see above)?
-    fast = yields is not None and not memoize and max_store < math.inf
+    # Cut guess loops whose exits need more letters than are left, and
+    # fast-forward them (see above)?
+    floor = yields.floor if yields is not None and not memoize else None
+    fast = floor is not None and max_store < math.inf
 
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
@@ -1071,6 +1147,11 @@ def _search(automaton: Automaton, word: str, start: tuple,
                             if yields is not None:
                                 node._tid = child(sym, inner._tid)
                             inner = node
+                        if floor is not None and floor(
+                                tid, cur.flag._tid, inner._tid) > n - npos:
+                            # No exit of this guess loop fits (see above).
+                            yield_cut = True
+                            continue
                     nstore = Store_(cur.level, cur.symbol, inner, cur.rest)
                 if nstore.size > max_store:
                     store_cut = True
@@ -1144,7 +1225,11 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     longer.  It saves one set lookup per configuration, and, under a
     finite store bound, the steps of a guess loop after a guess step that
     is its branch point's only move and keeps its state, top chain and
-    flag table (see ``_search``).
+    flag table (see ``_search``).  A memo-free search on a 2-level
+    automaton also drops a guess step once no exit of its loop, at this
+    height or a taller one, reads as few letters as are left, so its
+    rejections need no store bound and are exact (``Verdict.exact``);
+    the memoized search walks guess loops up to the store bound.
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points

@@ -261,8 +261,9 @@ def test_check_json_fields(capsys):
     assert doc["pass"] is True
     for row in doc["rows"]:
         assert set(row) == {"level", "len", "positive", "mutations",
-                            "rejected", "inconclusive", "millis"}
+                            "rejected", "inconclusive", "exact", "millis"}
         assert row["rejected"] == row["mutations"] == 3
+        assert row["exact"] == row["mutations"] + 1
 
 
 def test_check_out_of_budget_verdicts_exit_2(capsys):
@@ -338,6 +339,17 @@ def test_run_check_checks_the_system_it_is_given():
             report = cli.run_check(kind, system, "W", sigma, range(1, 4), 3, 1)
             assert report.ok, (name, kind, report.as_text())
             assert [row.positive for row in report.rows] == [mc.ACCEPTED] * 3
+
+
+def test_every_verdict_of_the_quick_check_is_exact():
+    # The levels scripts/check_recognizers.py --quick checks, with the
+    # mutants of its CI run (--mutations 10, seed 0).  The guess-loop cut
+    # ends every guess loop before the store bound, so no verdict rests
+    # on it.
+    for kind, make, root, sigma, levels in cli.CHECKED_FAMILIES:
+        report = cli.run_check(kind, make(), root, sigma, levels[:3], 10, 0)
+        assert report.ok, report.as_text()
+        assert [row.exact for row in report.rows] == [11] * len(report.rows)
 
 
 def test_check_option_its_kind_does_not_read_exits_3(capsys):

@@ -688,30 +688,23 @@ def assert_steps_alike(automaton, word, store, budget, trace=False):
     """The memo-free search of ``word`` on ``automaton`` gives the status,
     count, cut flags and, with ``trace``, witness of ``walk``: under
     ``budget`` and under budgets that run out inside the search, one
-    below its count, at half and at a third of it.  Returns the store
-    nodes it built under ``budget``, and those the memoized search, which
-    never fast-forwards, built there: at least what stepping builds,
-    unless the memo pruned a configuration (then None).  It pruned none
-    where it decides as ``walk``, short of the budget, in as many
-    configurations."""
+    below its count, at half and at a third of it.  Returns its verdict
+    under ``budget``, the store nodes it built there, and those it builds
+    stepping through every move, as ``walk`` counts them."""
     budgets = [budget]
     while budgets:
         bounds = SearchBounds(store, budgets.pop())
         v, nodes = built(automaton, word, bounds, False, trace)
-        w = walk(automaton, word, bounds, trace)
+        w, stepped = walk(automaton, word, bounds, trace)
         fields = [(x.status, x.configurations, x.store_cut, x.yield_cut,
                    x.trace) for x in (v, w)]
         assert fields[0] == fields[1], bounds
         if bounds.max_configurations == budget:
-            fast, walked = nodes, w
+            result = v, nodes, stepped
             count = w.configurations
             budgets = sorted({b for b in (count - 1, count // 2, count // 3)
                               if 0 < b < budget})
-    memo, stepped = built(automaton, word, SearchBounds(store, budget), True)
-    if (memo.status, memo.configurations) != (walked.status, count) \
-            or memo.status == INCONCLUSIVE:
-        stepped = None
-    return fast, stepped
+    return result
 
 
 def _guessing(levels, *transitions):
@@ -773,23 +766,22 @@ READ_ONE = "r a [B A] -> r pop 1"
 # A push 2 of the empty word keeps the store: stepping runs to the budget.
 @example(_guessing(2, "q a Z -> q push 1", "q eps Z -> q push 2"), "", 10)
 def test_fast_forwarded_guess_loops_count_as_stepping(automaton, word, store):
-    fast, stepped = assert_steps_alike(automaton, word, store, 2000,
-                                      trace=True)
+    v, fast, stepped = assert_steps_alike(automaton, word, store, 2000,
+                                         trace=True)
+    assert fast <= stepped
     shape = ("guess loop" if automaton.transitions[:4] == GUESS_LOOP
              else f"{automaton.levels}-level")
-    if stepped is None:
-        event(f"{shape}: the memo pruned")
-    else:
-        assert fast <= stepped
-        event(f"{shape}: {'fast-forwarded' if fast < stepped else 'stepped'}")
+    event(f"{shape}: {'jumped or fast-forwarded' if fast < stepped else 'stepped'}"
+          f"{', exact' if v.exact else ''}")
 
 
 def test_a_budget_spent_at_a_guess_loop_counts_as_stepping():
     # The budget runs out at the loop's first branch point, on the push 2,
-    # before the commit after it is cut: no yield cut yet.
-    entered = _entered_above(GROW, COMMIT)
-    assert_steps_alike(entered, "", 10, 2)
-    v = mc.accepts(entered, "", SearchBounds(10, 2), memoize=False)
+    # before the commit after it: no cut yet.  B reads one letter, as many
+    # as are left, so the guess-loop cut keeps the push 2.
+    entered = _entered_above(GROW, COMMIT, READ_ONE)
+    assert_steps_alike(entered, "a", 10, 2)
+    v = mc.accepts(entered, "a", SearchBounds(10, 2), memoize=False)
     assert (v.status, v.configurations, v.store_cut, v.yield_cut) \
         == (INCONCLUSIVE, 3, False, False)
 
@@ -800,10 +792,49 @@ def test_a_pop_2_that_cannot_fire_leaves_a_guess_loop_to_fast_forward():
     # Stepping to the store bound of 40 builds 77 store nodes.
     entered = _entered_above(GROW, COMMIT, "q b [Z A] -> q pop 2")
     for word in ("", "a"):
-        assert assert_steps_alike(entered, word, 40, 2000) == (5, 77)
+        assert assert_steps_alike(entered, word, 40, 2000)[1:] == (5, 77)
         v = mc.accepts(entered, word, SearchBounds(40, 2000), memoize=False)
         assert (v.status, v.configurations, v.store_cut, v.yield_cut) \
             == (REJECTED, 39, True, True)
+
+
+# A guess loop whose exit reads fewer letters as the flag grows: B[A]
+# reads an a, B[A A] nothing, so the empty word is accepted at height 2.
+CHEAPER_EXIT = _guessing(2, "q eps Z -> q push 2 A", GROW,
+                         "q eps Z -> r push 1 B", COMMIT,
+                         "r eps [B A] -> s pop 2", "s eps [B A] -> p pop 1",
+                         "s a B -> p pop 1")
+
+
+@settings(deadline=None, max_examples=300)
+@given(hst.one_of(automata(guess=True), automata(guess=True, runs=True),
+                  automata(max_levels=2)),
+       hst.lists(hst.sampled_from(LETTERS), max_size=4))
+@example(CHEAPER_EXIT, "")
+@example(CHEAPER_EXIT, "a")
+# No loop: the push 2 leads to another state, or its key has a pop 2.
+# Either way the empty word is accepted at height 1.
+@example(_guessing(2, "q eps Z -> p push 2 A", "p eps Z -> p pop 1",
+                   "p eps [Z A] -> p pop 1"), "")
+@example(_guessing(2, "q eps Z -> q push 2 A", GROW,
+                   "q eps [Z A] -> p pop 2", "p eps Z -> p pop 1"), "")
+def test_guess_loop_cut_agrees_with_reference_bfs(automaton, word):
+    # The memo-free search cuts guess loops whose exits need more letters
+    # than are left; it must decide as the reference and the memoized
+    # search do, unless it spins to its budget, and a rejection the store
+    # bound cut nothing from must hold under a larger bound too.
+    fast = mc.accepts(automaton, word, SearchBounds(MAX_STORE, 10 ** 4),
+                      memoize=False)
+    if fast.status == INCONCLUSIVE:
+        event("inconclusive")
+        return
+    memo = mc.accepts(automaton, word, SearchBounds(MAX_STORE, 10 ** 5))
+    status, _ = reference_accepts(automaton, word, MAX_STORE)
+    assert fast.status == status == memo.status
+    if fast.status == REJECTED and fast.exact:
+        assert reference_accepts(automaton, word, MAX_STORE + 3)[0] == REJECTED
+    event(f"{fast.status}{', exact' if fast.exact else ''}"
+          f"{' where the memo is not' if fast.exact and not memo.exact else ''}")
 
 
 @pytest.mark.parametrize("kind,system,root,sigma,levels", [
@@ -815,24 +846,21 @@ def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma,
                                                levels):
     # The positives and mutants of the levels scripts/check_recognizers.py
     # --quick checks.  The as-printed fib ball's guess loop pushes F F, so
-    # its steps grow the store by 2.  The fib sector's tables settle only
-    # at height 65, above these store bounds, so its loops are stepped.
+    # its steps grow the store by 2.  Every loop ends at the guess-loop
+    # cut, before the store bound: each verdict is exact.
     system = system()
     kind, _, variant = kind.partition(" ")
     automaton = (sector_automaton(system, root) if kind == "sector"
                  else ball_automaton(system, root, sigma,
                                      Variant(variant or "corrected")))
     spec = ContourSpec(system, root, sigma=sigma, kind=kind)
-    saved = 0
     for level in levels:
         word = contour_word(spec, level)
         store = suggested_store_bound(system, sigma, level)
         for w in [word, *mutate(word, 7 + level, 5,
                                 alphabet=automaton.input_alphabet)]:
-            fast, stepped = assert_steps_alike(automaton, w, store, 10 ** 7)
-            assert stepped is not None and fast <= stepped
-            saved += stepped - fast
-    assert (saved > 0) == ((kind, system.name) != ("sector", "fibonacci"))
+            v, fast, stepped = assert_steps_alike(automaton, w, store, 10 ** 7)
+            assert v.exact and fast <= stepped
 
 
 @settings(deadline=None, max_examples=200)

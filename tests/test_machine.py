@@ -234,10 +234,14 @@ def test_yield_cut_flagged_on_heights_too_tall(fib, n):
         least, most = yields(fib, "q0", x2)
         assert (least > n) != (most < n)
     # Each commit is dropped at once: only the guess loop runs, one
-    # configuration per height, until the store bound stops it.
+    # configuration per height, until the heights are too tall for any
+    # commit, which the memo-free search cuts as an exact rejection.
     v = mc.accepts(fib, "a" * n, memoize=False)
-    assert v.status == REJECTED
-    assert v.yield_cut and v.store_cut
+    assert (v.status, v.exact, v.yield_cut) == (REJECTED, True, True)
+    assert v.configurations == {4: 4, 100: 11}[n]
+    # The memoized search walks the loop until the store bound stops it.
+    v = mc.accepts(fib, "a" * n)
+    assert (v.status, v.exact, v.yield_cut) == (REJECTED, False, True)
     assert v.configurations == mc.default_bounds(n).max_store_symbols
     # a^5 is accepted at height 4, after heights 0-3 were cut as too short;
     # the one configuration off its witness is the push 2 to height 5.
@@ -367,10 +371,11 @@ def test_least_yield_is_capped_when_nothing_empties():
 
 
 def test_yield_tables_walk_flags_deeper_than_the_recursion_limit(fib):
-    # a^300 guesses heights up to its store bound, 1,216 symbols.
+    # Under the memo a^300 guesses heights up to its store bound, 1,216
+    # symbols.
     bounds = mc.default_bounds(300)
     assert bounds.max_store_symbols > sys.getrecursionlimit()
-    v = mc.accepts(fib, "a" * 300, bounds, memoize=False)
+    v = mc.accepts(fib, "a" * 300, bounds)
     assert v.status == REJECTED and v.store_cut
     deep = st.single("X2", 2, ["F"] * (sys.getrecursionlimit() + 500))
     assert yields(fibonacci_automaton(), "q0", deep)[0] == 1 << 62
@@ -485,8 +490,8 @@ def test_a_search_reaches_the_tables_only_for_flags_it_builds():
     # words: every {b,w} word up to 8 letters on the fib ball automaton
     # (sigma 5), and a check of the fib sector automaton, each level's
     # positive and its mutants.  The ball words search under the memo, and
-    # the sector's tables settle only at height 65, above the store
-    # bounds, so no guess loop here is fast-forwarded.
+    # the sector's loops end at the guess-loop cut, so no guess loop here
+    # is fast-forwarded.
     fib = gr.fibonacci()
     ball = ball_automaton(fib, "W", 5)
     words = [w for n in range(9) for w in itertools.product("bw", repeat=n)]
@@ -505,7 +510,7 @@ def test_a_search_reaches_the_tables_only_for_flags_it_builds():
             mc.accepts(ball, w)
         for w, bounds in checks:
             mc.accepts(sector, w, bounds, memoize=False)
-    assert child.call_count == 28300
+    assert child.call_count == 22473
 
 
 def test_a_push_2_cycle_keeps_no_flag_it_dropped():
@@ -592,11 +597,11 @@ def test_trace_absent_unless_requested(fib):
 # length, configurations of the 5 mutants of mutate(word, 7, 5)).
 TREE_WALKS = [
     (gr.cell120, "9", "sector", 1, 2, 13_090, 13_329, 13_328,
-     [729, 729, 9667, 729, 729]),
+     [3, 2, 8941, 3, 2]),
     (lambda: gr.polygonal(7), "W", "ball", 7, 4, 3_857, 5_894, 5_893,
-     [135] * 5),
+     [5, 4, 5, 4, 5]),
     (gr.fibonacci, "W", "sector", 1, 6, 390, 867, 866,
-     [107, 107, 724, 107, 107]),
+     [8, 7, 625, 8, 7]),
 ]
 
 
@@ -618,11 +623,15 @@ def test_tree_walk_exploration_is_pinned(case):
         CountingStore.built = 0
         with mock.patch.object(mc, "Store", CountingStore):
             v = mc.accepts(automaton, word, bounds, memoize=memoize)
-        assert (v.status, v.configurations) == (ACCEPTED, configs)
+        # Without the memo the guess-loop cut drops the push 2 above the
+        # accepting height: no commit there reads as few letters as are
+        # left.
+        assert (v.status, v.configurations) == (ACCEPTED,
+                                                configs - (not memoize))
         built.append(CountingStore.built)
     # A jumped copy is one step under the memo too, so both searches
-    # build the same store nodes.
-    assert built[0] == built[1]
+    # build the same store nodes, save the element node of that push 2.
+    assert built[0] == built[1] + 1
     trace = mc.accepts(automaton, word, bounds, trace=True).trace
     assert len(trace) == witness
     assert_witness(automaton, word, trace, automaton.initial_configuration())
@@ -630,7 +639,7 @@ def test_tree_walk_exploration_is_pinned(case):
     counts = []
     for mutant in variants:
         v = mc.accepts(automaton, mutant, bounds, memoize=False)
-        assert v.status == REJECTED
+        assert (v.status, v.exact) == (REJECTED, True)
         counts.append(v.configurations)
     assert counts == mutants
 
@@ -638,11 +647,12 @@ def test_tree_walk_exploration_is_pinned(case):
 # --- segment summaries -----------------------------------------------------------------
 
 # (system, root, kind, sigma, level, smallest accepting store bound,
-# configurations rejected one below it, configurations of the accepting run).
+# configurations rejected one below it, configurations of the accepting
+# run), the last two with the memo and without it.
 BOUND_EDGES = [
-    (lambda: gr.polygonal(6), "W", "ball", 6, 3, 36, 41, 582),
-    (gr.cell120, "9", "sector", 1, 2, 346, 349, 13_329),
-    (gr.fibonacci, "W", "sector", 1, 6, 35, 53, 867),
+    (lambda: gr.polygonal(6), "W", "ball", 6, 3, 36, (41, 10), (582, 581)),
+    (gr.cell120, "9", "sector", 1, 2, 346, (349, 7), (13_329, 13_328)),
+    (gr.fibonacci, "W", "sector", 1, 6, 35, (53, 27), (867, 866)),
 ]
 
 
@@ -653,6 +663,7 @@ def test_bounds_are_exact_at_their_edges(case, memoize):
     # and the budget can run out inside it, so a jump must stop at exactly
     # the bounds at which the step-by-step walk stops.
     make, root, kind, sigma, level, smallest, cut_at, configs = case
+    cut_at, configs = cut_at[not memoize], configs[not memoize]
     system = make()
     automaton = (ball_automaton(system, root, sigma) if kind == "ball"
                  else sector_automaton(system, root))
@@ -693,7 +704,9 @@ def test_repeated_subtrees_are_walked_once():
         assert v.configurations > 10 ** 5
         assert CountingStore.built < v.configurations // 100
         built.append(CountingStore.built)
-    assert built[0] == built[1]
+    # Without the memo the guess-loop cut drops the push 2 above the
+    # accepting height before it builds the new element.
+    assert built[0] == built[1] + 1
 
 
 def _two_paths(*transitions, states):
@@ -780,15 +793,16 @@ def _taller_copy():
 
 
 def test_a_copy_on_a_taller_store_is_cut_where_the_walk_would_be():
+    # Without the memo the guess-loop cut ends the loop sooner.
     automaton, word = _taller_copy()
-    for memoize in (True, False):
+    for memoize, cut_at, configs in ((True, 23, 56), (False, 17, 55)):
         cut = mc.accepts(automaton, word, SearchBounds(10, 10 ** 4),
                          memoize=memoize)
         assert (cut.status, cut.configurations, cut.store_cut) \
-            == (REJECTED, 23, True)
+            == (REJECTED, cut_at, True)
         v = mc.accepts(automaton, word, SearchBounds(11, 10 ** 4),
                        memoize=memoize)
-        assert (v.status, v.configurations) == (ACCEPTED, 56)
+        assert (v.status, v.configurations) == (ACCEPTED, configs)
 
 
 def test_a_cap_on_open_segments_changes_no_count():
@@ -798,8 +812,8 @@ def test_a_cap_on_open_segments_changes_no_count():
     automaton, word = _taller_copy()
     for cap in range(1, 8):
         with mock.patch.object(mc, "_MAX_OPEN_SEGMENTS", cap):
-            for store, status, configs in ((10, REJECTED, 23),
-                                           (11, ACCEPTED, 56)):
+            for store, status, configs in ((10, REJECTED, 17),
+                                           (11, ACCEPTED, 55)):
                 v = mc.accepts(automaton, word, SearchBounds(store, 10 ** 4),
                                memoize=False)
                 assert (v.status, v.configurations) == (status, configs)
@@ -814,10 +828,11 @@ def _fib_ball_mutants():
 
 
 def test_saturated_guess_loops_build_no_store_nodes():
-    # Once a guess step keeps its flag's table, the memo-free search
-    # counts the rest of the loop, up to the store bound of 135, in one
-    # step.  Stepping through it builds 5,761 store nodes for these 20
-    # mutants, and asks child for the table of each of 2,680 new flags.
+    # A memo-free search ends each of these guess loops once no commit
+    # reads as few letters as are left, before the flag's table settles,
+    # and builds no store nodes for the heights it drops: stepping through
+    # them up to the store bound of 135 made 15,220 configurations and
+    # asked child for the table of each of 200 new flags.
     ball, mutants = _fib_ball_mutants()
     bounds = SearchBounds(suggested_store_bound(gr.fibonacci(), 5, 6), 10 ** 7)
     assert bounds.max_store_symbols == 135
@@ -827,26 +842,68 @@ def test_saturated_guess_loops_build_no_store_nodes():
         verdicts = [mc.accepts(ball, m, bounds, memoize=False)
                     for m in mutants]
     assert {(v.status, v.store_cut, v.yield_cut) for v in verdicts} \
-        == {(REJECTED, True, True)}
-    assert sum(v.configurations for v in verdicts) == 15_220
+        == {(REJECTED, False, True)}
+    assert sum(v.configurations for v in verdicts) == 12_654
     assert CountingStore.built <= 1000
-    assert child.call_count == 200
+    assert child.call_count == 134
+
+
+def test_a_rising_guess_loop_is_rejected_exactly_without_a_store_bound():
+    # Each guess step raises the commit's least yield, so the memo-free
+    # search stops the loop by itself: no bound is needed to reject.
+    ball, mutants = _fib_ball_mutants()
+    v = mc.accepts(ball, mutants[0], SearchBounds(None, 10 ** 6),
+                   memoize=False)
+    assert (v.status, v.configurations, v.exact) == (REJECTED, 6, True)
+
+
+def _cheaper_exit():
+    # A guess loop whose exit reads fewer letters as the flag grows: B[F]
+    # reads an a, and B[F^k], k >= 2, reads nothing.  So the empty word
+    # is accepted at every height from 2, and the tables settle at F F.
+    return mc.parse_automaton(
+        "levels: 2\nstates: q r s t\ninitial: q\ninput: a\nstore: Z B F\n"
+        "start_symbol: Z\n"
+        "t: q eps Z -> q push 2 F\nt: q eps [Z F] -> q push 2 F\n"
+        "t: q eps Z -> r push 1 B\nt: q eps [Z F] -> r push 1 B\n"
+        "t: r eps [B F] -> s pop 2\nt: s eps [B F] -> t pop 1\n"
+        "t: s a B -> t pop 1\n")
+
+
+def test_a_guess_loop_whose_exit_gets_cheaper_is_not_cut():
+    # At height 1 the commit reads at least one letter, more than the
+    # empty word has, but the L table falls from the empty flag's to
+    # F's, so the cut does not read that as a bound on later heights.
+    cheap = _cheaper_exit()
+    for memoize in (True, False):
+        assert mc.accepts(cheap, "", memoize=memoize).status == ACCEPTED
+    tables = cheap._yield_tables(0)
+    grown = tables.child("F", 0)
+    assert tables.lows[grown][3] == 1
+    assert tables.floor(0, 0, grown) == -1
 
 
 def test_no_guess_loop_is_fast_forwarded_without_a_store_bound():
-    # Without a store bound nothing ends the loop: the search steps
-    # through it, building each guess's store nodes, until the budget
-    # runs out, as without the fast-forward.  With no budget either it
-    # would never end.
-    ball, mutants = _fib_ball_mutants()
+    # The exits of this loop read no letter from height 2 on, so no
+    # guess-loop cut ends it on "aa".  Without a store bound nothing
+    # does: the search steps through it, building each guess's store
+    # nodes, until the budget runs out, as without the fast-forward.
+    # With no budget either it would never end.  Under a store bound it
+    # is fast-forwarded once its table settles.
+    cheap = _cheaper_exit()
     for budget in (1, 500, 5000):
         CountingStore.built = 0
         with mock.patch.object(mc, "Store", CountingStore):
-            v = mc.accepts(ball, mutants[0], SearchBounds(None, budget),
+            v = mc.accepts(cheap, "aa", SearchBounds(None, budget),
                            memoize=False)
         assert (v.status, v.configurations) == (INCONCLUSIVE, budget + 1)
         assert not v.store_cut
         assert CountingStore.built >= budget
+    CountingStore.built = 0
+    with mock.patch.object(mc, "Store", CountingStore):
+        v = mc.accepts(cheap, "aa", SearchBounds(40, 5000), memoize=False)
+    assert (v.status, v.configurations, v.store_cut) == (REJECTED, 40, True)
+    assert CountingStore.built == 6
 
 
 # --- determinism, memoization, monotonicity ----------------------------------------------

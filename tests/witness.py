@@ -1,8 +1,9 @@
 """What the search tests share: the witness check ``assert_witness``,
 the yield-table sums ``yields``, which reads each flag's table through
 ``flag_table``, the symbol-by-symbol chain ``symbol_chain``, the
-step-by-step acceptance search ``walk``, and ``CountingStore``, which
-counts the store nodes a search builds."""
+step-by-step acceptance search ``walk`` with its guess-loop cut
+``guess_cut``, and ``CountingStore``, which counts the store nodes a
+search builds."""
 
 from itpda import machine as mc
 from itpda import store as st
@@ -90,6 +91,35 @@ def symbol_chain(tables, L, H, state, word):
     return low, high, rows
 
 
+def guess_cut(automaton, tables, t, store, nstore, left):
+    """Does the search's guess-loop cut drop the push 2 ``t`` from
+    ``store`` to ``nstore`` with ``left`` letters unread?  Read from
+    ``automaton.transitions``: ``t`` is an epsilon push 2 of a nonempty
+    word w from a state q into q; every other transition at its loop key,
+    q on the top chain (top symbol, w[0]), is a pop 1 or a depth-1 push,
+    or this same push 2; the L table of the grown flag is entrywise at
+    least that of the old one; and each of those exits reads more than
+    ``left`` letters: its own letter and the least yield of its new
+    elements on the grown flag."""
+    act = t.action
+    if not act.word or t.letter is not None or t.target != t.state:
+        return False
+    key = (t.pattern[0], act.word[0])
+    exits = []
+    for i, u in enumerate(automaton.transitions):
+        if (u.state, u.pattern) != (t.state, key):
+            continue
+        if u.action.level == 1:
+            exits.append((i, u.letter is not None))
+        elif (u.letter, u.target, u.action) != (None, t.state, act):
+            return False
+    before = tables.tables[flag_table(tables, store.flag)][0]
+    grown = flag_table(tables, nstore.flag)
+    if any(a < b for a, b in zip(tables.tables[grown][0], before)):
+        return False
+    return all(cost + tables.lows[grown][i] > left for i, cost in exits)
+
+
 def walk(automaton, word, bounds, trace=False):
     """The memo-free acceptance search, one step at a time: a depth-first
     walk over ``itpda.machine._moves`` with the search's rules, and no
@@ -97,17 +127,22 @@ def walk(automaton, word, bounds, trace=False):
     stacked in reverse.  On 1- and 2-level automata a depth-1 push is cut
     when its new elements' least yield exceeds the letters left and, at a
     branch point on a store of one element, when their most yield falls
-    short of them.  A store past the bound is cut, a configuration that
-    has read the word and emptied its store accepts when generated, and a
-    count past the budget stops the walk as Inconclusive.  Returns a
-    ``Verdict``, with the walked path as its witness if ``trace``.  It
-    builds each move before it cuts it, so it is no reference for the
-    store nodes the search builds."""
+    short of them, and a push 2 when ``guess_cut`` says so.  A store past
+    the bound is cut, a configuration that has read the word and emptied
+    its store accepts when generated, and a count past the budget stops
+    the walk as Inconclusive.  Returns a ``Verdict``, with the walked path
+    as its witness if ``trace``, and the store nodes the search builds
+    when it steps through every move as this walk does: those of the pops
+    and pushes at depths 1 and 2 it does not cut, those of the depth-1
+    pushes the store bound cuts, which the search builds before it
+    compares their size with the bound, and the flag nodes of the push 2s
+    the guess-loop cut drops, whose table ids it reads."""
     coded = mc._encode(automaton, word)
     n = len(coded)
     max_store, max_configs = mc._limits(bounds)
     tables = automaton._yield_tables(n)
     verdict = mc.Verdict(mc.REJECTED, configurations=1)
+    nodes = 0
     # (configuration, path): the path as links (previous link, (step, tid)).
     stack = [(mc.Configuration(automaton.initial_state, 0,
                                automaton.initial_store()), None)]
@@ -120,18 +155,30 @@ def walk(automaton, word, bounds, trace=False):
             if code is not None and (pos == n or coded[pos] != code):
                 continue
             npos = pos + (code is not None)
-            action = automaton.transitions[tid].action
-            if tables is not None and action.level == 1 \
-                    and isinstance(action, mc.Push):
+            t = automaton.transitions[tid]
+            action = t.action
+            push = isinstance(action, mc.Push)
+            if tables is not None and push and action.level == 1:
                 table = flag_table(tables, store.flag)
                 if tables.lows[table][tid] > n - npos or (
                         branches and store.rest.size == 0
                         and tables.highs[table][tid] < n - npos):
                     verdict.yield_cut = True
                     continue
+            if action.level == 1 and push:
+                nodes += len(action.word)
+            elif action.level == 2 and not push:
+                nodes += 1
             if nstore.size > max_store:
                 verdict.store_cut = True
                 continue
+            if push and action.level == 2:
+                nodes += len(action.word)
+                if tables is not None and guess_cut(automaton, tables, t, store,
+                                                    nstore, n - npos):
+                    verdict.yield_cut = True
+                    continue
+                nodes += 1
             verdict.configurations += 1
             nxt = mc.Configuration(target, npos, nstore)
             link = (path, (cfg, tid))
@@ -143,10 +190,10 @@ def walk(automaton, word, bounds, trace=False):
                         link, step = link
                         verdict.trace.append(step)
                     verdict.trace.reverse()
-                return verdict
+                return verdict, nodes
             if verdict.configurations > max_configs:
                 verdict.status = mc.INCONCLUSIVE
-                return verdict
+                return verdict, nodes
             successors.append((nxt, link))
         stack.extend(reversed(successors))
-    return verdict
+    return verdict, nodes

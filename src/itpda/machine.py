@@ -40,10 +40,6 @@ every height of a word whose length no height yields.  A memo-free
 search also ends a guess loop at the first height from which no exit of
 the loop can read as few letters as are left, at that height or any
 taller one, so its rejections need no store bound (``Verdict.exact``).
-Once a guess step at a branch point is its only move and keeps its
-state, top chain and flag table, a memo-free search under a finite store
-bound counts the steps left up to that bound in one step (see
-``_search``).
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -202,7 +198,6 @@ class Verdict:
     count ``itpda run`` prints mean what they mean for a search that walks
     every copy, save that under the memo a path meeting a jumped copy is
     pruned at the copy's end or later, and counts what it walks of it.
-    A fast-forwarded guess loop counts what stepping it generates.
     ``store_cut``: the store bound pruned a configuration.
     ``yield_cut``: a yield bound pruned one: a push whose new elements
     need more letters than are left, or one at a branch point on a store
@@ -921,23 +916,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
     copy is pruned at its end or later, counting at most the copy more.
     A jump adds no link: the copy has no branch point; the replay walks it.
 
-    A memo-free accept-mode search on a 1- or 2-level automaton under a
-    finite store bound also fast-forwards guess loops (loop acceleration:
-    Bardin, Finkel, Leroux and Schnoebelen, ATVA 2005).  Say a branch
-    point X[f] has one successor, X[w.f]: an epsilon push 2 of a nonempty
-    word w, into the same state and top chain, so under the same index
-    key, whose ``child`` fold gave w.f the table id of f.  Then w.w.f has
-    it too, and every move meets at X[w.f] what it met at X[f]: the same
-    key, position, rest and flag table, so the same letter test and yield
-    cuts, a nonempty flag for a pop 2 on both, and store cuts that only
-    grow with the store.  The step just taken made every cut decision,
-    so each later step repeats it on a store |w| larger.  Stepping would
-    generate k = (bound - size of X[w.f]) // |w| more configurations and
-    then cut the push 2: the search counts k (or stops at the budget),
-    sets ``store_cut`` and drops the successor.  The memo could prune a
-    step, so memoized searches walk the loop.
-
-    A memo-free accept-mode search on a 2-level automaton also cuts a
+    A memo-free accept-mode search on a 2-level automaton cuts a
     guess loop by its exits, in the spirit of saturation for higher-order
     pushdown systems (Hague and Ong, LMCS 2008).  Say an epsilon push 2
     of a nonempty word w takes X[f] in state q to X[w.f] in q, and every
@@ -954,8 +933,9 @@ def _search(automaton: Automaton, word: str, start: tuple,
     empties the store: the search drops X[w.f] after it builds the flag
     nodes whose table it reads, and sets ``yield_cut`` (see
     ``_YieldTables.floor``).  No store bound is needed, so a search that
-    such cuts end rejects exactly.  Memoized searches do not cut guess
-    loops yet: they walk them up to the store bound.
+    such cuts end rejects exactly.  A guess loop whose exits stay cheap
+    enough is stepped up to the store bound.  Memoized searches do not
+    cut guess loops yet: they walk them up to the store bound.
     """
     index = automaton._index
     n = len(word)
@@ -1008,10 +988,9 @@ def _search(automaton: Automaton, word: str, start: tuple,
     if yields is not None:
         lows_of, highs_of = yields.lows, yields.highs
         child = yields.child
-    # Cut guess loops whose exits need more letters than are left, and
-    # fast-forward them (see above)?
+    # Cut guess loops whose exits need more letters than are left (see
+    # above)?
     floor = yields.floor if yields is not None and not memoize else None
-    fast = floor is not None and max_store < math.inf
 
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
@@ -1181,22 +1160,6 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 break
             else:
                 if branches:
-                    if fast and len(successors) == 1:
-                        # Only a push 2 of a nonempty word keeps the rest
-                        # and grows the store: a guess step (see above)?
-                        target, npos, nstore, _, _ = successors[0]
-                        grow = nstore.size - cur.size
-                        if (grow > 0 and nstore.rest is cur.rest
-                                and (target, npos) == (state, pos)
-                                and nstore._topsym == cur._topsym
-                                and nstore.flag._tid == cur.flag._tid):
-                            k = (max_store - nstore.size) // grow
-                            if count + k > max_configs:
-                                count = max_configs + 1
-                                return finish(INCONCLUSIVE)
-                            count += k
-                            store_cut = True
-                            break
                     stack.extend(reversed(successors))
                 break
     return finish(REJECTED)
@@ -1222,14 +1185,12 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     keeps the store within its bound the search spins until the
     configuration budget runs out and reports Inconclusive.  It also
     explores paths that meet once per path, which can take exponentially
-    longer.  It saves one set lookup per configuration, and, under a
-    finite store bound, the steps of a guess loop after a guess step that
-    is its branch point's only move and keeps its state, top chain and
-    flag table (see ``_search``).  A memo-free search on a 2-level
-    automaton also drops a guess step once no exit of its loop, at this
-    height or a taller one, reads as few letters as are left, so its
-    rejections need no store bound and are exact (``Verdict.exact``);
-    the memoized search walks guess loops up to the store bound.
+    longer.  It saves one set lookup per configuration.  A memo-free
+    search on a 2-level automaton also drops a guess step once no exit of
+    its loop, at this height or a taller one, reads as few letters as are
+    left, so its rejections need no store bound and are exact
+    (``Verdict.exact``); the memoized search walks guess loops up to the
+    store bound.
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points

@@ -483,6 +483,59 @@ def test_a_larger_cap_solves_no_table_again():
     assert solves(replace(sector), 512) == (9, [512] * 6)
 
 
+# (kind, system, root, sigma, level, top level, cap fresh, cap after the
+# top level's word, store nodes, configurations): families of the
+# benchmark's check-mutants job list, each at one level below its top.
+CAP_RAISED = [
+    ("ball", gr.fibonacci, "W", 5, 2, 6, 64, 2048, 145, 192),
+    ("ball", gr.dodecahedral, "O", 8, 1, 3, 128, 8192, 179, 379),
+    ("sector", gr.fibonacci, "W", 1, 3, 6, 64, 512, 290, 236),
+    ("sector", gr.fibonacci, "B", 1, 4, 6, 64, 256, 518, 573),
+]
+
+
+@pytest.mark.parametrize("case", CAP_RAISED,
+                         ids=lambda c: f"{c[1].__name__}-{c[0]}-{c[2]}")
+def test_a_cap_raised_by_a_long_word_changes_no_later_search(case):
+    # The cap only rises: after the family's top-level word, a level's
+    # positive and its 20 seeded mutants read every table at the larger
+    # cap, and build the store nodes and give the verdicts they give on
+    # a fresh automaton.
+    kind, make, root, sigma, level, top, cap, raised, nodes, configs = case
+    system = make()
+    spec = ContourSpec(system, root, sigma=sigma, kind=kind)
+
+    def build():
+        return (ball_automaton(system, root, sigma) if kind == "ball"
+                else sector_automaton(system, root))
+
+    def bounds(at):
+        return SearchBounds(suggested_store_bound(system, sigma, at), 10 ** 7)
+
+    fresh = build()
+    word = contour_word(spec, level)
+    words = [word, *mutate(word, 100003 + level, 20,
+                           alphabet=fresh.input_alphabet)]
+
+    def searched(automaton):
+        CountingStore.built = 0
+        with mock.patch.object(mc, "Store", CountingStore):
+            verdicts = [mc.accepts(automaton, w, bounds(level), memoize=False)
+                        for w in words]
+        return (automaton._yields.cap, CountingStore.built,
+                [(v.status, v.configurations, v.store_cut, v.yield_cut)
+                 for v in verdicts])
+
+    fresh = searched(fresh)
+    warm = build()
+    assert mc.accepts(warm, contour_word(spec, top), bounds(top),
+                      memoize=False).status == ACCEPTED
+    warm = searched(warm)
+    assert (fresh[0], warm[0]) == (cap, raised)
+    assert fresh[1:] == warm[1:]
+    assert (fresh[1], sum(v[1] for v in fresh[2])) == (nodes, configs)
+
+
 def test_a_search_reaches_the_tables_only_for_flags_it_builds():
     # Each flag node a guess loop builds gets its table id from child as
     # it is built, and no other code asks the tables for an id, so the
@@ -490,8 +543,7 @@ def test_a_search_reaches_the_tables_only_for_flags_it_builds():
     # words: every {b,w} word up to 8 letters on the fib ball automaton
     # (sigma 5), and a check of the fib sector automaton, each level's
     # positive and its mutants.  The ball words search under the memo, and
-    # the sector's loops end at the guess-loop cut, so no guess loop here
-    # is fast-forwarded.
+    # the sector's loops end at the guess-loop cut.
     fib = gr.fibonacci()
     ball = ball_automaton(fib, "W", 5)
     words = [w for n in range(9) for w in itertools.product("bw", repeat=n)]
@@ -883,13 +935,13 @@ def test_a_guess_loop_whose_exit_gets_cheaper_is_not_cut():
     assert tables.floor(0, 0, grown) == -1
 
 
-def test_no_guess_loop_is_fast_forwarded_without_a_store_bound():
+def test_a_guess_loop_with_cheap_exits_is_stepped_to_the_budget_or_store_bound():
     # The exits of this loop read no letter from height 2 on, so no
     # guess-loop cut ends it on "aa".  Without a store bound nothing
     # does: the search steps through it, building each guess's store
-    # nodes, until the budget runs out, as without the fast-forward.
-    # With no budget either it would never end.  Under a store bound it
-    # is fast-forwarded once its table settles.
+    # nodes, until the budget runs out.  With no budget either it would
+    # never end.  Under a store bound it is stepped up to that bound, and
+    # builds the store nodes ``walk`` counts.
     cheap = _cheaper_exit()
     for budget in (1, 500, 5000):
         CountingStore.built = 0
@@ -903,7 +955,7 @@ def test_no_guess_loop_is_fast_forwarded_without_a_store_bound():
     with mock.patch.object(mc, "Store", CountingStore):
         v = mc.accepts(cheap, "aa", SearchBounds(40, 5000), memoize=False)
     assert (v.status, v.configurations, v.store_cut) == (REJECTED, 40, True)
-    assert CountingStore.built == 6
+    assert CountingStore.built == 78
 
 
 # --- determinism, memoization, monotonicity ----------------------------------------------

@@ -123,7 +123,7 @@ def guess_cut(automaton, tables, t, store, nstore, left):
 def walk(automaton, word, bounds, trace=False):
     """The memo-free acceptance search, one step at a time: a depth-first
     walk over ``itpda.machine._moves`` with the search's rules, and no
-    jump or fast-forward.  Successors come in declaration order and are
+    segment jump.  Successors come in declaration order and are
     stacked in reverse.  On 1- and 2-level automata a depth-1 push is cut
     when its new elements' least yield exceeds the letters left and, at a
     branch point on a store of one element, when their most yield falls

@@ -39,7 +39,8 @@ commit, whether the height is too tall or too short for the word, and so
 every height of a word whose length no height yields.  A memo-free
 search also ends a guess loop at the first height from which no exit of
 the loop can read as few letters as are left, at that height or any
-taller one, so its rejections need no store bound (``Verdict.exact``).
+taller one, so its rejections need no store bound (``Verdict.exact``);
+:func:`enumerate_language` ends guess loops the same way.
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -248,6 +249,7 @@ class Automaton:
     _codes: "_Codes" = field(init=False, repr=False, compare=False)
     _yields: Optional["_YieldTables"] = field(default=None, init=False,
                                               repr=False, compare=False)
+    _start: Store = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.levels < 1:
@@ -302,6 +304,9 @@ class Automaton:
                     f"1..{self.levels}", i)
         codes = _Codes(self.input_alphabet)
         object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_start", st.node(
+            self.initial_symbol, st.empty(self.levels - 1),
+            st.empty(self.levels)))
         # (state, pattern) -> (whether the search can branch there, ordered
         # applicable transitions), duplicates merged.  Entries carry the
         # code of their letter (None for epsilon), and an opcode so the
@@ -333,8 +338,11 @@ class Automaton:
         object.__setattr__(self, "_index", index)
 
     def initial_store(self) -> Store:
-        return st.node(self.initial_symbol, st.empty(self.levels - 1),
-                       st.empty(self.levels))
+        """The start symbol over the empty flag, on the empty store.  It
+        is built once, with the automaton, and shared by every search and
+        enumeration: stores are immutable, and a search writes ``_tid``
+        only on the flag nodes it makes."""
+        return self._start
 
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial_state, 0, self.initial_store())
@@ -525,7 +533,9 @@ class _YieldTables:
         flag; -1 unless ``tid`` has a loop key (see ``_loops``) and the
         grown L table is entrywise at least the old one.  Then no later
         step of the loop lowers the L table, so no exit at any height
-        reads fewer letters."""
+        reads fewer letters.  Its two readers drop the guess step when the
+        floor exceeds the letters left: op 3 of a memo-free ``_search``,
+        and ``enumerate_language`` with the letters left to its length."""
         key = (tid, rest_id)
         low = self._floors.get(key)
         if low is None:
@@ -1239,11 +1249,17 @@ def enumerate_language(automaton: Automaton, max_len: int,
     :func:`accepts`, skips the depth-1 pushes that need more letters than
     ``max_len`` leaves.  As in the search, a flag carries its yield table
     id in its ``_tid`` slot, written by ``_YieldTables.child``, here on
-    the new flag nodes of each push 2 the enumeration keeps: it starts
-    from the initial store, so every flag it reads is the empty flag or
-    one of those.  Raises :class:`SearchLimitError` if the
-    configuration budget is exceeded (the result would be incomplete), and
-    :class:`MachineError` if ``max_len`` is negative.
+    the new flag nodes of each push 2 that reaches a configuration not
+    seen before: it starts from the initial store, so every flag it reads
+    is the empty flag or one of those.  With those ids it ends guess loops
+    as a memo-free :func:`accepts` does (see ``_search``), with the
+    letters left to ``max_len``: a guess step is dropped once no exit of
+    its loop, at this height or a taller one, reads as few letters as are
+    left (``_YieldTables.floor``).  So on a 2-level automaton whose guess
+    loops all end that way, such as the builders' recognizers, the result
+    does not depend on the store bound.  Raises :class:`SearchLimitError`
+    if the configuration budget is exceeded (the result would be
+    incomplete), and :class:`MachineError` if ``max_len`` is negative.
     """
     if max_len < 0:
         raise MachineError("max_len must be >= 0")
@@ -1281,11 +1297,6 @@ def enumerate_language(automaton: Automaton, max_len: int,
             ncfg = (target, nemit, nstore)
             if ncfg in seen:
                 continue
-            seen.add(ncfg)
-            count += 1
-            if count > max_configs:
-                raise SearchLimitError(
-                    "language enumeration exceeded the configuration budget")
             if yields is not None and grown[tid]:
                 # Table ids of the new flag nodes, bottom first, as op 3.
                 nodes = [nstore.flag]
@@ -1294,6 +1305,14 @@ def enumerate_language(automaton: Automaton, max_len: int,
                 ftable = nodes[-1].rest._tid
                 for node in reversed(nodes):
                     node._tid = ftable = yields.child(node.symbol, ftable)
+                if yields.floor(tid, cur.flag._tid,
+                                ftable) > max_len - len(nemit):
+                    continue  # no exit of this guess loop fits
+            seen.add(ncfg)
+            count += 1
+            if count > max_configs:
+                raise SearchLimitError(
+                    "language enumeration exceeded the configuration budget")
             stack.append(ncfg)
     letters = automaton._codes.letter
     return {tuple(map(letters.__getitem__, word)) for word in accepted}

@@ -281,9 +281,11 @@ def test_check_out_of_budget_verdicts_exit_2(capsys):
 
 def test_check_out_of_budget_sweep_exits_2(capsys):
     # The rows pass within the budget; the language enumeration does not.
+    # The level-1 positive counts 15 configurations and its mutant 12; the
+    # sweep to 60 needs 98, so a budget of 50 lies between the two.
     args = ("check", "--kind", "sector", "--system", "fib", "--root", "W",
             "--levels", "1..1", "--mutations", "1", "--exhaustive-len", "60",
-            "--max-configs", "300")
+            "--max-configs", "50")
     code, out, _ = run(capsys, *args)
     assert code == 2
     assert "exhaustive sweep <= 60: inconclusive" in out

@@ -6,7 +6,8 @@ the whole search, no yield bound, and the public ``store.push``/
 small 1-, 2- and 3-level automata and short words; the default
 ``accepts`` must agree with it and, on rejections, do at most a few times
 its work; ``memoize=False`` must agree or give up; ``enumerate_language``
-must list the words it accepts.  The upper yield bound is checked against
+must list the words it accepts, also through the builders' guess loop,
+which it may end by the guess-loop cut.  The upper yield bound is checked against
 the reference on its own, and every configuration of a run that empties
 its store within a few letters, whichever they are, must have between
 the least and the most yield of its store left to read, and the yield
@@ -203,7 +204,7 @@ def test_unmemoized_accepts_agrees_or_gives_up(automaton, word):
 
 
 @settings(deadline=None, max_examples=100)
-@given(automata())
+@given(hst.one_of(automata(), automata(guess=True)))
 def test_enumeration_lists_the_accepted_words(automaton):
     words = [w for n in range(4) for w in itertools.product(LETTERS, repeat=n)]
     expected = {w for w in words

@@ -14,6 +14,7 @@ from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
                             sector_automaton, suggested_store_bound)
+from itpda.cli import CHECKED_FAMILIES, build_automaton
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
@@ -1089,6 +1090,53 @@ def test_enumerate_language_through_a_push_2_of_two_symbols():
 def test_enumerate_language_budget_error(fib):
     with pytest.raises(mc.SearchLimitError):
         mc.enumerate_language(fib, 9, SearchBounds(60, 10))
+
+
+def test_enumeration_ends_guess_loops_without_a_store_bound():
+    # The guess loop is dropped at the first height whose exits need more
+    # letters than are left, so no store bound is needed, and the fresh
+    # automaton solves a table for the few flags below that height alone.
+    sector = sector_automaton(gr.fibonacci(), "W")
+    words = mc.enumerate_language(sector, 200, SearchBounds(None, 10 ** 5))
+    spec = ContourSpec(gr.fibonacci(), "W", kind="sector")
+    assert words == {contour_word(spec, level) for level in range(1, 6)}
+    assert sorted(map(len, words)) == [6, 13, 28, 64, 155]
+    assert len(sector._yields._solved) == 8
+    # The cut keeps a height whose exits need exactly the letters left.
+    for max_len in (154, 155):
+        assert mc.enumerate_language(sector, max_len, SearchBounds(
+            None, 10 ** 5)) == {w for w in words if len(w) <= max_len}
+
+
+ENUMERATED_FAMILIES = [
+    *((kind, make, root, sigma, "corrected")
+      for kind, make, root, sigma, _ in CHECKED_FAMILIES),
+    ("ball", gr.fibonacci, "W", 5, "as-printed"),
+    ("sector", gr.fibonacci, "W", 1, "as-printed"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, make, root, sigma, variant", ENUMERATED_FAMILIES,
+    ids=[f"{kind}-{make().name}-{root}-{sigma}-{variant}"
+         for kind, make, root, sigma, variant in ENUMERATED_FAMILIES])
+def test_enumeration_needs_no_store_bound_on_the_builders(kind, make, root,
+                                                          sigma, variant):
+    automaton = build_automaton(kind, make(), root, sigma, variant)
+    unbounded = mc.enumerate_language(automaton, 40, SearchBounds(None, 10 ** 4))
+    assert unbounded == mc.enumerate_language(automaton, 40,
+                                              mc.default_bounds(40))
+
+
+def test_enumeration_budget_edge_to_60():
+    # A guess step the cut drops is neither remembered nor counted: the
+    # fib sector W enumeration to 60 keeps 98 configurations.
+    sector = sector_automaton(gr.fibonacci(), "W")
+    store = mc.default_bounds(60).max_store_symbols
+    words = mc.enumerate_language(sector, 60, SearchBounds(store, 98))
+    assert sorted(map(len, words)) == [6, 13, 28]
+    with pytest.raises(mc.SearchLimitError):
+        mc.enumerate_language(sector, 60, SearchBounds(store, 97))
 
 
 def test_enumerate_language_rejects_a_negative_length():

@@ -35,17 +35,18 @@ import time
 from pathlib import Path
 
 from itpda import cli
-from itpda.builders import sector_automaton, suggested_store_bound
+from itpda.builders import sector_automaton
 from itpda.contour import ContourSpec, sector_contour
 from itpda.grammar import cell120, format_word
 from itpda.machine import (Push, SearchBounds, _Coded, _encode, accepts,
-                           render_automaton)
+                           default_bounds, render_automaton)
 
 
-def time_run(automaton_file: Path, word_file: Path, max_store: int):
-    """Seconds and exit code of ``itpda run`` on the two files."""
+def time_run(automaton_file: Path, word_file: Path):
+    """Seconds and exit code of ``itpda run`` on the two files, under its
+    default store bound and a budget level 4 does not reach."""
     argv = ["run", str(automaton_file), str(word_file),
-            "--max-store", str(max_store), "--max-configs", str(10 ** 12)]
+            "--max-configs", str(10 ** 12)]
     with contextlib.redirect_stdout(io.StringIO()):
         t0 = time.perf_counter()
         code = cli.main(argv)
@@ -85,8 +86,8 @@ def main():
             t0 = time.perf_counter()
             word = sector_contour(spec, level)
             build = time.perf_counter() - t0
-            max_store = suggested_store_bound(system, 1, level)
-            bounds = SearchBounds(max_store, None)
+            bounds = SearchBounds(default_bounds(len(word)).max_store_symbols,
+                                  None)
             tables = time_tables(automaton, len(word), level)
             t0 = time.perf_counter()
             cold = accepts(automaton, word, bounds, memoize=False)
@@ -101,7 +102,7 @@ def main():
             word_file.write_text(format_word(word) + "\n", encoding="utf-8")
             letters = len(word)
             del word
-            run, code = time_run(automaton_file, word_file, max_store)
+            run, code = time_run(automaton_file, word_file)
             failed = failed or code != 0
             print(f"level {level}: {letters:>12} letters  build {build:6.3f}s  "
                   f"tables {tables * 1e3:5.1f}ms  "

@@ -9,7 +9,7 @@ Layers, bottom to top: :mod:`itpda.store` (nested pushdown stores),
 """
 
 from .builders import (Variant, ball_automaton, fibonacci_automaton,
-                       sector_automaton, suggested_store_bound)
+                       sector_automaton)
 from .contour import (ContourSpec, ball_contour, contour_length, contour_word,
                       mutate, sector_contour)
 from .grammar import (GrammarError, SubstitutionSystem, cell120, dodecahedral,

@@ -237,6 +237,16 @@ def suggested_store_bound(system: SubstitutionSystem, sigma: int, level: int) ->
     ancestor keeps up to ``max_rule - 1`` pending siblings whose flags
     still hold their full height markers, so the high-water mark grows
     quadratically in the level, plus one flagged root per sector.
+
+    The library, the CLI and the scripts bound the store by
+    :func:`itpda.machine.default_bounds` instead.  The readers left are
+    ``perfbench/workloads.py``; in ``tests/test_machine.py``, the memoized
+    count pins that depend on this value and the saturated guess-loop
+    test, which pins its bound of 135; the test of this function in
+    ``tests/test_builders.py``; and the property of
+    ``tests/test_differential.py`` that draws bounds around it.  The
+    benchmark change that moves ``perfbench/`` to ``default_bounds``
+    deletes it.
     """
     max_rule = max(len(rule) for rule in system.rules.values())
     pending = (max_rule - 1) * (level + 1) * (level + 2) // 2
@@ -245,5 +255,4 @@ def suggested_store_bound(system: SubstitutionSystem, sigma: int, level: int) ->
 
 __all__ = [
     "Variant", "fibonacci_automaton", "ball_automaton", "sector_automaton",
-    "suggested_store_bound",
 ]

@@ -14,7 +14,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import builders, contour, grammar, machine, store
 from .builders import Variant
@@ -308,10 +308,7 @@ def run_check(kind: str, system: SubstitutionSystem, root: str, sigma: int,
     for level in levels:
         start = time.perf_counter()
         word = contour.contour_word(spec, level)
-        default = replace(default_bounds(len(word)),
-                          max_store_symbols=builders.suggested_store_bound(
-                              system, sigma if kind == "ball" else 1, level))
-        bounds = _bounds(default, max_store, max_configs)
+        bounds = _bounds(default_bounds(len(word)), max_store, max_configs)
         positive = machine.accepts(automaton, word, bounds, memoize=False)
         rejected = 0
         inconclusive = int(positive.status == INCONCLUSIVE)
@@ -377,7 +374,8 @@ def cmd_check(args) -> int:
 
 def _add_bounds(p):
     p.add_argument("--max-store", type=int, default=None,
-                   help="store symbol budget (default: derived from input size)")
+                   help="store symbol budget (default: 4 x (n + 4), n the "
+                        "word's letters or the sweep's length)")
     p.add_argument("--max-configs", type=int, default=None,
                    help="configuration budget (default: 10^7)")
 

@@ -20,7 +20,7 @@ from itpda import grammar as gr
 from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
-                            sector_automaton, suggested_store_bound)
+                            sector_automaton)
 from itpda.cli import run_check
 from itpda.contour import (ContourSpec, ball_contour, mutate, sector_contour)
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Configuration,
@@ -92,8 +92,7 @@ def test_criterion_4_ball_recognizers_planar():
         spec = ContourSpec(system, root, sigma=sigma, kind="ball")
         for level in range(9):
             word = ball_contour(spec, level)
-            bounds = SearchBounds(suggested_store_bound(system, sigma, level),
-                                  10 ** 7)
+            bounds = mc.default_bounds(len(word))
             verdict = mc.accepts(automaton, word, bounds, memoize=False)
             assert verdict.status == ACCEPTED, (system.name, sigma, level)
             if level <= 5:
@@ -164,7 +163,7 @@ def test_criterion_7_dodecagrid():
     spec = ContourSpec(dod, "O", sigma=8, kind="ball")
     for level in range(6):
         word = ball_contour(spec, level)
-        bounds = SearchBounds(suggested_store_bound(dod, 8, level), 10 ** 7)
+        bounds = mc.default_bounds(len(word))
         assert mc.accepts(automaton, word, bounds,
                           memoize=False).status == ACCEPTED, level
         if level <= 3:
@@ -190,15 +189,15 @@ def test_criterion_8_cell120():
     automaton = ball_automaton(c, "9", 16)
     spec = ContourSpec(c, "9", sigma=16, kind="ball")
     for level in (1, 2):
-        bounds = SearchBounds(suggested_store_bound(c, 16, level), 10 ** 7)
-        assert mc.accepts(automaton, ball_contour(spec, level), bounds,
+        word = ball_contour(spec, level)
+        assert mc.accepts(automaton, word, mc.default_bounds(len(word)),
                           memoize=False).status == ACCEPTED, level
     # Single-sector level-3 word (~1.5M letters) as a performance benchmark.
     sector = sector_automaton(c, "9")
     word = sector_contour(ContourSpec(c, "9", kind="sector"), 3)
     start = time.perf_counter()
-    bounds = SearchBounds(suggested_store_bound(c, 1, 3), 10 ** 7)
-    verdict = mc.accepts(sector, word, bounds, memoize=False)
+    verdict = mc.accepts(sector, word, mc.default_bounds(len(word)),
+                         memoize=False)
     elapsed = time.perf_counter() - start
     assert verdict.status == ACCEPTED
     assert elapsed < 120, f"took {elapsed:.1f}s"

@@ -134,7 +134,7 @@ def test_level_word_reachability(root):
         word = gr.read_word(fib, gr.level_word(fib, root, level))
         start = Configuration("q0", 0, st.single(root, 2, ["F"] * level))
         goal = Configuration("q0", len(word), st.empty(2))
-        bounds = SearchBounds(suggested_store_bound(fib, 1, level), 10 ** 7)
+        bounds = mc.default_bounds(len(word))
         assert mc.reachable(a, start, goal, word, bounds).status == ACCEPTED
 
 
@@ -191,7 +191,7 @@ def test_sector_as_printed_white_root_only():
         sector_automaton(gr.fibonacci(), "B", Variant.AS_PRINTED)
 
 
-# --- suggested bound sanity --------------------------------------------------------------------
+# --- store bound sanity ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("system,root,sigma,kind,levels", [
     (gr.fibonacci(), "W", 5, "ball", range(0, 7)),
@@ -199,7 +199,7 @@ def test_sector_as_printed_white_root_only():
     (gr.dodecahedral(), "O", 8, "ball", range(0, 4)),
     (gr.cell120(), "9", 1, "sector", range(1, 3)),
 ])
-def test_suggested_bound_admits_accepting_runs(system, root, sigma, kind, levels):
+def test_default_bounds_admit_accepting_runs(system, root, sigma, kind, levels):
     if kind == "ball":
         a = ball_automaton(system, root, sigma)
         spec = ContourSpec(system, root, sigma=sigma, kind="ball")
@@ -209,8 +209,8 @@ def test_suggested_bound_admits_accepting_runs(system, root, sigma, kind, levels
     for level in levels:
         word = ball_contour(spec, level) if kind == "ball" \
             else sector_contour(spec, level)
-        bounds = SearchBounds(suggested_store_bound(system, sigma, level), 10 ** 7)
-        assert mc.accepts(a, word, bounds, memoize=False).status == ACCEPTED
+        assert mc.accepts(a, word, mc.default_bounds(len(word)),
+                          memoize=False).status == ACCEPTED
 
 
 # The families and levels of ``scripts/check_recognizers.py --quick``, and

@@ -344,14 +344,31 @@ def test_run_check_checks_the_system_it_is_given():
 
 
 def test_every_verdict_of_the_quick_check_is_exact():
-    # The levels scripts/check_recognizers.py --quick checks, with the
-    # mutants of its CI run (--mutations 10, seed 0).  The guess-loop cut
-    # ends every guess loop before the store bound, so no verdict rests
-    # on it.
+    # Every level scripts/check_recognizers.py checks, with the mutants of
+    # its quick CI run (--mutations 10, seed 0).  The guess-loop cut ends
+    # every guess loop before the store bound, so no verdict rests on it,
+    # also where default_bounds is below builders.suggested_store_bound
+    # (the fib sigma 5, poly6 and cell120 balls at level 0, the fib and
+    # dodeca sectors at level 1).
     for kind, make, root, sigma, levels in cli.CHECKED_FAMILIES:
-        report = cli.run_check(kind, make(), root, sigma, levels[:3], 10, 0)
+        report = cli.run_check(kind, make(), root, sigma, levels, 10, 0)
         assert report.ok, report.as_text()
         assert [row.exact for row in report.rows] == [11] * len(report.rows)
+
+
+def test_check_max_store_bounds_every_search(capsys):
+    # The fib sector W level-3 word has 28 letters; its accepting run
+    # needs more than 12 store symbols and fits in 20.  The mutants are
+    # rejected either way, one of them at the store bound of 12.
+    args = ("check", "--kind", "sector", "--system", "fib", "--root", "W",
+            "--levels", "3..3", "--mutations", "3", "--json")
+    rows = []
+    for max_store, code in (("12", 1), ("20", 0)):
+        got, out, _ = run(capsys, *args, "--max-store", max_store)
+        assert got == code
+        (row,) = json.loads(out)["rows"]
+        rows.append((row["positive"], row["rejected"], row["exact"]))
+    assert rows == [(mc.REJECTED, 3, 2), (mc.ACCEPTED, 3, 4)]
 
 
 def test_check_option_its_kind_does_not_read_exits_3(capsys):

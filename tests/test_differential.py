@@ -858,7 +858,7 @@ def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma,
     spec = ContourSpec(system, root, sigma=sigma, kind=kind)
     for level in levels:
         word = contour_word(spec, level)
-        store = suggested_store_bound(system, sigma, level)
+        store = mc.default_bounds(len(word)).max_store_symbols
         for w in [word, *mutate(word, 7 + level, 5,
                                 alphabet=automaton.input_alphabet)]:
             v, fast, stepped = assert_steps_alike(automaton, w, store, 10 ** 7)

@@ -464,17 +464,17 @@ def test_a_larger_cap_solves_no_table_again():
     # each larger cap took 30.
     fib = gr.fibonacci()
     spec = ContourSpec(fib, "W", kind="sector")
-    jobs = [(contour_word(spec, level),
-             SearchBounds(suggested_store_bound(fib, 1, level), 10 ** 7))
-            for level in range(1, 7)]
+    words = [contour_word(spec, level) for level in range(1, 7)]
 
     def solves(automaton, first_cap=None):
         caps = []
         with _counted("_add") as add:
             if first_cap:
                 automaton._yield_tables(first_cap - 1)
-            for word, bounds in jobs:
-                verdict = mc.accepts(automaton, word, bounds, memoize=False)
+            for word in words:
+                verdict = mc.accepts(automaton, word,
+                                     mc.default_bounds(len(word)),
+                                     memoize=False)
                 assert verdict.status == ACCEPTED
                 caps.append(automaton._yields.cap)
         return add.call_count, caps
@@ -510,18 +510,16 @@ def test_a_cap_raised_by_a_long_word_changes_no_later_search(case):
         return (ball_automaton(system, root, sigma) if kind == "ball"
                 else sector_automaton(system, root))
 
-    def bounds(at):
-        return SearchBounds(suggested_store_bound(system, sigma, at), 10 ** 7)
-
     fresh = build()
     word = contour_word(spec, level)
+    bounds = mc.default_bounds(len(word))
     words = [word, *mutate(word, 100003 + level, 20,
                            alphabet=fresh.input_alphabet)]
 
     def searched(automaton):
         CountingStore.built = 0
         with mock.patch.object(mc, "Store", CountingStore):
-            verdicts = [mc.accepts(automaton, w, bounds(level), memoize=False)
+            verdicts = [mc.accepts(automaton, w, bounds, memoize=False)
                         for w in words]
         return (automaton._yields.cap, CountingStore.built,
                 [(v.status, v.configurations, v.store_cut, v.yield_cut)
@@ -529,7 +527,8 @@ def test_a_cap_raised_by_a_long_word_changes_no_later_search(case):
 
     fresh = searched(fresh)
     warm = build()
-    assert mc.accepts(warm, contour_word(spec, top), bounds(top),
+    top_word = contour_word(spec, top)
+    assert mc.accepts(warm, top_word, mc.default_bounds(len(top_word)),
                       memoize=False).status == ACCEPTED
     warm = searched(warm)
     assert (fresh[0], warm[0]) == (cap, raised)
@@ -553,7 +552,7 @@ def test_a_search_reaches_the_tables_only_for_flags_it_builds():
     checks = []
     for level in range(1, 6):
         word = contour_word(spec, level)
-        bounds = SearchBounds(suggested_store_bound(fib, 1, level), 10 ** 7)
+        bounds = mc.default_bounds(len(word))
         for w in [word, *mutate(word, 100003 + level, 20,
                                 alphabet=sector.input_alphabet)]:
             checks.append((w, bounds))
@@ -1126,6 +1125,24 @@ def test_enumeration_needs_no_store_bound_on_the_builders(kind, make, root,
     unbounded = mc.enumerate_language(automaton, 40, SearchBounds(None, 10 ** 4))
     assert unbounded == mc.enumerate_language(automaton, 40,
                                               mc.default_bounds(40))
+
+
+def test_enumeration_keeps_a_guessed_word_of_exactly_max_len_letters():
+    # The contour word of each family's second level, whose run guesses a
+    # height: the cut keeps the height whose exits need exactly the
+    # letters left, so the word is listed to its own length and not one
+    # letter short.  The cell120 sector's level-2 word has 13,090 letters,
+    # so it takes level 1, whose run guesses too.
+    for kind, make, root, sigma, levels in CHECKED_FAMILIES:
+        system = make()
+        automaton = build_automaton(kind, system, root, sigma, "corrected")
+        level = (levels[0] if (kind, make) == ("sector", gr.cell120)
+                 else levels[1])
+        word = contour_word(ContourSpec(system, root, sigma=sigma, kind=kind),
+                            level)
+        assert word in mc.enumerate_language(automaton, len(word)), \
+            (kind, system.name, level)
+        assert word not in mc.enumerate_language(automaton, len(word) - 1)
 
 
 def test_enumeration_budget_edge_to_60():

@@ -15,8 +15,11 @@ the cap of the word's length), then the recognizer on the word: its
 first ``accepts`` on the token tuple, which also builds the automaton's
 yield tables and encodes the tuple; then, on the warm automaton, the
 encoding of the tuple into one str of letter codes alone (``encode``)
-and ``accepts`` on that str alone (``search``).  The rate is in letters
-of input per second of the search.  The search jumps over the repeated
+and ``accepts`` on that str alone (``search``).  Memo-free searches share
+their segment summaries through the automaton, so ``search`` clears them
+first: it walks each repeated subtree once, as a first search of the
+word does, instead of jumping the subtrees ``first`` walked.  The rate is
+in letters of input per second of the search.  The search jumps over the repeated
 subtrees of a tree walk, so the configurations a verdict counts are
 mostly never built, and a count per second would not measure a step.
 The last column times ``itpda run`` (in this process) on the level's
@@ -93,6 +96,7 @@ def main():
             cold = accepts(automaton, word, bounds, memoize=False)
             t1 = time.perf_counter()
             coded = _Coded(_encode(automaton, word))
+            automaton._summaries.clear()
             t2 = time.perf_counter()
             verdict = accepts(automaton, coded, bounds, memoize=False)
             t3 = time.perf_counter()

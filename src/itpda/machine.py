@@ -62,10 +62,14 @@ element against the input in one comparison instead of walking it
 (see ``_search``).  In a contour word every (label, height) pair's
 level word recurs, and all its copies share one flag, so a tree walk
 builds store nodes for the first copy of each pair only, with or
-without the memo, which takes a jumped copy as one step.  Counts,
-verdicts and witnesses are those of walking every copy (but see
-``Verdict``): a witness is the walked path, replayed from the choices
-made at branch points.
+without the memo, which takes a jumped copy as one step.  Memo-free
+searches keep their summaries on the automaton, so the words searched
+on it share them: a later word jumps the subtrees an earlier one
+walked, as the positive and the mutants of a family do.  A memoized
+search keeps its own for the one search.  Counts, verdicts and
+witnesses are those of walking every copy (but see ``Verdict``): a
+witness is the walked path, replayed from the choices made at branch
+points.
 """
 
 from __future__ import annotations
@@ -250,6 +254,8 @@ class Automaton:
     _yields: Optional["_YieldTables"] = field(default=None, init=False,
                                               repr=False, compare=False)
     _start: Store = field(init=False, repr=False, compare=False)
+    _eflag: Store = field(init=False, repr=False, compare=False)
+    _summaries: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.levels < 1:
@@ -307,6 +313,10 @@ class Automaton:
         object.__setattr__(self, "_start", st.node(
             self.initial_symbol, st.empty(self.levels - 1),
             st.empty(self.levels)))
+        # The flag of the elements a depth-2 push adds, and the segment
+        # summaries memo-free acceptance searches share (see ``_search``).
+        object.__setattr__(self, "_eflag", st.empty(max(self.levels - 2, 0)))
+        object.__setattr__(self, "_summaries", {})
         # (state, pattern) -> (whether the search can branch there, ordered
         # applicable transitions), duplicates merged.  Entries carry the
         # code of their letter (None for epsilon), and an opcode so the
@@ -905,17 +915,26 @@ def _search(automaton: Automaton, word: str, start: tuple,
     the first configuration whose store is that same ``rest`` object.  It
     sees nothing below s[f], so it depends only on q, s, f and the letters
     it reads.  A segment completed without passing a branch point is kept
-    under (q, s, f), f compared by identity, with its exit state, its
-    letters as (first position, length), the configurations k it
-    generated and its store high-water mark above ``rest``.  Where the
-    walk exposes an element with a summary, it jumps to (exit state,
-    position + length, rest) and counts k configurations if the input
-    there repeats the letters, the high-water mark fits the store bound on
-    this ``rest`` and k fits the budget.  Otherwise it walks the copy step
-    by step, and the copy's own elements may jump.  A matched copy meets
-    no cut: its new elements are removed within its letters, so no least
-    yield exceeds what is left, and it has no branch point for the most
-    yield to cut.
+    under (q, s, f), f compared by content (its cached hash and
+    structural equality), with its exit state, its letters (a slice of
+    the word) and their number, the configurations k it generated and its
+    store high-water mark above ``rest``.  Where the walk exposes an
+    element with a summary, it jumps to (exit state, position + length,
+    rest) and counts k configurations if the input there repeats the
+    letters, the high-water mark fits the store bound on this ``rest``
+    and k fits the budget.  Otherwise it walks the copy step by step, and
+    the copy's own elements may jump.  A matched copy meets no cut: its
+    new elements are removed within its letters, so no least yield
+    exceeds what is left, and it has no branch point for the most yield
+    to cut.
+
+    So a summary holds only what walking the copy gives, whatever word,
+    bounds and table cap it was made under, and a memo-free search reads
+    and writes the automaton's table, ``Automaton._summaries``: a later
+    search jumps copies that earlier ones walked, and gives the verdict,
+    count and witness it gives on a fresh automaton.  A memoized search
+    keeps a table of its own for the one search, since under the memo
+    which copies jump changes what it prunes (below).
 
     With ``memoize`` a jump is one step: its endpoint is looked up,
     counted and remembered like a walked successor.  A copy jumps only
@@ -1004,21 +1023,22 @@ def _search(automaton: Automaton, word: str, start: tuple,
 
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
-    seen = {start}
+    seen = {start} if memoize else None
     # A depth-2 push adds elements of this level, with empty flags, to the
     # top element's flag.
     flag_level = automaton.levels - 1
-    eflag = st.empty(max(flag_level - 1, 0))
-    # Segment summaries, accept mode only: (state, symbol, id of flag) ->
-    # (exit state, first position, letters, configurations, store
-    # high-water mark above the rest, flag); the flag is kept so that its
-    # id is not reused.  segs: the open
-    # segments of this chain walk, innermost last, each as (key, rest of
-    # the enclosing segment, position, count, high-water mark of the
-    # enclosing segment, flag).  seg_rest and hw: the innermost one's rest
-    # and store high-water mark.  A copy jumps only from a position above
-    # hi; seen_hi is the furthest position remembered in ``seen``.
-    summaries: Optional[dict] = {} if accept_mode else None
+    eflag = automaton._eflag
+    # Segment summaries, accept mode only: (state, symbol, flag) -> (exit
+    # state, letters, their number, configurations, store high-water mark
+    # above the rest), the automaton's table without the memo (see above).
+    # segs: the open segments of this chain walk, innermost last, each as
+    # (key, rest of the enclosing segment, position, count, high-water
+    # mark of the enclosing segment).  seg_rest and hw: the innermost
+    # one's rest and store high-water mark.  A copy jumps only from a
+    # position above hi; seen_hi is the furthest position remembered in
+    # ``seen``.
+    summaries: Optional[dict] = (None if not accept_mode else {} if memoize
+                                 else automaton._summaries)
     segs: list = []
     seg_rest = None
     hw = hi = 0
@@ -1038,9 +1058,9 @@ def _search(automaton: Automaton, word: str, start: tuple,
         while True:  # one turn per configuration of a chain walk
             while cur is seg_rest:
                 # The innermost open segment is complete: summarise it.
-                key, seg_rest, first, before, outer, flag = segs.pop()
-                summaries[key] = (state, first, pos - first, count - before,
-                                  hw - cur.size, flag)
+                key, seg_rest, first, before, outer = segs.pop()
+                summaries[key] = (state, word[first:pos], pos - first,
+                                  count - before, hw - cur.size)
                 if outer > hw:
                     hw = outer
             if memoize:
@@ -1052,19 +1072,17 @@ def _search(automaton: Automaton, word: str, start: tuple,
             if branches:
                 successors = []
             elif summaries is not None:
-                flag = cur.flag
-                key = (state, cur.symbol, id(flag))
+                key = (state, cur.symbol, cur.flag)
                 summary = summaries.get(key)
                 if summary is not None:
-                    target, first, letters, k, peak, _ = summary
+                    target, letters, length, k, peak = summary
                     rest = cur.rest
                     if (rest.size + peak <= max_store
                             and count + k <= max_configs
                             and pos > hi
-                            and word[pos:pos + letters]
-                            == word[first:first + letters]):
+                            and word[pos:pos + length] == letters):
                         # Jump over the copy to its last configuration.
-                        npos = pos + letters
+                        npos = pos + length
                         nnode = index.get((target, rest._topsym), dead)
                         ncfg = (target, npos, rest)
                         if memoize:
@@ -1087,7 +1105,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
                 size = cur.size
                 if len(segs) < _MAX_OPEN_SEGMENTS:
                     segs.append((key, seg_rest, pos, count,
-                                 hw if hw > size else size, flag))
+                                 hw if hw > size else size))
                     seg_rest = cur.rest
                     hw = size
                 elif size > hw:
@@ -1200,7 +1218,11 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     its loop, at this height or a taller one, reads as few letters as are
     left, so its rejections need no store bound and are exact
     (``Verdict.exact``); the memoized search walks guess loops up to the
-    store bound.
+    store bound.  A memo-free search leaves the summaries of the segments
+    it walks on the automaton (see ``_search``), so a later word jumps the
+    repeated subtrees an earlier one walked, with the verdict, count and
+    witness it gives on a fresh automaton; the memoized search keeps its
+    summaries to itself.
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points

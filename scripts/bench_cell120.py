@@ -56,16 +56,16 @@ def time_run(automaton_file: Path, word_file: Path):
         return time.perf_counter() - t0, code
 
 
-def time_tables(automaton, letters: int, level: int) -> float:
+def time_tables(automaton, level: int) -> float:
     """Seconds a fresh copy of ``automaton`` takes to build its yield
-    tables for the flags of heights 0 .. ``level``, at the cap of a word
-    of ``letters`` letters: the empty flag's table 0 comes with the
-    tables, and each climb through ``child`` adds the next height's."""
+    tables for the flags of heights 0 .. ``level``: the empty flag's
+    table 0 comes with the tables, and each climb through ``child`` adds
+    the next height's."""
     fresh = dataclasses.replace(automaton)
     marker = next(t.action.word[0] for t in fresh.transitions
                   if isinstance(t.action, Push) and t.action.level == 2)
     t0 = time.perf_counter()
-    tables, tid = fresh._yield_tables(letters), 0
+    tables, tid = fresh._yield_tables(), 0
     for _ in range(level):
         tid = tables.child(marker, tid)
     return time.perf_counter() - t0
@@ -91,7 +91,7 @@ def main():
             build = time.perf_counter() - t0
             bounds = SearchBounds(default_bounds(len(word)).max_store_symbols,
                                   None)
-            tables = time_tables(automaton, len(word), level)
+            tables = time_tables(automaton, level)
             t0 = time.perf_counter()
             cold = accepts(automaton, word, bounds, memoize=False)
             t1 = time.perf_counter()

@@ -40,7 +40,8 @@ every height of a word whose length no height yields.  A memo-free
 search also ends a guess loop at the first height from which no exit of
 the loop can read as few letters as are left, at that height or any
 taller one, so its rejections need no store bound (``Verdict.exact``);
-:func:`enumerate_language` ends guess loops the same way.
+:func:`enumerate_language` ends guess loops the same way.  A memoized
+search walks on there, but solves no table for the taller heights.
 
 The search is depth-first and expands transitions in declaration order,
 so verdicts and witness traces are deterministic.  Every configuration
@@ -357,27 +358,24 @@ class Automaton:
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial_state, 0, self.initial_store())
 
-    def _yield_tables(self, need: int) -> Optional["_YieldTables"]:
-        """Yield tables exact up to ``need`` letters, built on first use
-        and grown to a larger cap for a longer input, each table still
+    def _yield_tables(self) -> Optional["_YieldTables"]:
+        """The automaton's yield tables, built on first use, each table
         solved once (see ``_YieldTables``); None above 2 levels."""
         if self.levels > 2:
             return None
-        if self._yields is None or self._yields.cap <= need:
-            cap = min(1 << max(need, 63).bit_length(), _YIELD_CAP)
-            if self._yields is None:
-                object.__setattr__(self, "_yields", _YieldTables(self, cap))
-            else:
-                self._yields.grow(cap)
+        if self._yields is None:
+            object.__setattr__(self, "_yields", _YieldTables(self))
         return self._yields
 
 
-# The largest cap, at which every table is solved: more letters than any
-# input has.
+# The cap of every yield table entry: more letters than any input has.
 _YIELD_CAP = 1 << 62
 
 # A most-yield entry for a way no run can remove an element.
 _NEVER = -1
+
+# The table id of a flag above a guess loop's floor (see ``_YieldTables``).
+_UNFIT = 1
 
 
 class _YieldTables:
@@ -386,7 +384,7 @@ class _YieldTables:
     For a flag f, the table of f holds two tuples about the element s[f],
     from the moment it is on top in state q until it is removed in state
     q': L_f[q, s, q'] is the fewest letters any run reads meanwhile, or
-    ``cap`` when no run removes it that way, and H_f[q, s, q'] is the
+    the cap when no run removes it that way, and H_f[q, s, q'] is the
     most, or ``_NEVER``.  Both are indexed by ``row[q, s] * len(states) +
     q'``.  Each is the least fixpoint, L in min-plus and H in max-plus, of
     one inequality per matching transition: pop 1 (and push 1 of the empty
@@ -419,33 +417,29 @@ class _YieldTables:
     more are live than rounds have passed, all are, and an H that still
     rises is unbounded and set to the cap at once.
 
-    Every entry is capped at ``cap``, which exceeds the input lengths the
-    tables are asked about, so an L at the cap still prunes, an H at the cap
-    never does, and the others are exact.  An element left in place is never
-    read past, so emptying a store reads at least the sum of the Ls and at
-    most the sum of the Hs of its elements.
+    Every entry is capped at ``_YIELD_CAP``, which exceeds every input
+    length, so an L at the cap always prunes, an H at the cap never does,
+    and the others are exact.  An element left in place is never read
+    past, so emptying a store reads at least the sum of the Ls and at most
+    the sum of the Hs of its elements.
 
-    Each table is solved once, at ``_YIELD_CAP``, and kept; the table at
-    ``cap`` is the solved one with every entry clamped to ``cap``, so
-    ``grow`` moves to a larger cap without solving a table again.  The
-    clamp gives the table solved at ``cap``: it commutes with the sums,
-    minima and maxima of every rule, chain and round, which entries are
-    live does not depend on their values, and the widening puts an H at the
-    cap either way.  Tables at ``cap`` are keyed by (top of f, table id of
-    f.rest), and a new key is read from the table solved over any solved
-    table that clamps to f.rest's, since a flag's table at ``cap`` depends
-    on the rest's table at ``cap`` alone; that solved table is kept under
-    (top of f, its rest's solved id) for every later cap.  The empty flag
-    has table 0, and a table equal to an earlier one gets its id.  A guess
-    loop therefore adds tables only until its yields reach the cap or
-    repeat, not at every flag depth the store bound allows.
-    ``tables[tid]`` is the pair (L, H).  ``lows[tid][i]`` and
+    Each table is solved once and kept for the life of the automaton.
+    ``tables[tid]`` is the pair (L, H); the empty flag has table 0, and a
+    table equal to an earlier one gets its id.  ``lows[tid][i]`` and
     ``highs[tid][i]`` are the fewest and the most letters the new elements
     of transition i, a depth-1 push, read when they carry a flag with table
     ``tid``, whatever state they leave in (0 for other transitions).
+
+    Table ``_UNFIT`` is no flag's solved table: its every entry, lows and
+    highs included, is ``_YIELD_CAP``, and ``child`` keeps it for every
+    flag above it.  A memoized search gives it to a guess loop's grown
+    flag once ``floor`` exceeds the letters left, where a memo-free search
+    cuts the guess step.  The position stays within the loop, so each
+    exit that fires there is cut on the solved table too, and on every
+    taller one; the search walks the loop on without solving its tables.
     """
 
-    def __init__(self, automaton: Automaton, cap: int):
+    def __init__(self, automaton: Automaton):
         states, symbols = automaton.states, automaton.store_alphabet
         nq = self._nq = len(states)
         nsym = self._nsym = len(symbols)
@@ -502,37 +496,28 @@ class _YieldTables:
                        == (None, t.state, act) for _, u in moves):
                     self._loops[i] = [(j, int(u.letter is not None))
                                       for j, u in moves if u.action.level == 1]
-        # _solved: solved id -> (L, H, lows, highs), kept for the life of
-        # the automaton; _links: (top, rest solved id) -> solved id.
-        self._solved = [self._add(None, None)]
-        self._links: dict = {}
-        self.grow(cap)
-
-    def grow(self, cap: int):
-        """Read the solved tables at ``cap`` from now on (see above)."""
         # tables: table id -> (L, H); lows, highs: table id -> low, high
-        # per transition; _reps: table id -> a solved id; _children: (top,
-        # rest table id) -> table id; _ids: (L, H) -> table id; _floors:
-        # (push 2 id, table id) -> floor.
-        self.cap = cap
-        self.tables, self.lows, self.highs, self._reps = [], [], [], []
-        self._children, self._ids, self._floors = {}, {}, {}
-        self._clamp(0)
+        # per transition; _ids: (L, H) -> table id; _children: (top, rest
+        # table id) -> table id; _floors: (push 2 id, table id) -> floor.
+        self.tables, self.lows, self.highs, self._ids = [], [], [], {}
+        self._add(None, None)
+        unfit = (_YIELD_CAP,) * self._size
+        self.tables.append((unfit, unfit))
+        self.lows.append((_YIELD_CAP,) * self._ntrans)
+        self.highs.append(self.lows[_UNFIT])
+        self._children = {(s, _UNFIT): _UNFIT for s in symbols}
+        self._floors = {}
 
     def child(self, top: str, rest_id: int) -> int:
         """Table id of a flag with top ``top`` over a flag with table
         ``rest_id``, solved on first use.  It is the one way to a table
         id: a flag's id is this fold of its symbols, bottom first, from
-        the empty flag's table 0."""
+        the empty flag's table 0, save that ``_search`` may write
+        ``_UNFIT`` over the id of a guess loop's grown flag."""
         key = (top, rest_id)
         tid = self._children.get(key)
         if tid is None:
-            link = (top, self._reps[rest_id])
-            sid = self._links.get(link)
-            if sid is None:
-                sid = self._links[link] = len(self._solved)
-                self._solved.append(self._add(*link))
-            tid = self._children[key] = self._clamp(sid)
+            tid = self._children[key] = self._add(top, rest_id)
         return tid
 
     def floor(self, tid: int, rest_id: int, grown_id: int) -> int:
@@ -543,9 +528,10 @@ class _YieldTables:
         flag; -1 unless ``tid`` has a loop key (see ``_loops``) and the
         grown L table is entrywise at least the old one.  Then no later
         step of the loop lowers the L table, so no exit at any height
-        reads fewer letters.  Its two readers drop the guess step when the
-        floor exceeds the letters left: op 3 of a memo-free ``_search``,
-        and ``enumerate_language`` with the letters left to its length."""
+        reads fewer letters.  When the floor exceeds the letters left, op
+        3 of a memo-free ``_search`` and ``enumerate_language``, with the
+        letters left to its length, drop the guess step, and op 3 of a
+        memoized ``_search`` gives the grown flag table ``_UNFIT``."""
         key = (tid, rest_id)
         low = self._floors.get(key)
         if low is None:
@@ -556,24 +542,9 @@ class _YieldTables:
                                            self.tables[rest_id][0])):
                 lows = self.lows[grown_id]
                 low = min([cost + lows[i] for i, cost in exits],
-                          default=self.cap)
+                          default=_YIELD_CAP)
             self._floors[key] = low
         return low
-
-    def _clamp(self, sid: int) -> int:
-        """Id of solved table ``sid`` at the cap."""
-        cap = self.cap
-        L, H, lows, highs = self._solved[sid]
-        table = tuple(tuple([v if v < cap else cap for v in part])
-                      for part in (L, H))
-        tid = self._ids.get(table)
-        if tid is None:
-            tid = self._ids[table] = len(self.tables)
-            self.tables.append(table)
-            self.lows.append(tuple([v if v < cap else cap for v in lows]))
-            self.highs.append(tuple([v if v < cap else cap for v in highs]))
-            self._reps.append(sid)
-        return tid
 
     def _chain(self, L, H, state, word):
         """The fewest and the most letters the elements of ``word`` read,
@@ -633,10 +604,10 @@ class _YieldTables:
                 low, high = lo, [v if v < cap else cap for v in hi]
         return low, high, rows
 
-    def _add(self, top, rest_id) -> tuple:
-        """(L, H, lows, highs) of a flag with top ``top`` over a flag
-        with solved table ``rest_id`` (both None: the empty flag), solved
-        at ``_YIELD_CAP``."""
+    def _add(self, top, rest_id) -> int:
+        """Table id of a flag with top ``top`` over a flag with table
+        ``rest_id`` (both None: the empty flag), solved at ``_YIELD_CAP``
+        unless an equal table has an id already."""
         nq, cap, size = self._nq, _YIELD_CAP, self._size
         L = [cap] * size
         H = [_NEVER] * size
@@ -646,7 +617,7 @@ class _YieldTables:
             L[j] = min(L[j], cost)
             H[j] = max(H[j], cost)
         if pops:
-            rest_low, rest_high = self._solved[rest_id][:2]
+            rest_low, rest_high = self.tables[rest_id]
         for at, cost, src in pops:
             for q2 in range(nq):
                 j, y = at * nq + q2, rest_high[src * nq + q2]
@@ -684,14 +655,20 @@ class _YieldTables:
                     j += 1
             if not changed:
                 break
-        L, H = tuple(L), tuple(H)
-        lows = [0] * self._ntrans
-        highs = [0] * self._ntrans
-        for i, target, word in self._pushes:
-            chain = chains.get((target, word), (0, None))[1] or self._chain(
-                L, H, target, word)
-            lows[i], highs[i] = min(chain[0]), max(chain[1])
-        return L, H, tuple(lows), tuple(highs)
+        table = (tuple(L), tuple(H))
+        tid = self._ids.get(table)
+        if tid is None:
+            tid = self._ids[table] = len(self.tables)
+            self.tables.append(table)
+            lows = [0] * self._ntrans
+            highs = [0] * self._ntrans
+            for i, target, word in self._pushes:
+                chain = (chains.get((target, word), (0, None))[1]
+                         or self._chain(L, H, target, word))
+                lows[i], highs[i] = min(chain[0]), max(chain[1])
+            self.lows.append(tuple(lows))
+            self.highs.append(tuple(highs))
+        return tid
 
 
 def _can_branch(entries) -> bool:
@@ -907,7 +884,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
     ``_YieldTables.child`` for the id of each flag node it builds, bottom
     first, and the start store's one flag is the empty flag, table 0.
     Pops, depth-1 pushes and jumps expose only these flags, so a depth-1
-    push reads its flag's id in one attribute lookup.
+    push reads its flag's id in one attribute lookup.  Jumps and ``seen``
+    compare flags by content, never by table id.
 
     In accept mode a chain walk also summarises segments, after the
     summary edges of interprocedural reachability.  A segment runs from a
@@ -928,8 +906,8 @@ def _search(automaton: Automaton, word: str, start: tuple,
     exceeds what is left, and it has no branch point for the most yield
     to cut.
 
-    So a summary holds only what walking the copy gives, whatever word,
-    bounds and table cap it was made under, and a memo-free search reads
+    So a summary holds only what walking the copy gives, whatever word
+    and bounds it was made under, and a memo-free search reads
     and writes the automaton's table, ``Automaton._summaries``: a later
     search jumps copies that earlier ones walked, and gives the verdict,
     count and witness it gives on a fresh automaton.  A memoized search
@@ -954,17 +932,20 @@ def _search(automaton: Automaton, word: str, start: tuple,
     X[w.f] a run repeats the push 2, which keeps its position and key, or
     leaves by an exit, which reads at least its letter and the least yield
     of its new elements on the flag they carry.  A flag's L table is a
-    monotone min-plus function of its rest's, and the clamp to the cap
-    commutes with it, so if w.f's L table is entrywise at least f's, each
-    further step keeps it from falling, and each exit's least yield with
-    it.  When every exit at X[w.f] already needs more letters than are
-    left, none fits at any height, and a run that never exits never
-    empties the store: the search drops X[w.f] after it builds the flag
-    nodes whose table it reads, and sets ``yield_cut`` (see
-    ``_YieldTables.floor``).  No store bound is needed, so a search that
+    monotone min-plus function of its rest's, so if w.f's L table is
+    entrywise at least f's, each further step keeps it from falling, and
+    each exit's least yield with it.  When every exit at X[w.f] already
+    needs more letters than are left, none fits at any height, and a run
+    that never exits never empties the store: the search drops X[w.f]
+    after it builds the flag nodes whose table it reads, and sets
+    ``yield_cut`` (see ``_YieldTables.floor``).  No store bound is needed, so a search that
     such cuts end rejects exactly.  A guess loop whose exits stay cheap
-    enough is stepped up to the store bound.  Memoized searches do not
-    cut guess loops yet: they walk them up to the store bound.
+    enough is stepped up to the store bound.  A memoized search does not
+    cut guess loops yet: it walks them up to the store bound.  Where the
+    memo-free search would cut, it gives w.f the table id ``_UNFIT``
+    instead (see ``_YieldTables``), which cuts the same exits and solves
+    no table for the taller flags of the loop, so the walk keeps its
+    configurations, count and cut flags.
     """
     index = automaton._index
     n = len(word)
@@ -1013,13 +994,10 @@ def _search(automaton: Automaton, word: str, start: tuple,
     # search commits to a guess, whose new elements cannot read as many
     # letters as are left.  Both bounds are read from the table of the
     # element's flag.
-    yields = automaton._yield_tables(n) if accept_mode else None
+    yields = automaton._yield_tables() if accept_mode else None
     if yields is not None:
         lows_of, highs_of = yields.lows, yields.highs
-        child = yields.child
-    # Cut guess loops whose exits need more letters than are left (see
-    # above)?
-    floor = yields.floor if yields is not None and not memoize else None
+        child, floor = yields.child, yields.floor
 
     Store_ = Store
     dead = (True, ())  # dead ends are remembered like branch points
@@ -1154,11 +1132,14 @@ def _search(automaton: Automaton, word: str, start: tuple,
                             if yields is not None:
                                 node._tid = child(sym, inner._tid)
                             inner = node
-                        if floor is not None and floor(
-                                tid, cur.flag._tid, inner._tid) > n - npos:
+                        if (yields is not None and inner._tid != _UNFIT
+                                and floor(tid, cur.flag._tid, inner._tid)
+                                > n - npos):
                             # No exit of this guess loop fits (see above).
-                            yield_cut = True
-                            continue
+                            if not memoize:
+                                yield_cut = True
+                                continue
+                            inner._tid = _UNFIT
                     nstore = Store_(cur.level, cur.symbol, inner, cur.rest)
                 if nstore.size > max_store:
                     store_cut = True
@@ -1218,18 +1199,19 @@ def accepts(automaton: Automaton, word, bounds: Optional[SearchBounds] = None,
     its loop, at this height or a taller one, reads as few letters as are
     left, so its rejections need no store bound and are exact
     (``Verdict.exact``); the memoized search walks guess loops up to the
-    store bound.  A memo-free search leaves the summaries of the segments
-    it walks on the automaton (see ``_search``), so a later word jumps the
-    repeated subtrees an earlier one walked, with the verdict, count and
-    witness it gives on a fresh automaton; the memoized search keeps its
-    summaries to itself.
+    store bound, but solves no table above the height where the memo-free
+    search drops them.  A memo-free search leaves the summaries of the
+    segments it walks on the automaton (see ``_search``), so a later word
+    jumps the repeated subtrees an earlier one walked, with the verdict,
+    count and witness it gives on a fresh automaton; the memoized search
+    keeps its summaries to itself.
 
     On 1- and 2-level automata either search skips the depth-1 pushes
     whose least yield exceeds the unread input, and, at the branch points
     on a store of one element, those whose most yield falls short of it.
     Both are read from the yield table of the rewritten element's flag.
     The automaton keeps its tables; a search solves the table of each flag
-    it builds, unless the automaton has it already at any cap.  It sets
+    it builds, unless the automaton has it already.  It sets
     ``Verdict.yield_cut`` when it did; ``Verdict.store_cut`` still tells
     whether the store bound cut a configuration.
     """
@@ -1288,7 +1270,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
     if bounds is None:
         bounds = default_bounds(max_len)
     max_store, max_configs = _limits(bounds)
-    yields = automaton._yield_tables(max_len)
+    yields = automaton._yield_tables()
     if yields is not None:
         # grown: the length of each push 2's word.
         grown = [len(t.action.word) if isinstance(t.action, Push)

@@ -345,11 +345,11 @@ def test_run_check_checks_the_system_it_is_given():
 
 def test_every_verdict_of_the_quick_check_is_exact():
     # Every level scripts/check_recognizers.py checks, with the mutants of
-    # its quick CI run (--mutations 10, seed 0).  The guess-loop cut ends
-    # every guess loop before the store bound, so no verdict rests on it,
-    # also where default_bounds is below builders.suggested_store_bound
-    # (the fib sigma 5, poly6 and cell120 balls at level 0, the fib and
-    # dodeca sectors at level 1).
+    # its quick run (--quick --mutations 10, seed 0), which CI leaves to
+    # this test.  The guess-loop cut ends every guess loop before the store
+    # bound, so no verdict rests on it, also where default_bounds is below
+    # builders.suggested_store_bound (the fib sigma 5, poly6 and cell120
+    # balls at level 0, the fib and dodeca sectors at level 1).
     for kind, make, root, sigma, levels in cli.CHECKED_FAMILIES:
         report = cli.run_check(kind, make(), root, sigma, levels, 10, 0)
         assert report.ok, report.as_text()

@@ -13,10 +13,9 @@ its store within a few letters, whichever they are, must have between
 the least and the most yield of its store left to read, and the yield
 tables must equal those of a reference that folds every push 1 rule in
 every round, on drawn automata and on the builders', and on push words
-made of runs each chain must equal one taken symbol by symbol; tables
-grown through a sequence of caps must equal a fresh build at the last
-one, and a builder's tree label must read the letters of its count law
-at every guessed height.  Drawn automata
+made of runs each chain must equal one taken symbol by symbol, and a
+builder's tree label must read the letters of its count law at every
+guessed height.  Drawn automata
 must survive a render/parse round trip and keep every acceptance under a
 larger store bound.  With their letters renamed to nested and odd names,
 they must read a word alike as a tuple, as ``format_word``'s text and as
@@ -302,8 +301,9 @@ def test_upper_yield_cut_agrees_with_reference_bfs(automaton, word):
     add = mc._YieldTables._add
 
     def add_at_cap(tables, top, rest_id):
-        L, H, lows, highs = add(tables, top, rest_id)
-        return L, H, lows, (mc._YIELD_CAP,) * len(highs)
+        tid = add(tables, top, rest_id)
+        tables.highs[tid] = (mc._YIELD_CAP,) * len(tables.highs[tid])
+        return tid
 
     with mock.patch.object(mc._YieldTables, "_add", add_at_cap):
         lower_only = mc.accepts(dataclasses.replace(automaton), word, bounds)
@@ -370,15 +370,20 @@ class PlainRoundTables:
     the same cap on an H that still rises once the rounds outnumber the
     live entries (H >= 0).  Entries are keyed (q, s, q'), ``keys`` in the
     order of ``_YieldTables``'s tuples; a table equal to an earlier one
-    gets its id."""
+    gets its id, and id ``_UNFIT`` holds None."""
 
-    def __init__(self, automaton, cap):
-        self.automaton, self.cap = automaton, cap
+    cap = mc._YIELD_CAP
+
+    def __init__(self, automaton):
+        self.automaton = automaton
         states = automaton.states
         self.keys = [(q, s, p) for q in states
                      for s in automaton.store_alphabet for p in states]
         self.tables, self.lows, self.highs, self.children = [], [], [], {}
         self.add(None, None)
+        self.tables.append(None)
+        self.lows.append(None)
+        self.highs.append(None)
 
     def table_id(self, flag):
         if flag.symbol is None:
@@ -464,21 +469,25 @@ class PlainRoundTables:
         return len(self.tables) - 1
 
 
-def assert_tables_match_plain_rounds(automaton, cap, flags):
+def assert_tables_match_plain_rounds(automaton, flags):
     """``_YieldTables`` and ``PlainRoundTables``, asked for the tables of
-    ``flags`` in turn, give the same ids, tables, lows, highs and
-    children."""
-    tables = mc._YieldTables(automaton, cap)
-    plain = PlainRoundTables(automaton, cap)
+    ``flags`` in turn, give the same ids, and the same tables, lows, highs
+    and children but those of ``_UNFIT``."""
+    tables = mc._YieldTables(automaton)
+    plain = PlainRoundTables(automaton)
     for flag in flags:
         assert flag_table(tables, flag) == plain.table_id(flag)
+    def but_unfit(rows):
+        return [row for tid, row in enumerate(rows) if tid != mc._UNFIT]
+
     keys = plain.keys
-    assert ([(list(L), list(H)) for L, H in tables.tables]
+    assert ([(list(L), list(H)) for L, H in but_unfit(tables.tables)]
             == [([L[k] for k in keys], [H[k] for k in keys])
-                for L, H in plain.tables])
-    assert tables.lows == plain.lows
-    assert tables.highs == plain.highs
-    assert tables._children == plain.children
+                for L, H in but_unfit(plain.tables)])
+    assert but_unfit(tables.lows) == but_unfit(plain.lows)
+    assert but_unfit(tables.highs) == but_unfit(plain.highs)
+    assert ({key: tid for key, tid in tables._children.items()
+             if key[1] != mc._UNFIT} == plain.children)
 
 
 # Z's chain reads the row of A, which no round changes after the first,
@@ -502,13 +511,12 @@ def short_flags(automaton):
 
 
 @settings(deadline=None, max_examples=200)
-@given(hst.one_of(automata(max_levels=2), automata(guess=True)),
-       hst.sampled_from((64, 1 << 21)))
-@example(TWO_PATHS, 64)
-@example(A_BESIDE_B, 64)
-@example(LATE_SECOND_ROW, 64)
-def test_yield_tables_equal_plain_rounds(automaton, cap):
-    assert_tables_match_plain_rounds(automaton, cap, short_flags(automaton))
+@given(hst.one_of(automata(max_levels=2), automata(guess=True)))
+@example(TWO_PATHS)
+@example(A_BESIDE_B)
+@example(LATE_SECOND_ROW)
+def test_yield_tables_equal_plain_rounds(automaton):
+    assert_tables_match_plain_rounds(automaton, short_flags(automaton))
 
 
 def checked_chains(folded):
@@ -534,14 +542,13 @@ def checked_chains(folded):
 
 @settings(deadline=None, max_examples=200)
 @given(hst.one_of(automata(max_levels=2, runs=True),
-                  automata(guess=True, runs=True)),
-       hst.sampled_from((64, 1 << 21)))
-def test_yield_tables_of_run_words_equal_plain_rounds(automaton, cap):
+                  automata(guess=True, runs=True)))
+def test_yield_tables_of_run_words_equal_plain_rounds(automaton):
     # The check of test_yield_tables_equal_plain_rounds on push words made
     # of runs, which _chain folds into one step where their rows allow.
     folded = []
     with checked_chains(folded):
-        assert_tables_match_plain_rounds(automaton, cap, short_flags(automaton))
+        assert_tables_match_plain_rounds(automaton, short_flags(automaton))
     event("a run folded" if any(folded) else "no run folded")
 
 
@@ -562,53 +569,15 @@ RUN_CASES = {
 
 
 @pytest.mark.parametrize("case", RUN_CASES)
-@pytest.mark.parametrize("cap", (64, 1 << 21))
-def test_runs_fold_into_one_step_as_symbol_steps(case, cap):
+def test_runs_fold_into_one_step_as_symbol_steps(case):
     folds, transitions = RUN_CASES[case]
     automaton = mc.parse_automaton(
         "levels: 1\nstates: p q\ninitial: p\ninput: a\nstore: Z A B\n"
         "start_symbol: Z\n" + "".join(f"t: {t}\n" for t in transitions))
     folded = []
     with checked_chains(folded):
-        assert_tables_match_plain_rounds(automaton, cap, short_flags(automaton))
+        assert_tables_match_plain_rounds(automaton, short_flags(automaton))
     assert any(folded) == folds
-
-
-def assert_grown_tables_equal_a_fresh_build(automaton, caps, flags, asked):
-    """Tables grown through the increasing ``caps`` on a copy of
-    ``automaton``, as ``Automaton._yield_tables`` grows them, asked at the
-    i-th cap for the first ``asked[i]`` of ``flags`` and at the last cap
-    for all of them, hold for every flag the table, lows and highs of a
-    fresh build at the last cap, and two of the flags share a table id
-    exactly when their tables are equal."""
-    automaton = dataclasses.replace(automaton)
-    for cap, n in zip(caps, asked):
-        tables = automaton._yield_tables(cap - 1)
-        assert tables.cap == cap
-        for flag in flags[:n]:
-            flag_table(tables, flag)
-    ids = [flag_table(tables, flag) for flag in flags]
-    fresh = mc._YieldTables(automaton, caps[-1])
-    for flag, tid in zip(flags, ids):
-        fid = flag_table(fresh, flag)
-        assert tables.tables[tid] == fresh.tables[fid]
-        assert tables.lows[tid] == fresh.lows[fid]
-        assert tables.highs[tid] == fresh.highs[fid]
-    contents = {tid: tables.tables[tid] for tid in ids}
-    assert len(set(contents.values())) == len(contents)
-
-
-@settings(deadline=None, max_examples=200)
-@given(hst.one_of(automata(max_levels=2), automata(guess=True)),
-       hst.lists(hst.sampled_from((64, 128, 2048, 1 << 21, mc._YIELD_CAP)),
-                 min_size=1, max_size=4, unique=True).map(sorted),
-       hst.data())
-def test_yield_tables_grown_through_caps_equal_a_fresh_build(automaton, caps,
-                                                             data):
-    flags = short_flags(automaton)
-    asked = [data.draw(hst.integers(0, len(flags))) for _ in caps]
-    assert_grown_tables_equal_a_fresh_build(automaton, caps, flags, asked)
-    event(f"{len(caps)} caps")
 
 
 # The builder automata that scripts/check_recognizers.py checks.
@@ -631,24 +600,7 @@ def test_builder_yield_tables_equal_plain_rounds(kind, system, root, sigma):
     _, automaton, marker = checked_automaton(kind, system, root, sigma)
     # The flags of the guess loop's heights, lowest first.
     flags = [st.from_pairs(1, [(marker, st.empty(0))] * h) for h in range(13)]
-    for cap in (64, 2048, 1 << 21):
-        assert_tables_match_plain_rounds(automaton, cap, flags)
-
-
-@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
-def test_builder_yield_tables_grown_through_caps_equal_a_fresh_build(
-        kind, system, root, sigma):
-    _, automaton, marker = checked_automaton(kind, system, root, sigma)
-    # The guess loop's heights 0-20, the lower ones asked at smaller caps.
-    flags = [st.from_pairs(1, [(marker, st.empty(0))] * h) for h in range(21)]
-    assert_grown_tables_equal_a_fresh_build(
-        automaton, (64, 2048, 1 << 21), flags, (8, 14, 21))
-
-
-# The cap of the count-law test.  The fib sectors' side counters read one
-# letter per height, so their tables differ at every height below the
-# cap's; there the law is checked up to height 65.
-LAW_CAP = 1 << 21
+    assert_tables_match_plain_rounds(automaton, flags)
 
 
 @pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
@@ -658,16 +610,19 @@ def test_tree_labels_yield_their_count_law(kind, system, root, sigma):
     # entered and left in q0, reads exactly the letters of its level word
     # at height h, so its L and its H both equal total_count(X, h), capped.
     # Heights run until the tables settle: once F^h has the table of
-    # F^(h-1), so does every taller flag.
+    # F^(h-1), so does every taller flag.  They settle by height 46, once
+    # every count reaches the cap, save the fib sectors', whose side
+    # counters read one letter per height, so their tables differ at
+    # every height below 2^62; there the law is checked up to height 65.
     system, automaton, marker = checked_automaton(kind, system, root, sigma)
-    tables = automaton._yield_tables(LAW_CAP - 1)
+    tables = automaton._yield_tables()
     nq, q0 = len(automaton.states), automaton.states.index("q0")
     tid, below = 0, None
     for h in range(66):
         L, H = tables.tables[tid]
         for label in system.labels:
             j = tables.row["q0", label] * nq + q0
-            count = min(gr.total_count(system, label, h), LAW_CAP)
+            count = min(gr.total_count(system, label, h), mc._YIELD_CAP)
             assert L[j] == H[j] == count, (label, h)
         if tid == below:
             break
@@ -675,7 +630,7 @@ def test_tree_labels_yield_their_count_law(kind, system, root, sigma):
     if kind == "sector" and system.name == "fibonacci":
         assert h == 65
     else:
-        assert tid == below and h < 20
+        assert tid == below and h <= 46
 
 
 def built(automaton, word, bounds, memoize, trace=False):
@@ -1040,6 +995,37 @@ def test_a_warm_automaton_searches_as_a_fresh_one(case):
     event("fewer nodes warm" if nodes[0] < nodes[1] else "as many nodes")
 
 
+@settings(deadline=None, max_examples=200)
+@given(hst.one_of(
+    hst.tuples(automata(guess=True),
+               hst.lists(hst.sampled_from(LETTERS), max_size=6).map(tuple),
+               hst.integers(0, 2 * MAX_STORE).map(
+                   lambda store: SearchBounds(store, 10 ** 5))),
+    trees().map(lambda case: (case[0], *case[1]))))
+def test_the_unfit_table_changes_no_memoized_search(case):
+    # A memoized search gives a guess loop's grown flag table _UNFIT where
+    # a memo-free one cuts the guess step, and solves no table above it.
+    # A fresh copy whose floor never fires solves the table of every
+    # height it reaches, and must give the same verdict, flags, count,
+    # witness and store nodes.
+    automaton, word, bounds = case
+    start = (automaton.initial_state, 0, automaton.initial_store())
+
+    def search(a):
+        CountingStore.built = 0
+        with mock.patch.object(mc, "Store", CountingStore):
+            v = mc._search(a, word, start, None, bounds, True, True)
+        return (v.status, v.configurations, v.store_cut, v.yield_cut,
+                v.trace, CountingStore.built)
+
+    fresh = dataclasses.replace(automaton)
+    marked = search(automaton)
+    with mock.patch.object(mc._YieldTables, "floor", return_value=-1):
+        assert search(fresh) == marked
+    event("fewer tables solved" if len(automaton._yields.tables)
+          < len(fresh._yields.tables) else "as many tables solved")
+
+
 def _recorded_divergence():
     """The ball recognizer (sigma 3, root B) of A -> B, B -> A, C -> A
     with letters b, a, a, and its system: under the memo, jumps change
@@ -1116,20 +1102,23 @@ def test_epsilon_cycle_without_branch_point_is_closed():
     assert verdict.configurations <= 2 * 4
 
 
-def _jumping_cycle(prefix):
+def _jumping_cycle(prefix, k=2):
     # ``prefix`` states, s0 reading a and the others epsilon, push 1 Z
-    # their way to p, on the epsilon-cycle p Z -> q A.Z -> r B.Z -> p Z.
-    # Each round removes A in a segment of 2 configurations, and later
-    # rounds jump it.  At 3 levels there are no yield tables, so no yield
-    # cut ends the cycle: only the memo can.
+    # their way to p, on the epsilon-cycle p Z -> q A.Z -> r1 B.Z -> ...
+    # -> r(k-1) B.Z -> p Z.  Each round removes A in a segment of k
+    # configurations, and later rounds jump it.  At 3 levels there are no
+    # yield tables, so no yield cut ends the cycle: only the memo can.
     states = ["s0", *(f"c{i}" for i in range(1, prefix)), "p"]
+    copy = ["q", *(f"r{i}" for i in range(1, k))]
     return mc.parse_automaton(
-        f"levels: 3\nstates: {' '.join(states)} q r\ninitial: s0\n"
+        f"levels: 3\nstates: {' '.join(states + copy)}\ninitial: s0\n"
         "input: a\nstore: Z A B\nstart_symbol: Z\n"
         + "".join(f"t: {q} {'eps' if i else 'a'} Z -> {nxt} push 1 Z\n"
                   for i, (q, nxt) in enumerate(zip(states, states[1:])))
-        + "t: p eps Z -> q push 1 A Z\nt: q eps A -> r push 1 B\n"
-          "t: r eps B -> p pop 1\n")
+        + "t: p eps Z -> q push 1 A Z\n"
+        + "".join(f"t: {q} eps {'B' if i else 'A'} -> {nxt} push 1 B\n"
+                  for i, (q, nxt) in enumerate(zip(copy, copy[1:])))
+        + f"t: {copy[-1]} eps B -> p pop 1\n")
 
 
 def test_the_memo_closes_a_cycle_whose_rounds_jump_a_segment():
@@ -1145,6 +1134,19 @@ def test_the_memo_closes_a_cycle_whose_rounds_jump_a_segment():
         assert (verdict.status, verdict.configurations) == (REJECTED, count)
         spun = mc.accepts(cycle, "a", bounds, memoize=False)
         assert spun.status == INCONCLUSIVE
+
+
+def test_the_memo_closes_cycles_that_jump_longer_segments():
+    # The cycle above with copies of k configurations behind every prefix
+    # of up to 24 states, so jumps start at every count the memo's powers
+    # of two leave between them.  A jump is one generated configuration;
+    # counting it as k moves the remembered ones off the cycle's period,
+    # and some of these cycles spin until the budget runs out.
+    bounds = SearchBounds(100, 10 ** 5)
+    for k in (2, 6, 14):
+        for prefix in range(1, 25):
+            verdict = mc.accepts(_jumping_cycle(prefix, k), "a", bounds)
+            assert verdict.status == REJECTED, (k, prefix)
 
 
 def test_path_meeting_another_is_pruned_at_its_next_remembered_step():

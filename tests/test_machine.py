@@ -19,7 +19,7 @@ from itpda.cli import CHECKED_FAMILIES, build_automaton
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
-from witness import CountingStore, assert_witness, flag_table, yields
+from witness import CountingStore, assert_witness, flag_table, solved, yields
 
 
 def T(state, letter, pattern, target, action):
@@ -394,18 +394,34 @@ def _guesser(*transitions):
 
 
 def test_yield_tables_stop_at_the_cap_on_linear_yields():
-    # Each pop 2 reads a letter, so Z[F^d] yields d + 1 from c: the guess
-    # loop grows its flag to the store bound, 820 symbols, but the tables
-    # stop once the yields reach the cap, 256 for this input.
+    # Each pop 2 reads a letter, so Z[F^d] yields d + 1 from c: the
+    # memoized guess loop grows its flag to the store bound, 820 symbols,
+    # but solves tables only up to the first height whose exit needs more
+    # letters than the word has, 202 of them; the taller heights read
+    # table _UNFIT.
     linear = _guesser("c a [Z F] -> c pop 2", "c a Z -> c pop 1")
     word = "a" * 200 + "b"
     assert mc.default_bounds(len(word)).max_store_symbols == 820
     v = mc.accepts(linear, word)
-    assert v.status == REJECTED and v.store_cut and v.yield_cut
-    tables = linear._yields
-    assert tables.cap == 256 and len(tables.tables) <= 256
+    assert ((v.status, v.configurations, v.store_cut, v.yield_cut)
+            == (REJECTED, 1021, True, True))
+    assert solved(linear._yields) == 202
     assert mc.accepts(linear, "a" * 200).status == ACCEPTED
     assert yields(linear, "c", st.single("Z", 2, ["F"] * 300))[0] == 301
+
+
+def test_a_memoized_guess_loop_solves_no_table_above_its_floor():
+    # The fib sector's level-6 mutant, 391 letters, under the default
+    # memo and store bound: the guess loop climbs to the store bound, but
+    # its flags above the first height no exit fits read table _UNFIT, so
+    # a fresh automaton solves 9 tables, where one per height took 512.
+    spec = ContourSpec(gr.fibonacci(), "W", kind="sector")
+    word = mutate(contour_word(spec, 6), 7, 1)[0]
+    sector = sector_automaton(gr.fibonacci(), "W")
+    v = mc.accepts(sector, word)
+    assert ((v.status, v.configurations, v.store_cut, v.yield_cut)
+            == (REJECTED, 1580, True, True))
+    assert solved(sector._yields) <= 9
 
 
 def test_yield_tables_that_repeat_are_shared():
@@ -416,7 +432,7 @@ def test_yield_tables_that_repeat_are_shared():
     for word, status in (("a", ACCEPTED), ("", ACCEPTED), ("aa", REJECTED),
                          ("a" * 200, REJECTED)):
         assert mc.accepts(parity, word).status == status
-        assert len(parity._yields.tables) == 2
+        assert solved(parity._yields) == 2
     for d in (2, 3, 1500):
         assert yields(parity, "c", st.single("Z", 2, ["F"] * d))[0] == (d + 1) % 2
 
@@ -434,7 +450,7 @@ def test_most_yield_tables_shared_across_flag_tops():
         "t: c a B -> c pop 1\n" "t: c a [B F] -> c pop 1\n")
     for word, status in (("a", ACCEPTED), ("aa", ACCEPTED), ("aaa", REJECTED)):
         assert mc.accepts(shared, word).status == status
-    assert len(shared._yields.tables) == 1
+    assert solved(shared._yields) == 1
 
 
 def _counted(method):
@@ -450,61 +466,55 @@ def test_yield_table_rounds_refold_only_chains_whose_rows_changed():
     # fold it again when any symbol of its word changed.
     sector = sector_automaton(gr.cell120(), "9")
     with _counted("_chain") as chain:
-        tables = mc._YieldTables(sector, 1 << 21)
+        tables = mc._YieldTables(sector)
         for h in range(4):
             flag_table(tables, st.single("Z", 2, ["F"] * h).flag)
-    assert len(tables.tables) == 4
+    assert solved(tables) == 4
     assert chain.call_count == 48
 
 
 def test_a_larger_cap_solves_no_table_again():
-    # The fib sector's positives at levels 1-6, in order, on one automaton,
-    # as itpda check runs them: the cap grows from 64 to 128, 256 and 512,
-    # and each table is solved once, in 9 _add calls, as many as on a copy
-    # whose tables were built at 512 first.  Re-solving every table at
-    # each larger cap took 30.
+    # The fib sector's positives at levels 1-6, on one automaton, as itpda
+    # check runs them, solve each table once, in 9 _add calls, and so do
+    # the same words in the other order.
     fib = gr.fibonacci()
     spec = ContourSpec(fib, "W", kind="sector")
     words = [contour_word(spec, level) for level in range(1, 7)]
 
-    def solves(automaton, first_cap=None):
-        caps = []
+    def solves(automaton, words):
         with _counted("_add") as add:
-            if first_cap:
-                automaton._yield_tables(first_cap - 1)
             for word in words:
                 verdict = mc.accepts(automaton, word,
                                      mc.default_bounds(len(word)),
                                      memoize=False)
                 assert verdict.status == ACCEPTED
-                caps.append(automaton._yields.cap)
-        return add.call_count, caps
+        return add.call_count
 
     sector = sector_automaton(fib, "W")
-    assert solves(sector) == (9, [64, 64, 64, 128, 256, 512])
-    assert solves(replace(sector), 512) == (9, [512] * 6)
+    assert solves(sector, words) == 9
+    assert solves(replace(sector), words[::-1]) == 9
 
 
-# (kind, system, root, sigma, level, top level, cap fresh, cap after the
-# top level's word, store nodes, configurations): families of the
-# benchmark's check-mutants job list, each at one level below its top.
+# (kind, system, root, sigma, level, top level, store nodes,
+# configurations): families of the benchmark's check-mutants job list,
+# each at one level below its top.
 CAP_RAISED = [
-    ("ball", gr.fibonacci, "W", 5, 2, 6, 64, 2048, 123, 192),
-    ("ball", gr.dodecahedral, "O", 8, 1, 3, 128, 8192, 139, 379),
-    ("sector", gr.fibonacci, "W", 1, 3, 6, 64, 512, 261, 236),
-    ("sector", gr.fibonacci, "B", 1, 4, 6, 64, 256, 378, 573),
+    ("ball", gr.fibonacci, "W", 5, 2, 6, 123, 192),
+    ("ball", gr.dodecahedral, "O", 8, 1, 3, 139, 379),
+    ("sector", gr.fibonacci, "W", 1, 3, 6, 261, 236),
+    ("sector", gr.fibonacci, "B", 1, 4, 6, 378, 573),
 ]
 
 
 @pytest.mark.parametrize("case", CAP_RAISED,
                          ids=lambda c: f"{c[1].__name__}-{c[0]}-{c[2]}")
 def test_a_cap_raised_by_a_long_word_changes_no_later_search(case):
-    # The cap only rises: after the family's top-level word, a level's
-    # positive and its 20 seeded mutants read every table at the larger
-    # cap, and give the verdicts they give on a fresh automaton.  They
-    # build no more store nodes: the top-level word left summaries of the
-    # subtrees they share, which they jump.
-    kind, make, root, sigma, level, top, cap, raised, nodes, configs = case
+    # After the family's top-level word, a level's positive and its 20
+    # seeded mutants read the tables that word solved, and give the
+    # verdicts they give on a fresh automaton.  They build no more store
+    # nodes: the top-level word left summaries of the subtrees they
+    # share, which they jump.
+    kind, make, root, sigma, level, top, nodes, configs = case
     system = make()
     spec = ContourSpec(system, root, sigma=sigma, kind=kind)
 
@@ -523,7 +533,7 @@ def test_a_cap_raised_by_a_long_word_changes_no_later_search(case):
         with mock.patch.object(mc, "Store", CountingStore):
             verdicts = [mc.accepts(automaton, w, bounds, memoize=False)
                         for w in words]
-        return (automaton._yields.cap, CountingStore.built,
+        return (CountingStore.built,
                 [(v.status, v.configurations, v.store_cut, v.yield_cut)
                  for v in verdicts])
 
@@ -533,10 +543,9 @@ def test_a_cap_raised_by_a_long_word_changes_no_later_search(case):
     assert mc.accepts(warm, top_word, mc.default_bounds(len(top_word)),
                       memoize=False).status == ACCEPTED
     warm = searched(warm)
-    assert (fresh[0], warm[0]) == (cap, raised)
-    assert fresh[2] == warm[2]
-    assert warm[1] <= fresh[1]
-    assert (fresh[1], sum(v[1] for v in fresh[2])) == (nodes, configs)
+    assert fresh[1] == warm[1]
+    assert warm[0] <= fresh[0]
+    assert (fresh[0], sum(v[1] for v in fresh[1])) == (nodes, configs)
 
 
 def test_a_search_reaches_the_tables_only_for_flags_it_builds():
@@ -977,7 +986,7 @@ def test_a_guess_loop_whose_exit_gets_cheaper_is_not_cut():
     cheap = _cheaper_exit()
     for memoize in (True, False):
         assert mc.accepts(cheap, "", memoize=memoize).status == ACCEPTED
-    tables = cheap._yield_tables(0)
+    tables = cheap._yield_tables()
     grown = tables.child("F", 0)
     assert tables.lows[grown][3] == 1
     assert tables.floor(0, 0, grown) == -1
@@ -1148,7 +1157,7 @@ def test_enumeration_ends_guess_loops_without_a_store_bound():
     spec = ContourSpec(gr.fibonacci(), "W", kind="sector")
     assert words == {contour_word(spec, level) for level in range(1, 6)}
     assert sorted(map(len, words)) == [6, 13, 28, 64, 155]
-    assert len(sector._yields._solved) == 8
+    assert solved(sector._yields) == 8
     # The cut keeps a height whose exits need exactly the letters left.
     for max_len in (154, 155):
         assert mc.enumerate_language(sector, max_len, SearchBounds(

@@ -1,9 +1,9 @@
 """What the search tests share: the witness check ``assert_witness``,
 the yield-table sums ``yields``, which reads each flag's table through
-``flag_table``, the symbol-by-symbol chain ``symbol_chain``, the
-step-by-step acceptance search ``walk`` with its guess-loop cut
-``guess_cut``, and ``CountingStore``, which counts the store nodes a
-search builds."""
+``flag_table``, the count of solved tables ``solved``, the
+symbol-by-symbol chain ``symbol_chain``, the step-by-step acceptance
+search ``walk`` with its guess-loop cut ``guess_cut``, and
+``CountingStore``, which counts the store nodes a search builds."""
 
 from itpda import machine as mc
 from itpda import store as st
@@ -48,13 +48,19 @@ def flag_table(tables, flag):
     return tid
 
 
+def solved(tables):
+    """How many tables ``tables``, a ``_YieldTables``, has solved: all
+    but ``_UNFIT``."""
+    return len(tables.tables) - 1
+
+
 def yields(automaton, state, store):
     """The tables' bounds (least, most) on the letters any run from
     ``state`` reads to empty ``store``: the top element from ``state``,
     the others from any state, each into any state.  Both are capped at
     ``1 << 62``, so least is ``1 << 62`` when no run can, and most is
     ``1 << 62`` when unbounded and -1 when no run can."""
-    tables = automaton._yield_tables(mc._YIELD_CAP - 1)
+    tables = automaton._yield_tables()
     nq = len(automaton.states)
     least = most = 0
     for i, (sym, flag) in enumerate(store.entries()):
@@ -64,7 +70,7 @@ def yields(automaton, state, store):
         least += min(L[j] for j in at)
         high = max(H[j] for j in at)
         most = -1 if most < 0 or high < 0 else most + high
-    return min(least, tables.cap), min(most, tables.cap)
+    return min(least, mc._YIELD_CAP), min(most, mc._YIELD_CAP)
 
 
 def symbol_chain(tables, L, H, state, word):
@@ -140,7 +146,7 @@ def walk(automaton, word, bounds, trace=False):
     coded = mc._encode(automaton, word)
     n = len(coded)
     max_store, max_configs = mc._limits(bounds)
-    tables = automaton._yield_tables(n)
+    tables = automaton._yield_tables()
     verdict = mc.Verdict(mc.REJECTED, configurations=1)
     nodes = 0
     # (configuration, path): the path as links (previous link, (step, tid)).

@@ -370,12 +370,11 @@ class PlainRoundTables:
     the same cap on an H that still rises once the rounds outnumber the
     live entries (H >= 0).  Entries are keyed (q, s, q'), ``keys`` in the
     order of ``_YieldTables``'s tuples; a table equal to an earlier one
-    gets its id, and id ``_UNFIT`` holds None."""
+    gets its id, and id ``_UNFIT`` holds None.  ``cap`` is
+    ``_YIELD_CAP`` unless a smaller one is given."""
 
-    cap = mc._YIELD_CAP
-
-    def __init__(self, automaton):
-        self.automaton = automaton
+    def __init__(self, automaton, cap=mc._YIELD_CAP):
+        self.automaton, self.cap = automaton, cap
         states = automaton.states
         self.keys = [(q, s, p) for q in states
                      for s in automaton.store_alphabet for p in states]
@@ -490,6 +489,28 @@ def assert_tables_match_plain_rounds(automaton, flags):
              if key[1] != mc._UNFIT} == plain.children)
 
 
+def assert_clamped_tables_match_plain_rounds(automaton, cap, flags):
+    """Every table, low and high of ``_YieldTables``, clamped at ``cap``,
+    equals that of ``PlainRoundTables`` solved at ``cap``, flag by flag:
+    no cut needs a per-input cap, since clamping the exact tables gives
+    what rounds solved at the cap give."""
+    tables = mc._YieldTables(automaton)
+    plain = PlainRoundTables(automaton, cap)
+    keys = plain.keys
+
+    def clamped(row):
+        return [min(y, cap) for y in row]
+
+    for flag in flags:
+        tid, pid = flag_table(tables, flag), plain.table_id(flag)
+        L, H = tables.tables[tid]
+        plain_L, plain_H = plain.tables[pid]
+        assert clamped(L) == [plain_L[k] for k in keys], flag
+        assert clamped(H) == [plain_H[k] for k in keys], flag
+        assert clamped(tables.lows[tid]) == list(plain.lows[pid]), flag
+        assert clamped(tables.highs[tid]) == list(plain.highs[pid]), flag
+
+
 # Z's chain reads the row of A, which no round changes after the first,
 # and then that of B, which changes in the first round after Z's rule was
 # folded: Z's rule must be folded again in the second round.
@@ -569,7 +590,10 @@ RUN_CASES = {
 
 
 @pytest.mark.parametrize("case", RUN_CASES)
-def test_runs_fold_into_one_step_as_symbol_steps(case):
+@pytest.mark.parametrize("cap", (64, 1 << 21))
+def test_runs_fold_into_one_step_as_symbol_steps(case, cap):
+    # The folded tables equal plain rounds, and clamped at ``cap`` they
+    # equal plain rounds solved at ``cap``.
     folds, transitions = RUN_CASES[case]
     automaton = mc.parse_automaton(
         "levels: 1\nstates: p q\ninitial: p\ninput: a\nstore: Z A B\n"
@@ -577,6 +601,8 @@ def test_runs_fold_into_one_step_as_symbol_steps(case):
     folded = []
     with checked_chains(folded):
         assert_tables_match_plain_rounds(automaton, short_flags(automaton))
+        assert_clamped_tables_match_plain_rounds(automaton, cap,
+                                                 short_flags(automaton))
     assert any(folded) == folds
 
 

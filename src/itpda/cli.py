@@ -271,8 +271,8 @@ def _parse_levels(text: str, kind: str) -> range:
 
 
 # The recognizer families that ``scripts/check_recognizers.py`` checks, as
-# (kind, system factory, root, sigma, levels); its ``--quick`` run checks
-# the first three levels of each.
+# (kind, system factory, root, sigma, levels); it checks every level of
+# each and requires every verdict to be exact.
 CHECKED_FAMILIES = (
     ("ball", grammar.fibonacci, "W", 5, range(0, 7)),
     ("ball", grammar.fibonacci, "W", 7, range(0, 7)),

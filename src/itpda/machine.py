@@ -255,7 +255,6 @@ class Automaton:
     _yields: Optional["_YieldTables"] = field(default=None, init=False,
                                               repr=False, compare=False)
     _start: Store = field(init=False, repr=False, compare=False)
-    _eflag: Store = field(init=False, repr=False, compare=False)
     _summaries: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -314,9 +313,8 @@ class Automaton:
         object.__setattr__(self, "_start", st.node(
             self.initial_symbol, st.empty(self.levels - 1),
             st.empty(self.levels)))
-        # The flag of the elements a depth-2 push adds, and the segment
-        # summaries memo-free acceptance searches share (see ``_search``).
-        object.__setattr__(self, "_eflag", st.empty(max(self.levels - 2, 0)))
+        # The segment summaries memo-free acceptance searches share (see
+        # ``_search``).
         object.__setattr__(self, "_summaries", {})
         # (state, pattern) -> (whether the search can branch there, ordered
         # applicable transitions), duplicates merged.  Entries carry the
@@ -1005,7 +1003,7 @@ def _search(automaton: Automaton, word: str, start: tuple,
     # A depth-2 push adds elements of this level, with empty flags, to the
     # top element's flag.
     flag_level = automaton.levels - 1
-    eflag = automaton._eflag
+    eflag = st.empty(max(flag_level - 1, 0))
     # Segment summaries, accept mode only: (state, symbol, flag) -> (exit
     # state, letters, their number, configurations, store high-water mark
     # above the rest), the automaton's table without the memo (see above).

@@ -213,8 +213,9 @@ def test_default_bounds_admit_accepting_runs(system, root, sigma, kind, levels):
                           memoize=False).status == ACCEPTED
 
 
-# The families and levels of ``scripts/check_recognizers.py --quick``, and
-# the cell120 sector word at level 3, the largest the acceptance suite reads.
+# The first three levels of each family ``scripts/check_recognizers.py``
+# checks, and the cell120 sector word at level 3, the largest the
+# acceptance suite reads.
 QUICK_CHECK = [
     (kind, make, root, sigma,
      range(1, 4) if (kind, make) == ("sector", gr.cell120) else levels[:3])

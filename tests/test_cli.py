@@ -1,8 +1,11 @@
 """Command-line surface: outputs, exit codes, and the check report."""
 
 import json
+import runpy
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -344,16 +347,56 @@ def test_run_check_checks_the_system_it_is_given():
 
 
 def test_every_verdict_of_the_quick_check_is_exact():
-    # Every level scripts/check_recognizers.py checks, with the mutants of
-    # its quick run (--quick --mutations 10, seed 0), which CI leaves to
-    # this test.  The guess-loop cut ends every guess loop before the store
-    # bound, so no verdict rests on it, also where default_bounds is below
-    # builders.suggested_store_bound (the fib sigma 5, poly6 and cell120
-    # balls at level 0, the fib and dodeca sectors at level 1).
+    # Every level scripts/check_recognizers.py checks, with the first 10 of
+    # its mutants (--mutations 10, seed 0), so tier-1 keeps the script's
+    # exactness gate.  The guess-loop cut ends every guess loop before the
+    # store bound, so no verdict rests on it, also where default_bounds is
+    # below builders.suggested_store_bound (the fib sigma 5, poly6 and
+    # cell120 balls at level 0, the fib and dodeca sectors at level 1).
     for kind, make, root, sigma, levels in cli.CHECKED_FAMILIES:
         report = cli.run_check(kind, make(), root, sigma, levels, 10, 0)
         assert report.ok, report.as_text()
         assert [row.exact for row in report.rows] == [11] * len(report.rows)
+
+
+def test_every_checked_system_is_the_one_its_name_looks_up():
+    # `itpda check --system NAME` checks what scripts/check_recognizers.py
+    # checks only if each family's name looks up its own system.
+    names = []
+    for _, make, _, _, _ in cli.CHECKED_FAMILIES:
+        system = make()
+        named = cli.get_system(system.name)
+        assert (named.rules, named.read_letters) == (system.rules,
+                                                     system.read_letters)
+        names.append(system.name)
+    assert sorted(set(names)) == ["cell120", "dodecahedral", "fibonacci",
+                                  "polygonal(6)", "polygonal(7)"]
+
+
+CHECK_SCRIPT = Path(__file__).parents[1] / "scripts" / "check_recognizers.py"
+
+
+def run_check_script(monkeypatch, capsys, *argv):
+    monkeypatch.setattr(sys, "argv", [str(CHECK_SCRIPT), *argv])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(CHECK_SCRIPT), run_name="__main__")
+    return exit_.value.code, capsys.readouterr().out.splitlines()[-1]
+
+
+def test_check_script_passes_every_family(monkeypatch, capsys):
+    assert run_check_script(monkeypatch, capsys, "--mutations", "2") == (
+        0, "ALL PASS")
+
+
+def test_check_script_fails_a_passing_check_with_an_inexact_row(monkeypatch,
+                                                                capsys):
+    # One verdict of the row is decided by the store bound: the check
+    # passes, the script does not.
+    row = cli.CheckRow(1, 10, mc.ACCEPTED, 2, 2, 0, 2, 0)
+    report = cli.CheckReport([row])
+    assert report.ok
+    monkeypatch.setattr(cli, "run_check", lambda *args: report)
+    assert run_check_script(monkeypatch, capsys) == (1, "SOME FAILED")
 
 
 def test_check_max_store_bounds_every_search(capsys):

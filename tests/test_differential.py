@@ -829,10 +829,11 @@ def test_guess_loop_cut_agrees_with_reference_bfs(automaton, word):
     + (("ball as-printed", gr.fibonacci, "W", 5, range(0, 3)),)])
 def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma,
                                                levels):
-    # The positives and mutants of the levels scripts/check_recognizers.py
-    # --quick checks.  The as-printed fib ball's guess loop pushes F F, so
-    # its steps grow the store by 2.  Every loop ends at the guess-loop
-    # cut, before the store bound: each verdict is exact.
+    # Positives and mutants of the first three levels of each family
+    # scripts/check_recognizers.py checks.  The as-printed fib ball's
+    # guess loop pushes F F, so its steps grow the store by 2.  Every loop
+    # ends at the guess-loop cut, before the store bound: each verdict is
+    # exact.
     system = system()
     kind, _, variant = kind.partition(" ")
     automaton = (sector_automaton(system, root) if kind == "sector"
@@ -911,33 +912,43 @@ def test_raising_the_store_bound_keeps_acceptance(automaton, word, small,
 
 
 @hst.composite
-def trees(draw, words=1):
+def trees(draw, warm=False):
     """The ball recognizer of a random substitution system over the labels
-    A, B and C, and ``words`` pairs of a contour word of it, as is or with
-    one edit, and bounds: a store bound up to the one the builders suggest,
-    and a budget."""
+    A, B and C, and a pair of a contour word of it, as is or with one
+    edit, and bounds: a store bound up to the one the builders suggest,
+    and a budget.  With ``warm``, a first pair comes before it: a contour
+    word of level 1 to 4, as is three times in four, under the suggested
+    store bound and a budget of 10^4, so that its search most often walks
+    the whole tree."""
     labels = ("A", "B", "C")
     label = hst.sampled_from(labels)
     root, sigma = draw(label), draw(hst.integers(1, 3))
-    levels = [draw(hst.integers(0, 4)) for _ in range(words)]
+    first = draw(hst.integers(1, 4)) if warm else None
+    level = draw(hst.integers(0, 4))
     system = SubstitutionSystem(
         "drawn", labels,
         {x: tuple(draw(hst.lists(label, min_size=1, max_size=3)))
          for x in labels},
         {x: draw(hst.sampled_from(LETTERS)) for x in labels}, (sigma,))
+    spec = ContourSpec(system, root, sigma=sigma)
     cases = []
-    for level in levels:
-        word = contour_word(ContourSpec(system, root, sigma=sigma), level)
-        if draw(hst.booleans()):
+    if warm:
+        word = contour_word(spec, first)
+        if draw(hst.integers(0, 3)) == 0:
             word = mutate(word, draw(hst.integers(0, 99)), 1, LETTERS)[0]
-        # Store bounds up to the suggested one, and small budgets, put the
-        # bounds inside jumped copies as well as between them.
-        suggested = suggested_store_bound(system, sigma, level)
-        store = draw(hst.one_of(hst.just(suggested),
-                                hst.integers(0, suggested)))
-        budget = draw(hst.one_of(hst.just(10 ** 4),
-                                 hst.integers(1, 3 * len(word) + 9)))
-        cases.append((word, SearchBounds(store, budget)))
+        cases.append((word, SearchBounds(
+            suggested_store_bound(system, sigma, first), 10 ** 4)))
+    word = contour_word(spec, level)
+    if draw(hst.booleans()):
+        word = mutate(word, draw(hst.integers(0, 99)), 1, LETTERS)[0]
+    # Store bounds up to the suggested one, and small budgets, put the
+    # bounds inside jumped copies as well as between them.
+    suggested = suggested_store_bound(system, sigma, level)
+    store = draw(hst.one_of(hst.just(suggested),
+                            hst.integers(0, suggested)))
+    budget = draw(hst.one_of(hst.just(10 ** 4),
+                             hst.integers(1, 3 * len(word) + 9)))
+    cases.append((word, SearchBounds(store, budget)))
     return (ball_automaton(system, root, sigma), *cases)
 
 
@@ -995,7 +1006,7 @@ def test_segment_jumps_change_nothing(case, memoize):
 
 
 @settings(deadline=None, max_examples=200)
-@given(trees(words=2))
+@given(trees(warm=True))
 def test_a_warm_automaton_searches_as_a_fresh_one(case):
     # Memo-free searches share their segment summaries through the
     # automaton, so the second word may jump copies of subtrees the first

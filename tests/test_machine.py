@@ -912,7 +912,7 @@ def test_memoized_searches_keep_their_summaries_apart():
 def test_a_check_keeps_few_summaries_per_automaton():
     # A summary is kept per (state, symbol, flag), and a tree walk's flags
     # are its heights, so the table stays small however many words an
-    # automaton searches.  After each family's --quick levels with 20
+    # automaton searches.  After each family's first three levels with 20
     # mutants each, the largest (cell120 ball) holds 35 entries.
     made = []
 

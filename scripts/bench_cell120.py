@@ -10,12 +10,12 @@ file straight into that str.  Exits 1 when a level is not accepted.
 
 Each level prints the time to build the word, the time a fresh copy of
 the automaton takes to build its yield tables for the flags of the guessed
-heights 0 .. level (climbing ``child`` from the empty flag's table, at
-the cap of the word's length), then the recognizer on the word: its
-first ``accepts`` on the token tuple, which also builds the automaton's
-yield tables and encodes the tuple; then, on the warm automaton, the
-encoding of the tuple into one str of letter codes alone (``encode``)
-and ``accepts`` on that str alone (``search``).  Memo-free searches share
+heights 0 .. level (climbing ``child`` from the empty flag's table),
+then the recognizer on the word: its first ``accepts`` on the token
+tuple, which also builds the automaton's yield tables and encodes the
+tuple; then, on the warm automaton, the encoding of the tuple into one
+str of letter codes alone (``encode``) and ``accepts`` on that str alone
+(``search``).  Memo-free searches share
 their segment summaries through the automaton, so ``search`` clears them
 first: it walks each repeated subtree once, as a first search of the
 word does, instead of jumping the subtrees ``first`` walked.  The rate is

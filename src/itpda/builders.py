@@ -4,7 +4,11 @@ Every builder follows the same shape: a guess phase that piles height
 markers F onto the inner store of the start symbol Z, a commit step that
 replaces Z with the tree roots (keeping the guessed height as their
 flags), and per-label expansion rules that walk each tree depth first,
-reading a terminal letter at every height-0 node.
+reading a terminal letter at every height-0 node.  One template,
+``_guess_commit_walk``, writes that shape out; the ball automaton and both
+corrected sector automata are built from it.  The verbatim published
+tables (``fibonacci_automaton`` and the as-printed sector) are written
+out by hand.
 
 Two variants exist.  ``CORRECTED`` (the default) increments the guessed
 height by one F per loop, so every height is reachable and the automata
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .contour import ROOT_MARK, SIDE_MARK
 from .grammar import SubstitutionSystem
 from .machine import Automaton, Pop, Push, Transition
 
@@ -95,6 +100,38 @@ def _tree_transitions(system: SubstitutionSystem, fsym: str):
     return out
 
 
+def _guess_commit_walk(system: SubstitutionSystem, name: str, roots,
+                       guess: int = 1, lowest: int = 0, extra=(),
+                       letters=(), symbols=()) -> Automaton:
+    """The builders' template.  Guess a height by pushing one height marker
+    onto Z's inner store, then ``guess`` more per loop; commit ``roots``
+    from Z with a marker left, and from Z itself when the lowest height is
+    0; then the ``extra`` transitions and the tree walk.  ``letters`` and
+    ``symbols`` come before the system's read letters and labels."""
+    zsym = _reserved(system.labels, "Z")
+    fsym = _reserved(system.labels, "F")
+    commit = Push(1, roots)
+    transitions = [_t("q0", EPS, (zsym,), "q0", commit)] if lowest == 0 else []
+    transitions += [
+        _t("q0", EPS, (zsym,), "q0", Push(2, (fsym,))),
+        _t("q0", EPS, (zsym, fsym), "q0", commit),
+        _t("q0", EPS, (zsym, fsym), "q0", Push(2, (fsym,) * guess)),
+        *extra,
+        *_tree_transitions(system, fsym),
+    ]
+    return Automaton(
+        levels=2,
+        states=("q0", "q1"),
+        initial_state="q0",
+        input_alphabet=letters + tuple(
+            dict.fromkeys(system.read_letters[x] for x in system.labels)),
+        store_alphabet=(zsym,) + symbols + system.labels + (fsym,),
+        initial_symbol=zsym,
+        transitions=tuple(transitions),
+        name=name,
+    )
+
+
 def ball_automaton(system: SubstitutionSystem, root: str, sigma: int,
                    variant: Variant = Variant.CORRECTED) -> Automaton:
     """Recognizer of the ball contours { (level word of root at l)^sigma }."""
@@ -102,28 +139,9 @@ def ball_automaton(system: SubstitutionSystem, root: str, sigma: int,
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
     _require_fibonacci(system, variant, "ball automaton")
-    zsym = _reserved(system.labels, "Z")
-    fsym = _reserved(system.labels, "F")
-    ff = (fsym,) if variant is Variant.CORRECTED else (fsym, fsym)
-    commit = Push(1, (root,) * sigma)
-    transitions = [
-        _t("q0", EPS, (zsym,), "q0", commit),
-        _t("q0", EPS, (zsym,), "q0", Push(2, (fsym,))),
-        _t("q0", EPS, (zsym, fsym), "q0", commit),
-        _t("q0", EPS, (zsym, fsym), "q0", Push(2, ff)),
-    ]
-    transitions += _tree_transitions(system, fsym)
-    letters = tuple(dict.fromkeys(system.read_letters[x] for x in system.labels))
-    return Automaton(
-        levels=2,
-        states=("q0", "q1"),
-        initial_state="q0",
-        input_alphabet=letters,
-        store_alphabet=(zsym,) + system.labels + (fsym,),
-        initial_symbol=zsym,
-        transitions=tuple(transitions),
-        name=f"ball {system.name} root={root} sigma={sigma} ({variant.value})",
-    )
+    return _guess_commit_walk(
+        system, f"ball {system.name} root={root} sigma={sigma} ({variant.value})",
+        (root,) * sigma, 1 if variant is Variant.CORRECTED else 2)
 
 
 def sector_automaton(system: SubstitutionSystem, root: str,
@@ -139,55 +157,27 @@ def sector_automaton(system: SubstitutionSystem, root: str,
     if variant is Variant.AS_PRINTED:
         _require_fibonacci(system, variant, "sector automaton")
         return _sector_as_printed(root)
-    zsym = _reserved(system.labels, "Z")
-    fsym = _reserved(system.labels, "F")
-
+    name = f"sector {system.name} root={root} ({variant.value})"
     if not system.sided:
-        # No side marking: the ball template restricted to one sector and
-        # to guessed heights >= 1 (level-0 sectors are not in the family).
-        ball = ball_automaton(system, root, 1)
-        transitions = tuple(t for t in ball.transitions
-                            if not (t.pattern == (zsym,) and isinstance(t.action, Push)
-                                    and t.action.level == 1))
-        return Automaton(
-            levels=2, states=ball.states, initial_state=ball.initial_state,
-            input_alphabet=ball.input_alphabet, store_alphabet=ball.store_alphabet,
-            initial_symbol=zsym, transitions=transitions,
-            name=f"sector {system.name} root={root} ({variant.value})",
-        )
-
-    ssym = _reserved(system.labels, "S")
-    lsym = _reserved(system.labels, "L")
-    xsym = _reserved(system.labels, "X")
-    commit = Push(1, (ssym,))
-    transitions = [
-        _t("q0", EPS, (zsym,), "q0", commit),
-        _t("q0", EPS, (zsym,), "q0", Push(2, (fsym,))),
-        _t("q0", EPS, (zsym, fsym), "q0", commit),
-        _t("q0", EPS, (zsym, fsym), "q0", Push(2, (fsym,))),
+        # One sector, at guessed heights >= 1 (level-0 sectors are not in
+        # the family).
+        return _guess_commit_walk(system, name, (root,), lowest=1)
+    ssym, lsym, xsym, fsym = (_reserved(system.labels, x) for x in "SLXF")
+    extra = (
         # Root marker; expanding only with a height marker left excludes
         # the degenerate level-0 sector.
-        _t("q0", "r", (ssym, fsym), "q1", Pop(2)),
+        _t("q0", ROOT_MARK, (ssym, fsym), "q1", Pop(2)),
         _t("q1", EPS, (ssym, fsym), "q0", Push(1, (lsym, root, xsym))),
-        # Side counters: one s per remaining height marker, on both flanks.
-        _t("q0", "s", (lsym, fsym), "q0", Pop(2)),
+        # Side counters: one side mark per remaining height marker, on
+        # both flanks.
+        _t("q0", SIDE_MARK, (lsym, fsym), "q0", Pop(2)),
         _t("q0", EPS, (lsym,), "q0", Pop(1)),
-        _t("q0", "s", (xsym, fsym), "q0", Pop(2)),
+        _t("q0", SIDE_MARK, (xsym, fsym), "q0", Pop(2)),
         _t("q0", EPS, (xsym,), "q0", Pop(1)),
-    ]
-    transitions += _tree_transitions(system, fsym)
-    letters = ("r", "s") + tuple(
-        dict.fromkeys(system.read_letters[x] for x in system.labels))
-    return Automaton(
-        levels=2,
-        states=("q0", "q1"),
-        initial_state="q0",
-        input_alphabet=letters,
-        store_alphabet=(zsym, ssym, lsym, xsym) + system.labels + (fsym,),
-        initial_symbol=zsym,
-        transitions=tuple(transitions),
-        name=f"sector {system.name} root={root} ({variant.value})",
     )
+    return _guess_commit_walk(system, name, (ssym,), extra=extra,
+                              letters=(ROOT_MARK, SIDE_MARK),
+                              symbols=(ssym, lsym, xsym))
 
 
 def _sector_as_printed(root: str) -> Automaton:

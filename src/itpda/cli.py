@@ -21,7 +21,7 @@ from .builders import Variant
 from .contour import ContourSpec
 from .grammar import GrammarError, SubstitutionSystem, format_word
 from .machine import (ACCEPTED, INCONCLUSIVE, REJECTED, SearchBounds,
-                      UndeclaredLetterError, default_bounds)
+                      default_bounds)
 
 EXIT_ERROR = 3
 
@@ -453,9 +453,7 @@ def main(argv=None) -> int:
         return exc.code
     except BrokenPipeError:
         return 0
-    except (CliError, GrammarError, store.StoreError, machine.MachineError,
-            machine.SearchLimitError, UndeclaredLetterError,
-            OSError, ValueError) as exc:
+    except (CliError, machine.SearchLimitError, OSError, ValueError) as exc:
         print(f"itpda: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

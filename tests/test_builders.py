@@ -10,7 +10,7 @@ from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
                             sector_automaton, suggested_store_bound)
-from itpda.cli import CHECKED_FAMILIES
+from itpda.cli import CHECKED_FAMILIES, run_check
 from itpda.contour import ContourSpec, ball_contour, sector_contour
 from itpda.machine import ACCEPTED, Configuration, Pop, Push, SearchBounds
 
@@ -247,3 +247,24 @@ def test_suggested_bound_covers_the_smallest_accepting_bound():
                     rejects = mid
             assert accepts <= suggested, (system.name, kind, level,
                                           accepts, suggested)
+
+
+# --- every p -----------------------------------------------------------------------------
+
+def test_every_polygonal_recognizer_checks_exactly():
+    # The paper's claim holds for every p >= 5.  The ball (sigma p and
+    # p + 2, levels 0-2) and both sectors (levels 1-3) of p = 5..32 pass
+    # itpda check's run with 5 mutants per level, and no store bound
+    # decides a verdict: 336 rows.  CI checks p = 33..64 the same way.
+    rows = []
+    for p in range(5, 33):
+        system = gr.polygonal(p)
+        reports = [run_check("ball", system, "W", sigma, range(0, 3), 5, 0)
+                   for sigma in (p, p + 2)]
+        reports += [run_check("sector", system, root, 1, range(1, 4), 5, 0)
+                    for root in ("W", "B")]
+        for report in reports:
+            assert report.ok, (p, report.rows)
+            rows += report.rows
+    assert len(rows) == 336
+    assert all(row.exact == row.mutations + 1 for row in rows)

@@ -919,12 +919,15 @@ def trees(draw, warm=False):
     and a budget.  With ``warm``, a first pair comes before it: a contour
     word of level 1 to 4, as is three times in four, under the suggested
     store bound and a budget of 10^4, so that its search most often walks
-    the whole tree."""
+    the whole tree.  The second word then has level 1 to 4 too, and its
+    edit is a substitution: a level-0 word has no subtree to jump, and an
+    edit that changes the length is rejected at the commit by the yield
+    cut, before the walk reaches a subtree."""
     labels = ("A", "B", "C")
     label = hst.sampled_from(labels)
     root, sigma = draw(label), draw(hst.integers(1, 3))
     first = draw(hst.integers(1, 4)) if warm else None
-    level = draw(hst.integers(0, 4))
+    level = draw(hst.integers(1 if warm else 0, 4))
     system = SubstitutionSystem(
         "drawn", labels,
         {x: tuple(draw(hst.lists(label, min_size=1, max_size=3)))
@@ -940,7 +943,12 @@ def trees(draw, warm=False):
             suggested_store_bound(system, sigma, first), 10 ** 4)))
     word = contour_word(spec, level)
     if draw(hst.booleans()):
-        word = mutate(word, draw(hst.integers(0, 99)), 1, LETTERS)[0]
+        if warm:
+            i = draw(hst.integers(0, len(word) - 1))
+            swap = {"a": "b", "b": "a"}[word[i]]
+            word = word[:i] + (swap,) + word[i + 1:]
+        else:
+            word = mutate(word, draw(hst.integers(0, 99)), 1, LETTERS)[0]
     # Store bounds up to the suggested one, and small budgets, put the
     # bounds inside jumped copies as well as between them.
     suggested = suggested_store_bound(system, sigma, level)

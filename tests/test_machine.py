@@ -473,10 +473,11 @@ def test_yield_table_rounds_refold_only_chains_whose_rows_changed():
     assert chain.call_count == 48
 
 
-def test_a_larger_cap_solves_no_table_again():
+def test_a_warm_automaton_solves_no_table_again():
     # The fib sector's positives at levels 1-6, on one automaton, as itpda
-    # check runs them, solve each table once, in 9 _add calls, and so do
-    # the same words in the other order.
+    # check runs them: a later word reads the warm tables an earlier one
+    # left on the automaton, so each table is solved once, in 9 _add
+    # calls, and so it is for the same words in the other order.
     fib = gr.fibonacci()
     spec = ContourSpec(fib, "W", kind="sector")
     words = [contour_word(spec, level) for level in range(1, 7)]
@@ -497,8 +498,8 @@ def test_a_larger_cap_solves_no_table_again():
 
 # (kind, system, root, sigma, level, top level, store nodes,
 # configurations): families of the benchmark's check-mutants job list,
-# each at one level below its top.
-CAP_RAISED = [
+# each at one level below its top, searched after the top-level word.
+WARM_AFTER_TOP = [
     ("ball", gr.fibonacci, "W", 5, 2, 6, 123, 192),
     ("ball", gr.dodecahedral, "O", 8, 1, 3, 139, 379),
     ("sector", gr.fibonacci, "W", 1, 3, 6, 261, 236),
@@ -506,14 +507,14 @@ CAP_RAISED = [
 ]
 
 
-@pytest.mark.parametrize("case", CAP_RAISED,
+@pytest.mark.parametrize("case", WARM_AFTER_TOP,
                          ids=lambda c: f"{c[1].__name__}-{c[0]}-{c[2]}")
-def test_a_cap_raised_by_a_long_word_changes_no_later_search(case):
+def test_warm_tables_and_summaries_change_no_later_search(case):
     # After the family's top-level word, a level's positive and its 20
-    # seeded mutants read the tables that word solved, and give the
-    # verdicts they give on a fresh automaton.  They build no more store
-    # nodes: the top-level word left summaries of the subtrees they
-    # share, which they jump.
+    # seeded mutants read the warm tables and summaries that word left on
+    # the automaton, and give the verdicts they give on a fresh automaton.
+    # They build no more store nodes: the top-level word left summaries
+    # of the subtrees they share, which they jump.
     kind, make, root, sigma, level, top, nodes, configs = case
     system = make()
     spec = ContourSpec(system, root, sigma=sigma, kind=kind)

@@ -3,8 +3,9 @@
 
 Prints one check report per (family, kind) pair and a final summary.
 Equivalent to a batch of `itpda check` invocations; handy for eyeballing
-timings per level.  A family passes when its check passes and every
-verdict of every row is exact, decided without the store bound.
+timings per level.  A family passes when its check passes: every
+positive accepted and every mutant rejected, each verdict decided
+without the store bound.
 """
 
 import argparse
@@ -29,8 +30,7 @@ def main():
                                args.mutations, args.seed)
         print(report.as_text())
         print()
-        all_ok &= report.ok and all(row.exact == row.mutations + 1
-                                    for row in report.rows)
+        all_ok &= report.ok
     print("ALL PASS" if all_ok else "SOME FAILED")
     return 0 if all_ok else 1
 

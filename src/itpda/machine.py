@@ -1263,6 +1263,15 @@ def enumerate_language(automaton: Automaton, max_len: int,
     if the configuration budget is exceeded (the result would be
     incomplete), and :class:`MachineError` if ``max_len`` is negative.
     """
+    return _enumerate_language(automaton, max_len, bounds)[0]
+
+
+def _enumerate_language(automaton: Automaton, max_len: int,
+                        bounds: Optional[SearchBounds]
+                        ) -> tuple[set[Word], bool]:
+    """:func:`enumerate_language`'s words, and whether the store bound
+    cut a configuration (if not, no run of any store size accepts
+    another word of length <= ``max_len``)."""
     if max_len < 0:
         raise MachineError("max_len must be >= 0")
     if bounds is None:
@@ -1274,6 +1283,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
         grown = [len(t.action.word) if isinstance(t.action, Push)
                  and t.action.level == 2 else 0 for t in automaton.transitions]
     accepted: set[str] = set()  # coded words
+    store_cut = False
     start = (automaton.initial_state, "", automaton.initial_store())
     seen = {start}
     stack = [start]
@@ -1295,6 +1305,7 @@ def enumerate_language(automaton: Automaton, max_len: int,
             if yields is not None and lows[tid] > max_len - len(nemit):
                 continue
             if nstore.size > max_store:
+                store_cut = True
                 continue
             ncfg = (target, nemit, nstore)
             if ncfg in seen:
@@ -1317,7 +1328,8 @@ def enumerate_language(automaton: Automaton, max_len: int,
                     "language enumeration exceeded the configuration budget")
             stack.append(ncfg)
     letters = automaton._codes.letter
-    return {tuple(map(letters.__getitem__, word)) for word in accepted}
+    return ({tuple(map(letters.__getitem__, word)) for word in accepted},
+            store_cut)
 
 
 # ---------------------------------------------------------------------------

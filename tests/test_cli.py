@@ -373,6 +373,21 @@ def test_run_check_checks_the_system_it_is_given():
             assert [row.positive for row in report.rows] == [mc.ACCEPTED] * 3
 
 
+def test_every_verdict_of_the_quick_check_is_exact():
+    # Every level scripts/check_recognizers.py checks, with the first 10 of
+    # its mutants (--mutations 10, seed 0).  The guess-loop cut ends every
+    # guess loop before the store bound, so no verdict rests on it, also
+    # where default_bounds is below builders.suggested_store_bound (the fib
+    # sigma 5, poly6 and cell120 balls at level 0, the fib and dodeca
+    # sectors at level 1).
+    for kind, make, root, sigma, levels in cli.CHECKED_FAMILIES:
+        report = cli.run_check(kind, make(), root, sigma, levels, 10, 0)
+        assert report.ok, report.as_text()
+        assert [(row.positive, row.rejected, row.inconclusive)
+                for row in report.rows] == [(mc.ACCEPTED, 10, 0)] * len(
+                    report.rows)
+
+
 def test_every_checked_system_is_the_one_its_name_looks_up():
     # `itpda check --system NAME` checks what scripts/check_recognizers.py
     # checks only if each family's name looks up its own system.
@@ -398,12 +413,7 @@ def run_check_script(monkeypatch, capsys, *argv):
 
 
 def test_check_script_passes_every_family(monkeypatch, capsys):
-    # Every level the script checks, with the first 10 of its mutants.
-    # The guess-loop cut ends every guess loop before the store bound, so
-    # no verdict rests on it, also where default_bounds is below
-    # builders.suggested_store_bound (the fib sigma 5, poly6 and cell120
-    # balls at level 0, the fib and dodeca sectors at level 1).
-    assert run_check_script(monkeypatch, capsys, "--mutations", "10") == (
+    assert run_check_script(monkeypatch, capsys, "--mutations", "2") == (
         0, "ALL PASS")
 
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the 120-cell-grid sector recognizer on large level words.
+"""Benchmark the 120-cell-grid sector recognizer of root 9 on large level
+words.
 
 Level 3 is ~1.5M letters; level 4 (~170M letters) is left out by default:
 the contour word the library builds is still a tuple of about 1.3 GB
@@ -44,6 +45,8 @@ from itpda.grammar import cell120, format_word
 from itpda.machine import (Push, SearchBounds, _Coded, _encode, accepts,
                            default_bounds, render_automaton)
 
+ROOT = "9"
+
 
 def time_run(automaton_file: Path, word_file: Path):
     """Seconds and exit code of ``itpda run`` on the two files, under its
@@ -74,13 +77,12 @@ def time_tables(automaton, level: int) -> float:
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-level", type=int, default=3)
-    parser.add_argument("--root", default="9")
     args = parser.parse_args()
 
     failed = False
     system = cell120()
-    automaton = sector_automaton(system, args.root)
-    spec = ContourSpec(system, args.root, kind="sector")
+    automaton = sector_automaton(system, ROOT)
+    spec = ContourSpec(system, ROOT, kind="sector")
     with tempfile.TemporaryDirectory() as tmp:
         automaton_file = Path(tmp) / "sector.ipda"
         automaton_file.write_text(render_automaton(automaton), encoding="utf-8")

@@ -5,10 +5,9 @@ expansion rule and one terminal "read letter" emitted when a node is read
 at the bottom level of a tree.  Four built-in families are provided:
 
 * ``fibonacci()`` -- the black/white tree spanning pentagrid/heptagrid
-  sectors (rules B -> BW, W -> BWW);
+  sectors (rules B -> BW, W -> BWW), which is ``polygonal(5)``;
 * ``polygonal(p)`` -- the generalisation spanning the {p,4} and {p+2,3}
-  tilings (W -> B W^(p-3), B -> B W^(p-4)); ``polygonal(5)`` is the
-  Fibonacci system;
+  tilings (W -> B W^(p-3), B -> B W^(p-4));
 * ``dodecahedral()`` -- the four-label tree of the {5,3,4} grid;
 * ``cell120()`` -- the eleven-label tree of the {5,3,3,4} grid.
 
@@ -190,27 +189,19 @@ def parse_word(text: str) -> Word:
 
 def fibonacci() -> SubstitutionSystem:
     """The pentagrid/heptagrid spanning tree: B -> BW, W -> BWW."""
-    return SubstitutionSystem(
-        name="fibonacci",
-        labels=("B", "W"),
-        rules={"B": ("B", "W"), "W": ("B", "W", "W")},
-        read_letters={"B": "b", "W": "w"},
-        canonical_sigmas=(5, 7),
-    )
+    return polygonal(5)
 
 
 def polygonal(p: int) -> SubstitutionSystem:
     """Spanning tree of the {p,4} and {p+2,3} tilings, p >= 5.
 
-    Rules W -> B W^(p-3) and B -> B W^(p-4); at p = 5 this is exactly the
-    Fibonacci system.
+    Rules W -> B W^(p-3) and B -> B W^(p-4); at p = 5 this is the
+    Fibonacci system, named ``"fibonacci"``.
     """
     if p < 5:
         raise GrammarError("polygonal systems need p >= 5")
-    if p == 5:
-        return fibonacci()
     return SubstitutionSystem(
-        name=f"polygonal({p})",
+        name="fibonacci" if p == 5 else f"polygonal({p})",
         labels=("B", "W"),
         rules={"B": ("B",) + ("W",) * (p - 4), "W": ("B",) + ("W",) * (p - 3)},
         read_letters={"B": "b", "W": "w"},

@@ -10,7 +10,7 @@ from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
                             sector_automaton, suggested_store_bound)
-from itpda.cli import CHECKED_FAMILIES, run_check
+from itpda.cli import CHECKED_FAMILIES, get_system, run_check
 from itpda.contour import ContourSpec, ball_contour, sector_contour
 from itpda.machine import ACCEPTED, Configuration, Pop, Push, SearchBounds
 
@@ -217,9 +217,9 @@ def test_default_bounds_admit_accepting_runs(system, root, sigma, kind, levels):
 # checks, and the cell120 sector word at level 3, the largest the
 # acceptance suite reads.
 QUICK_CHECK = [
-    (kind, make, root, sigma,
-     range(1, 4) if (kind, make) == ("sector", gr.cell120) else levels[:3])
-    for kind, make, root, sigma, levels in CHECKED_FAMILIES]
+    (kind, name, root, sigma,
+     range(1, 4) if (kind, name) == ("sector", "cell120") else levels[:3])
+    for kind, name, root, sigma, levels in CHECKED_FAMILIES]
 
 
 def test_suggested_bound_covers_the_smallest_accepting_bound():
@@ -228,8 +228,8 @@ def test_suggested_bound_covers_the_smallest_accepting_bound():
     # suggested one; the suggested bound must reach it on every family and
     # level.  The largest share seen is 691 of 1,192, on the cell120
     # sector word at level 3.
-    for kind, make, root, sigma, levels in QUICK_CHECK:
-        system = make()
+    for kind, name, root, sigma, levels in QUICK_CHECK:
+        system = get_system(name)
         automaton = (ball_automaton(system, root, sigma) if kind == "ball"
                      else sector_automaton(system, root))
         spec = ContourSpec(system, root, sigma=sigma, kind=kind)

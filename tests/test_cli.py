@@ -373,6 +373,13 @@ def test_run_check_checks_the_system_it_is_given():
             assert [row.positive for row in report.rows] == [mc.ACCEPTED] * 3
 
 
+def test_run_check_takes_only_a_contour_kind():
+    # Kind fib names the unary Fibonacci automaton but no contour family,
+    # so the check stops at its contour spec, before any search.
+    with pytest.raises(ValueError, match="unknown contour kind"):
+        cli.run_check("fib", gr.fibonacci(), "W", 1, range(1, 3), 2, 0)
+
+
 def test_every_verdict_of_the_quick_check_is_exact():
     # Every level scripts/check_recognizers.py checks, with the first 10 of
     # its mutants (--mutations 10, seed 0).  The guess-loop cut ends every
@@ -380,26 +387,13 @@ def test_every_verdict_of_the_quick_check_is_exact():
     # where default_bounds is below builders.suggested_store_bound (the fib
     # sigma 5, poly6 and cell120 balls at level 0, the fib and dodeca
     # sectors at level 1).
-    for kind, make, root, sigma, levels in cli.CHECKED_FAMILIES:
-        report = cli.run_check(kind, make(), root, sigma, levels, 10, 0)
+    for kind, name, root, sigma, levels in cli.CHECKED_FAMILIES:
+        report = cli.run_check(kind, cli.get_system(name), root, sigma,
+                               levels, 10, 0)
         assert report.ok, report.as_text()
         assert [(row.positive, row.rejected, row.inconclusive)
                 for row in report.rows] == [(mc.ACCEPTED, 10, 0)] * len(
                     report.rows)
-
-
-def test_every_checked_system_is_the_one_its_name_looks_up():
-    # `itpda check --system NAME` checks what scripts/check_recognizers.py
-    # checks only if each family's name looks up its own system.
-    names = []
-    for _, make, _, _, _ in cli.CHECKED_FAMILIES:
-        system = make()
-        named = cli.get_system(system.name)
-        assert (named.rules, named.read_letters) == (system.rules,
-                                                     system.read_letters)
-        names.append(system.name)
-    assert sorted(set(names)) == ["cell120", "dodecahedral", "fibonacci",
-                                  "polygonal(6)", "polygonal(7)"]
 
 
 CHECK_SCRIPT = Path(__file__).parents[1] / "scripts" / "check_recognizers.py"

@@ -46,7 +46,7 @@ from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, sector_automaton,
                             suggested_store_bound)
-from itpda.cli import CHECKED_FAMILIES
+from itpda.cli import CHECKED_FAMILIES, get_system
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.grammar import SubstitutionSystem, format_word
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
@@ -610,10 +610,10 @@ def test_runs_fold_into_one_step_as_symbol_steps(case, cap):
 CHECKED_AUTOMATA = [family[:4] for family in CHECKED_FAMILIES]
 
 
-def checked_automaton(kind, system, root, sigma):
+def checked_automaton(kind, name, root, sigma):
     """The system, the automaton and the guess loop's flag symbol of a
     ``CHECKED_AUTOMATA`` entry."""
-    system = system()
+    system = get_system(name)
     automaton = (ball_automaton(system, root, sigma) if kind == "ball"
                  else sector_automaton(system, root))
     marker, = {s for t in automaton.transitions if t.action.level == 2
@@ -621,16 +621,16 @@ def checked_automaton(kind, system, root, sigma):
     return system, automaton, marker
 
 
-@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
-def test_builder_yield_tables_equal_plain_rounds(kind, system, root, sigma):
-    _, automaton, marker = checked_automaton(kind, system, root, sigma)
+@pytest.mark.parametrize("kind,name,root,sigma", CHECKED_AUTOMATA)
+def test_builder_yield_tables_equal_plain_rounds(kind, name, root, sigma):
+    _, automaton, marker = checked_automaton(kind, name, root, sigma)
     # The flags of the guess loop's heights, lowest first.
     flags = [st.from_pairs(1, [(marker, st.empty(0))] * h) for h in range(13)]
     assert_tables_match_plain_rounds(automaton, flags)
 
 
-@pytest.mark.parametrize("kind,system,root,sigma", CHECKED_AUTOMATA)
-def test_tree_labels_yield_their_count_law(kind, system, root, sigma):
+@pytest.mark.parametrize("kind,name,root,sigma", CHECKED_AUTOMATA)
+def test_tree_labels_yield_their_count_law(kind, name, root, sigma):
     # Criterion 6's count law, read off the tables and checked against
     # grammar.total_count alone: a tree label X on top of the flag F^h,
     # entered and left in q0, reads exactly the letters of its level word
@@ -640,7 +640,7 @@ def test_tree_labels_yield_their_count_law(kind, system, root, sigma):
     # every count reaches the cap, save the fib sectors', whose side
     # counters read one letter per height, so their tables differ at
     # every height below 2^62; there the law is checked up to height 65.
-    system, automaton, marker = checked_automaton(kind, system, root, sigma)
+    system, automaton, marker = checked_automaton(kind, name, root, sigma)
     tables = automaton._yield_tables()
     nq, q0 = len(automaton.states), automaton.states.index("q0")
     tid, below = 0, None
@@ -822,19 +822,19 @@ def test_guess_loop_cut_agrees_with_reference_bfs(automaton, word):
           f"{' where the memo is not' if fast.exact and not memo.exact else ''}")
 
 
-@pytest.mark.parametrize("kind,system,root,sigma,levels", [
-    pytest.param(kind, make, root, sigma, levels[:3],
-                 id=f"{kind}-{make.__name__}-{root}-{sigma}")
-    for kind, make, root, sigma, levels in CHECKED_FAMILIES
-    + (("ball as-printed", gr.fibonacci, "W", 5, range(0, 3)),)])
-def test_builder_guess_loops_count_as_stepping(kind, system, root, sigma,
+@pytest.mark.parametrize("kind,name,root,sigma,levels", [
+    pytest.param(kind, name, root, sigma, levels[:3],
+                 id=f"{kind}-{name}-{root}-{sigma}")
+    for kind, name, root, sigma, levels in CHECKED_FAMILIES
+    + (("ball as-printed", "fibonacci", "W", 5, range(0, 3)),)])
+def test_builder_guess_loops_count_as_stepping(kind, name, root, sigma,
                                                levels):
     # Positives and mutants of the first three levels of each family
     # scripts/check_recognizers.py checks.  The as-printed fib ball's
     # guess loop pushes F F, so its steps grow the store by 2.  Every loop
     # ends at the guess-loop cut, before the store bound: each verdict is
     # exact.
-    system = system()
+    system = get_system(name)
     kind, _, variant = kind.partition(" ")
     automaton = (sector_automaton(system, root) if kind == "sector"
                  else ball_automaton(system, root, sigma,
@@ -917,16 +917,18 @@ def trees(draw, warm=False):
     A, B and C, and a pair of a contour word of it, as is or with one
     edit, and bounds: a store bound up to the one the builders suggest,
     and a budget.  With ``warm``, a first pair comes before it: a contour
-    word of level 1 to 4, as is three times in four, under the suggested
-    store bound and a budget of 10^4, so that its search most often walks
-    the whole tree.  The second word then has level 1 to 4 too, and its
-    edit is a substitution: a level-0 word has no subtree to jump, and an
-    edit that changes the length is rejected at the commit by the yield
-    cut, before the walk reaches a subtree."""
+    word of level 2 to 4, as is unless a draw in 0..7 gives 0, under the
+    suggested store bound and a budget of 10^4, so that its search most
+    often walks the whole tree and leaves summaries of subtrees of height
+    1 and up.  The second word then has level 1 to 4, and the suggested
+    store bound and a budget of 10^4 too unless a draw in 0..3 gives 0.
+    Both words are edited by a substitution: a level-0 word has no
+    subtree to jump, and an edit that changes the length is rejected at
+    the commit by the yield cut, before the walk reaches a subtree."""
     labels = ("A", "B", "C")
     label = hst.sampled_from(labels)
     root, sigma = draw(label), draw(hst.integers(1, 3))
-    first = draw(hst.integers(1, 4)) if warm else None
+    first = draw(hst.integers(2, 4)) if warm else None
     level = draw(hst.integers(1 if warm else 0, 4))
     system = SubstitutionSystem(
         "drawn", labels,
@@ -934,28 +936,34 @@ def trees(draw, warm=False):
          for x in labels},
         {x: draw(hst.sampled_from(LETTERS)) for x in labels}, (sigma,))
     spec = ContourSpec(system, root, sigma=sigma)
+
+    def substitute(word):
+        i = draw(hst.integers(0, len(word) - 1))
+        return word[:i] + ({"a": "b", "b": "a"}[word[i]],) + word[i + 1:]
+
     cases = []
     if warm:
         word = contour_word(spec, first)
-        if draw(hst.integers(0, 3)) == 0:
-            word = mutate(word, draw(hst.integers(0, 99)), 1, LETTERS)[0]
+        if draw(hst.integers(0, 7)) == 0:
+            word = substitute(word)
         cases.append((word, SearchBounds(
             suggested_store_bound(system, sigma, first), 10 ** 4)))
     word = contour_word(spec, level)
     if draw(hst.booleans()):
         if warm:
-            i = draw(hst.integers(0, len(word) - 1))
-            swap = {"a": "b", "b": "a"}[word[i]]
-            word = word[:i] + (swap,) + word[i + 1:]
+            word = substitute(word)
         else:
             word = mutate(word, draw(hst.integers(0, 99)), 1, LETTERS)[0]
     # Store bounds up to the suggested one, and small budgets, put the
     # bounds inside jumped copies as well as between them.
     suggested = suggested_store_bound(system, sigma, level)
-    store = draw(hst.one_of(hst.just(suggested),
-                            hst.integers(0, suggested)))
-    budget = draw(hst.one_of(hst.just(10 ** 4),
-                             hst.integers(1, 3 * len(word) + 9)))
+    if warm and draw(hst.integers(0, 3)):
+        store, budget = suggested, 10 ** 4
+    else:
+        store = draw(hst.one_of(hst.just(suggested),
+                                hst.integers(0, suggested)))
+        budget = draw(hst.one_of(hst.just(10 ** 4),
+                                 hst.integers(1, 3 * len(word) + 9)))
     cases.append((word, SearchBounds(store, budget)))
     return (ball_automaton(system, root, sigma), *cases)
 

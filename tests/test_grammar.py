@@ -68,6 +68,8 @@ def test_polygonal_5_is_fibonacci():
     p5 = gr.polygonal(5)
     fib = gr.fibonacci()
     assert p5.rules == fib.rules == {"B": tuple("BW"), "W": tuple("BWW")}
+    assert (p5.name, p5.canonical_sigmas) == (fib.name, fib.canonical_sigmas) \
+        == ("fibonacci", (5, 7))
 
 
 def test_polygonal_below_5_rejected():

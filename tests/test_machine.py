@@ -15,7 +15,7 @@ from itpda import machine as mc
 from itpda import store as st
 from itpda.builders import (Variant, ball_automaton, fibonacci_automaton,
                             sector_automaton, suggested_store_bound)
-from itpda.cli import CHECKED_FAMILIES, build_automaton
+from itpda.cli import CHECKED_FAMILIES, build_automaton, get_system
 from itpda.contour import ContourSpec, contour_word, mutate
 from itpda.machine import (ACCEPTED, INCONCLUSIVE, REJECTED, Automaton,
                            Configuration, Pop, Push, SearchBounds, Transition)
@@ -922,9 +922,9 @@ def test_a_check_keeps_few_summaries_per_automaton():
         return made[-1]
 
     with mock.patch.object(cli, "build_automaton", build):
-        for kind, make, root, sigma, levels in CHECKED_FAMILIES:
-            assert cli.run_check(kind, make(), root, sigma, levels[:3], 20,
-                                 0).ok
+        for kind, name, root, sigma, levels in CHECKED_FAMILIES:
+            assert cli.run_check(kind, get_system(name), root, sigma,
+                                 levels[:3], 20, 0).ok
     assert len(made) == len(CHECKED_FAMILIES)
     assert max(len(a._summaries) for a in made) <= 64
 
@@ -1166,20 +1166,19 @@ def test_enumeration_ends_guess_loops_without_a_store_bound():
 
 
 ENUMERATED_FAMILIES = [
-    *((kind, make, root, sigma, "corrected")
-      for kind, make, root, sigma, _ in CHECKED_FAMILIES),
-    ("ball", gr.fibonacci, "W", 5, "as-printed"),
-    ("sector", gr.fibonacci, "W", 1, "as-printed"),
+    *((kind, name, root, sigma, "corrected")
+      for kind, name, root, sigma, _ in CHECKED_FAMILIES),
+    ("ball", "fibonacci", "W", 5, "as-printed"),
+    ("sector", "fibonacci", "W", 1, "as-printed"),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind, make, root, sigma, variant", ENUMERATED_FAMILIES,
-    ids=[f"{kind}-{make().name}-{root}-{sigma}-{variant}"
-         for kind, make, root, sigma, variant in ENUMERATED_FAMILIES])
-def test_enumeration_needs_no_store_bound_on_the_builders(kind, make, root,
+    "kind, name, root, sigma, variant", ENUMERATED_FAMILIES,
+    ids=["-".join(map(str, family)) for family in ENUMERATED_FAMILIES])
+def test_enumeration_needs_no_store_bound_on_the_builders(kind, name, root,
                                                           sigma, variant):
-    automaton = build_automaton(kind, make(), root, sigma, variant)
+    automaton = build_automaton(kind, get_system(name), root, sigma, variant)
     unbounded = mc.enumerate_language(automaton, 40, SearchBounds(None, 10 ** 4))
     assert unbounded == mc.enumerate_language(automaton, 40,
                                               mc.default_bounds(40))
@@ -1191,10 +1190,10 @@ def test_enumeration_keeps_a_guessed_word_of_exactly_max_len_letters():
     # letters left, so the word is listed to its own length and not one
     # letter short.  The cell120 sector's level-2 word has 13,090 letters,
     # so it takes level 1, whose run guesses too.
-    for kind, make, root, sigma, levels in CHECKED_FAMILIES:
-        system = make()
+    for kind, name, root, sigma, levels in CHECKED_FAMILIES:
+        system = get_system(name)
         automaton = build_automaton(kind, system, root, sigma, "corrected")
-        level = (levels[0] if (kind, make) == ("sector", gr.cell120)
+        level = (levels[0] if (kind, name) == ("sector", "cell120")
                  else levels[1])
         word = contour_word(ContourSpec(system, root, sigma=sigma, kind=kind),
                             level)
